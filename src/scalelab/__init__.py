@@ -19,7 +19,6 @@ from .analytic import (
 )
 from .fitting import (
     PowerLawFit,
-    fit_kaplan_form,
     fit_power_law,
     fit_power_law_with_offset,
     sum_squared_error,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lossmodel import LossSpec, loss_ne_ce
-from .params import THIRD, EmbedMap
+from .params import THIRD, EmbedMap, _check_positive, _check_third
 
 __all__ = [
     "ExponentSample",
@@ -36,16 +36,6 @@ __all__ = [
 
 EXPONENT_CURVE_RANGE = (1e2, 1e13)
 EXPONENT_CURVE_POINTS = 400
-
-
-def _check_positive(name, value):
-    if np.any(np.asarray(value) <= 0):
-        raise ValueError(f"{name} must be > 0")
-
-
-def _check_third(embed_map: EmbedMap):
-    if embed_map.delta != THIRD:
-        raise ValueError("analytic forms require delta = 1/3")
 
 
 def optimal_nt(c_total, spec: LossSpec):

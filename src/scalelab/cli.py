@@ -1,8 +1,7 @@
 """Command-line front end emitting figure-ready CSV data and fit reports.
 
 Every command is deterministic and writes to --output or standard output;
-reruns with the same flags produce byte-identical files.  The environment
-variable SCALELAB_SEED is reserved but unused (nothing here is stochastic).
+reruns with the same flags produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -93,10 +92,7 @@ def cmd_fit_embed_map(args) -> int:
 def cmd_simulate(args) -> int:
     curves = simulate_curves(_sizes_from_args(args), resolve_spec(args.spec or "epoch"),
                              _embed_map_from_args(args))
-    if args.output:
-        write_curves_csv(curves, args.output)
-    else:
-        write_curves_csv(curves, sys.stdout)
+    write_curves_csv(curves, args.output or sys.stdout)
     return 0
 
 
@@ -108,17 +104,12 @@ def _build_frontier(args, basis: str):
 
 def cmd_frontier(args) -> int:
     frontier = _build_frontier(args, args.basis)
-    if args.output:
-        write_frontier_csv(frontier, args.output)
-    else:
-        write_frontier_csv(frontier, sys.stdout)
+    write_frontier_csv(frontier, args.output or sys.stdout)
     return 0
 
 
 def cmd_fit(args) -> int:
     frontier = read_frontier_csv(args.frontier_csv)
-    if len(frontier.points) < 3:
-        raise ValueError("need >=3 frontier points")
     if args.form == "plain":
         fit = fit_param_scaling(frontier)
     else:

@@ -17,7 +17,6 @@ __all__ = [
     "PowerLawFit",
     "fit_power_law",
     "fit_power_law_with_offset",
-    "fit_kaplan_form",
     "sum_squared_error",
 ]
 
@@ -69,8 +68,10 @@ def _validated_xy(x, y, min_points: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x.size < min_points:
         raise ValueError(f"need >={min_points} points, got {x.size}")
-    if np.any(x <= 0):
-        raise ValueError("x values must be > 0")
+    if not np.all(np.isfinite(x) & (x > 0)):
+        raise ValueError("x values must be finite and > 0")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y values must be finite")
     if np.unique(x).size < 2:
         raise ValueError("need >=2 distinct x values")
     return x, y
@@ -83,11 +84,6 @@ def fit_power_law(x, y) -> PowerLawFit:
         raise ValueError("y values must be > 0")
     prefactor, exponent, r_squared = _loglog_ols(x, y)
     return PowerLawFit(prefactor, exponent, None, r_squared, int(x.size))
-
-
-def fit_kaplan_form(c, loss) -> PowerLawFit:
-    """Offset-free compute-loss fit loss = (c/c_0)**exponent, exponent < 0 on frontier data."""
-    return fit_power_law(c, loss)
 
 
 def _golden_section(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
@@ -132,8 +128,8 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
         return float(np.sum((offset + prefactor * x**exponent - y) ** 2))
 
     if fixed_offset is not None:
-        if fixed_offset < 0:
-            raise ValueError("fixed_offset must be >= 0")
+        if not (math.isfinite(fixed_offset) and fixed_offset >= 0):
+            raise ValueError("fixed_offset must be finite and >= 0")
         if np.any(y - fixed_offset <= 0):
             raise ValueError("y - fixed_offset must be > 0")
         offset = float(fixed_offset)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import ce_of_optimal_ne
-from .fitting import PowerLawFit, fit_kaplan_form, fit_power_law, fit_power_law_with_offset
+from .fitting import PowerLawFit, fit_power_law, fit_power_law_with_offset
 from .lossmodel import LossSpec, loss_ne_ce
 from .params import EmbedMap, total_from_nonembed
 
@@ -242,7 +242,7 @@ def fit_loss_scaling(
     if len(frontier.points) < 3:
         raise ValueError("need >=3 frontier points")
     if form == "kaplan":
-        return fit_kaplan_form(frontier.c, frontier.loss_min)
+        return fit_power_law(frontier.c, frontier.loss_min)
     if form == "chinchilla":
         return fit_power_law_with_offset(frontier.c, frontier.loss_min, fixed_offset)
     raise ValueError("form must be 'kaplan' or 'chinchilla'")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import THIRD, EmbedMap, total_from_nonembed
+from .params import EmbedMap, _check_positive, _check_third, total_from_nonembed
 
 __all__ = [
     "LossSpec",
@@ -40,10 +40,10 @@ class LossSpec:
     e_irr: float
 
     def __post_init__(self):
-        if min(self.n_c, self.d_c, self.alpha, self.beta) <= 0:
-            raise ValueError("n_c, d_c, alpha, beta must all be > 0")
-        if self.e_irr < 0:
-            raise ValueError("e_irr must be >= 0")
+        for name in ("n_c", "d_c", "alpha", "beta"):
+            _check_positive(name, getattr(self, name))
+        if not (np.isfinite(self.e_irr) and self.e_irr >= 0):
+            raise ValueError("e_irr must be finite and >= 0")
 
 
 # The two compiled-in constant sets: the original total-parameter fit and the
@@ -52,11 +52,6 @@ CHINCHILLA = LossSpec(n_c=406.4, d_c=410.7, alpha=0.3392, beta=0.2849, e_irr=1.6
 EPOCH = LossSpec(n_c=482.0, d_c=2085.43, alpha=0.3478, beta=0.3658, e_irr=1.817)
 
 SPEC_CATALOG = {"chinchilla": CHINCHILLA, "epoch": EPOCH}
-
-
-def _check_positive(name, value):
-    if np.any(np.asarray(value) <= 0):
-        raise ValueError(f"{name} must be > 0")
 
 
 def loss_nd(n_total, d, spec: LossSpec):
@@ -86,8 +81,7 @@ def loss_ne_ce(n_nonembed, c_nonembed, spec: LossSpec, embed_map: EmbedMap):
     identity d = c_total/(6 n_total) = c_nonembed/(6 n_nonembed).  Requires
     delta = 1/3 so results stay consistent with the closed forms.
     """
-    if embed_map.delta != THIRD:
-        raise ValueError("loss_ne_ce requires delta = 1/3 (analytic form)")
+    _check_third(embed_map)
     _check_positive("n_nonembed", n_nonembed)
     _check_positive("c_nonembed", c_nonembed)
     n_total = total_from_nonembed(n_nonembed, embed_map)

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fitting import _loglog_ols
+
 __all__ = [
     "DEFAULT_OMEGA",
     "DEFAULT_EMBED_MAP",
@@ -40,6 +42,18 @@ THIRD = 1.0 / 3.0
 # Calibrated on the bundled model-configuration suite (see data/); downstream
 # analytic defaults use this omega together with delta = 1/3.
 DEFAULT_OMEGA = 47491.0
+
+
+def _check_positive(name, value):
+    """Raise ValueError unless every entry of ``value`` is finite and > 0."""
+    v = np.asarray(value, dtype=float)
+    if not (np.isfinite(v) & (v > 0)).all():
+        raise ValueError(f"{name} must be finite and > 0")
+
+
+def _check_third(embed_map: EmbedMap):
+    if embed_map.delta != THIRD:
+        raise ValueError("analytic forms require delta = 1/3")
 
 
 @dataclass(frozen=True)
@@ -98,8 +112,8 @@ class EmbedMap:
     delta: float = THIRD
 
     def __post_init__(self):
-        if self.omega < 0:
-            raise ValueError("omega must be >= 0")
+        if not (np.isfinite(self.omega) and self.omega >= 0):
+            raise ValueError("omega must be finite and >= 0")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
 
@@ -126,45 +140,36 @@ def count_params(shape: ModelShape) -> ParamSplit:
 def total_from_nonembed(n_nonembed, embed_map: EmbedMap):
     """Map a non-embedding count to the total count; strictly increasing.
 
-    Accepts scalars or arrays; all inputs must be > 0.
+    Accepts scalars or arrays; all inputs must be finite and > 0.
     """
     n = np.asarray(n_nonembed, dtype=float)
-    if np.any(n <= 0):
-        raise ValueError("n_nonembed must be > 0")
+    _check_positive("n_nonembed", n)
     out = n + embed_map.omega * n**embed_map.delta
     return float(out) if np.isscalar(n_nonembed) else out
 
 
-def nonembed_from_total(n_total: float, embed_map: EmbedMap, rel_tol: float = 1e-10) -> float:
-    """Invert the parameter map by bisection on the monotone residual.
+def nonembed_from_total(n_total, embed_map: EmbedMap):
+    """Invert the parameter map in closed form (requires delta = 1/3).
 
-    Returns the unique n_nonembed with n_nonembed + omega*n_nonembed**delta
-    equal to ``n_total`` to relative tolerance ``rel_tol``.
+    With t = n_nonembed**(1/3), n_total = t**3 + omega*t is a depressed cubic
+    with one real root.  Cardano's form t = u - v, u*v = omega/3, u**3 - v**3 =
+    n_total is evaluated as t = n_total / (u**2 + u*v + v**2), which avoids the
+    cancellation in u - v.  Accepts scalars or arrays.
     """
-    if n_total <= 0:
-        raise ValueError("n_total must be > 0")
-    if embed_map.omega == 0.0:
-        return float(n_total)
-
-    def residual(x):
-        return x + embed_map.omega * x**embed_map.delta - n_total
-
-    lo = min(n_total / 2.0, 1.0)
-    # The root can sit far below 1 when omega dominates; expand the bracket.
-    while residual(lo) > 0.0:
-        lo /= 16.0
-        if lo < 1e-300:
-            raise ArithmeticError("failed to bracket the inverse map")
-    hi = float(n_total)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * hi:
-            return 0.5 * (lo + hi)
-    raise ArithmeticError("bisection did not converge")  # pragma: no cover
+    _check_third(embed_map)
+    # [()] unwraps 0-d input to an np.float64, whose arithmetic is cheaper.
+    n = np.asarray(n_total, dtype=float)[()]
+    _check_positive("n_total", n)
+    omega = embed_map.omega
+    if omega == 0.0:
+        return n
+    u = np.cbrt(n / 2.0 + np.hypot(n / 2.0, (omega / 3.0) ** 1.5))
+    v = omega / (3.0 * u)
+    t = n / (u * u + u * v + v * v)
+    x = t * t * t
+    if (x == 0.0).any():
+        raise ArithmeticError("n_nonembed underflows to 0 for this n_total")
+    return x
 
 
 def fit_embed_map(splits: list[ParamSplit]) -> EmbedMapFit:
@@ -178,32 +183,18 @@ def fit_embed_map(splits: list[ParamSplit]) -> EmbedMapFit:
         raise ValueError("need >=2 configurations to fit the embedding map")
     n_embed = np.array([s.n_embed for s in splits], dtype=float)
     n_nonembed = np.array([s.n_nonembed for s in splits], dtype=float)
-    if np.any(n_embed <= 0):
-        raise ValueError("all configurations need n_embed > 0")
-    if np.any(n_nonembed <= 0):
-        raise ValueError("all configurations need n_nonembed > 0")
+    _check_positive("n_embed", n_embed)
+    _check_positive("n_nonembed", n_nonembed)
     if np.unique(n_nonembed).size < 2:
         raise ValueError("need >=2 distinct n_nonembed values")
-
-    log_x = np.log(n_nonembed)
-    log_y = np.log(n_embed)
-    delta, log_omega = np.polyfit(log_x, log_y, 1)
-    resid = log_y - (log_omega + delta * log_x)
-    ss_tot = np.sum((log_y - log_y.mean()) ** 2)
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - np.sum(resid**2) / ss_tot
-    return EmbedMapFit(
-        embed_map=EmbedMap(float(np.exp(log_omega)), float(delta)),
-        r_squared=float(r_squared),
-        n_points=len(splits),
-    )
+    omega, delta, r_squared = _loglog_ols(n_nonembed, n_embed)
+    return EmbedMapFit(EmbedMap(omega, delta), r_squared, len(splits))
 
 
 def omega_from_shape(vocab: float, context_learned: float, aspect_ratio: float) -> float:
     """Closed-form omega = (v+h) * (A/12)**(1/3) for a fixed aspect ratio."""
-    if aspect_ratio <= 0:
-        raise ValueError("aspect_ratio must be > 0")
-    if vocab + context_learned <= 0:
-        raise ValueError("vocab + context_learned must be > 0")
+    _check_positive("aspect_ratio", aspect_ratio)
+    _check_positive("vocab + context_learned", vocab + context_learned)
     return (vocab + context_learned) * (aspect_ratio / 12.0) ** THIRD
 
 

@@ -184,3 +184,9 @@ def test_exponent_curve_contract():
 def test_exponent_curve_rejects_bad_range():
     with pytest.raises(ValueError):
         exponent_curve(EPOCH, DEFAULT_EMBED_MAP, n_min=10.0, n_max=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_optimal_nt_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="c_total"):
+        optimal_nt(bad, EPOCH)

@@ -153,3 +153,9 @@ def test_unknown_spec_file_errors(capsys):
     code, _, err = _run(capsys, ["frontier", "--spec", "/nonexistent/spec.json"])
     assert code != 0
     assert err.startswith("error:")
+
+
+def test_non_finite_omega_errors(capsys):
+    code, _, err = _run(capsys, ["exponent-curve", "--omega", "nan"])
+    assert code != 0
+    assert "omega" in err

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from scalelab import (
-    fit_kaplan_form,
     fit_power_law,
     fit_power_law_with_offset,
     sum_squared_error,
@@ -99,7 +98,7 @@ def test_offset_fit_preconditions():
 def test_kaplan_form_offset_free_recovery():
     x = np.geomspace(1e15, 1e23, 30)
     y = (x / 1e7) ** -0.057
-    fit = fit_kaplan_form(x, y)
+    fit = fit_power_law(x, y)
     assert fit.exponent == pytest.approx(-0.057, rel=1e-12)
     assert fit.offset is None
 
@@ -124,3 +123,18 @@ def test_to_report_shape():
         "r_squared": fit.r_squared,
         "n_points": 3,
     }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fit", [fit_power_law, fit_power_law_with_offset])
+def test_fits_reject_non_finite(fit, bad):
+    with pytest.raises(ValueError, match="x values"):
+        fit([1.0, bad, 3.0], [3.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match="y values"):
+        fit([1.0, 2.0, 3.0], [3.0, bad, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fixed_offset_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="fixed_offset"):
+        fit_power_law_with_offset([1.0, 2.0, 3.0], [3.0, 2.0, 1.5], fixed_offset=bad)

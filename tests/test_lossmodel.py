@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -150,3 +151,25 @@ def test_resolve_spec_catalog_and_path(tmp_path):
     path.write_text(json.dumps(
         {"n_c": 400.0, "d_c": 400.0, "alpha": 0.3, "beta": 0.3, "e_irr": 0.0}))
     assert resolve_spec(str(path)).alpha == 0.3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["n_c", "d_c", "alpha", "beta", "e_irr"])
+def test_loss_spec_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(EPOCH, **{field: bad})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_loss_nd_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="n_total"):
+        loss_nd(bad, 1e9, EPOCH)
+    with pytest.raises(ValueError, match="^d must"):
+        loss_nd(1e6, np.array([1e9, bad]), EPOCH)
+
+
+def test_spec_file_rejects_nan(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"n_c": NaN, "d_c": 410.7, "alpha": 0.3, "beta": 0.3, "e_irr": 1.7}')
+    with pytest.raises(ValueError, match="n_c"):
+        load_loss_spec(path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scalelab import (
     DEFAULT_EMBED_MAP,
@@ -210,3 +212,60 @@ def test_load_model_configs_missing_column(tmp_path):
     path.write_text("name,d_model\nx,512\n")
     with pytest.raises(ValueError, match="missing columns"):
         load_model_configs(path)
+
+
+# Closed-form inverse over wide magnitudes: n_total in [1e-6, 1e15], omega in [1e-3, 1e8].
+LOG_N = st.floats(-6.0, 15.0)
+LOG_OMEGA = st.floats(-3.0, 8.0)
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@given(LOG_N, LOG_OMEGA)
+def test_inverse_round_trips_to_machine_precision(log_n, log_omega):
+    emap = EmbedMap(10.0**log_omega)
+    n = 10.0**log_n
+    x = nonembed_from_total(n, emap)
+    assert x > 0
+    assert total_from_nonembed(x, emap) == pytest.approx(n, rel=1e-13)
+
+
+@given(st.lists(LOG_N, min_size=1, max_size=16), LOG_OMEGA)
+def test_inverse_array_matches_scalar_calls(log_ns, log_omega):
+    emap = EmbedMap(10.0**log_omega)
+    n = 10.0 ** np.array(log_ns)
+    got = nonembed_from_total(n, emap)
+    assert got.shape == n.shape
+    np.testing.assert_array_equal(got, [nonembed_from_total(float(v), emap) for v in n])
+
+
+@given(LOG_N, st.floats(1e-6, 5.0), LOG_OMEGA)
+def test_inverse_strictly_increasing(log_start, log_width, log_omega):
+    n = np.geomspace(10.0**log_start, 10.0 ** (log_start + log_width), 50)
+    assert np.all(np.diff(nonembed_from_total(n, EmbedMap(10.0**log_omega))) > 0)
+
+
+def test_inverse_requires_delta_third():
+    with pytest.raises(ValueError, match="delta = 1/3"):
+        nonembed_from_total(1e6, EmbedMap(100.0, 0.5))
+
+
+def test_inverse_reports_underflow():
+    # root ~ (n/omega)**3 = 1e-624, below the smallest double
+    with pytest.raises(ArithmeticError, match="underflows"):
+        nonembed_from_total(1e-200, EmbedMap(1e8))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_embed_map_rejects_non_finite_omega(bad):
+    with pytest.raises(ValueError, match="omega"):
+        EmbedMap(omega=bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("fn, name", [(total_from_nonembed, "n_nonembed"),
+                                      (nonembed_from_total, "n_total")])
+def test_map_rejects_non_finite_input(fn, name, bad):
+    with pytest.raises(ValueError, match=name):
+        fn(bad, DEFAULT_EMBED_MAP)
+    with pytest.raises(ValueError, match=name):
+        fn(np.array([1e6, bad]), DEFAULT_EMBED_MAP)
