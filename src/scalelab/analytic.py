@@ -154,7 +154,9 @@ def exponent_curve(
     count: int = EXPONENT_CURVE_POINTS,
 ) -> list[ExponentSample]:
     """Sample the frontier on a log-spaced grid of non-embedding optima."""
-    if not 0 < n_min < n_max:
+    _check_positive("n_min", n_min)
+    _check_positive("n_max", n_max)
+    if not n_min < n_max:
         raise ValueError("need 0 < n_min < n_max")
     if count < 2:
         raise ValueError("need count >= 2")

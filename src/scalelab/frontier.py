@@ -16,7 +16,7 @@ import numpy as np
 from .analytic import ce_of_optimal_ne
 from .fitting import PowerLawFit, fit_power_law, fit_power_law_with_offset
 from .lossmodel import LossSpec, loss_ne_ce
-from .params import EmbedMap, total_from_nonembed
+from .params import EmbedMap, _check_positive, total_from_nonembed
 
 __all__ = [
     "KAPLAN_SIZE_RANGE",
@@ -62,7 +62,9 @@ def kaplan_size_grid() -> np.ndarray:
 
 def size_grid(n_min: float, n_max: float, count: int) -> np.ndarray:
     """Log-spaced model size grid."""
-    if not 0 < n_min < n_max:
+    _check_positive("n_min", n_min)
+    _check_positive("n_max", n_max)
+    if not n_min < n_max:
         raise ValueError("need 0 < n_min < n_max")
     if count < 2:
         raise ValueError("need count >= 2")
@@ -93,26 +95,44 @@ class FrontierPoint:
     model_index: int
 
 
-@dataclass(frozen=True)
+_POINT_FIELDS = ("c", "loss_min", "n_opt", "d_opt", "model_index")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Frontier:
+    """The frontier as read-only columns, one entry per kept bin in increasing compute.
+
+    ``Frontier(basis, points)`` builds the columns from records instead.
+    ``n_empty`` and ``n_dropped`` count the bins left empty and those lost to
+    the edge-model guard; None when unknown, as for a frontier read from CSV.
+    """
+
     basis: str
-    points: list[FrontierPoint]
+    c: np.ndarray
+    loss_min: np.ndarray
+    n_opt: np.ndarray
+    d_opt: np.ndarray
+    model_index: np.ndarray
+    n_empty: int | None
+    n_dropped: int | None
+
+    def __init__(self, basis, points=None, *, c=(), loss_min=(), n_opt=(), d_opt=(),
+                 model_index=(), n_empty=None, n_dropped=None):
+        columns = (c, loss_min, n_opt, d_opt, model_index)
+        if points is not None:
+            columns = [[getattr(p, name) for p in points] for name in _POINT_FIELDS]
+        arrays = dict(zip(_POINT_FIELDS, map(np.array, columns, (float,) * 4 + (int,))))
+        if {a.shape for a in arrays.values()} != {(len(columns[0]),)}:
+            raise ValueError("frontier columns must be 1-d and of equal length")
+        for a in arrays.values():
+            a.flags.writeable = False
+        vars(self).update(basis=basis, **arrays, n_empty=n_empty, n_dropped=n_dropped)
 
     @property
-    def c(self) -> np.ndarray:
-        return np.array([p.c for p in self.points])
-
-    @property
-    def loss_min(self) -> np.ndarray:
-        return np.array([p.loss_min for p in self.points])
-
-    @property
-    def n_opt(self) -> np.ndarray:
-        return np.array([p.n_opt for p in self.points])
-
-    @property
-    def d_opt(self) -> np.ndarray:
-        return np.array([p.d_opt for p in self.points])
+    def points(self) -> list[FrontierPoint]:
+        """One record per kept bin, rebuilt from the columns on each access."""
+        columns = (getattr(self, name).tolist() for name in _POINT_FIELDS)
+        return [FrontierPoint(*row) for row in zip(*columns)]
 
 
 def bracketing_token_schedule(
@@ -122,6 +142,8 @@ def bracketing_token_schedule(
 
     Used when a custom spec or map makes the fixed default range unsuitable.
     """
+    if not (np.isfinite(margin) and margin >= 1):
+        raise ValueError("margin must be finite and >= 1")
     sizes = np.asarray(sizes, dtype=float)
     ratios = ce_of_optimal_ne(sizes, spec, embed_map) / (6.0 * sizes**2)
     return float(ratios.min() / margin), float(ratios.max() * margin)
@@ -134,7 +156,10 @@ def simulate_curves(
     tokens_per_param: tuple[float, float] = DEFAULT_TOKENS_PER_PARAM,
     samples_per_curve: int = DEFAULT_SAMPLES_PER_CURVE,
 ) -> list[TrainingCurve]:
-    """Evaluate the loss surface along each model's token schedule."""
+    """Evaluate the loss surface along each model's token schedule.
+
+    Each curve's arrays are one row of (models, samples) arrays computed at once.
+    """
     sizes = np.asarray(sizes, dtype=float)
     if sizes.ndim != 1 or sizes.size < 1:
         raise ValueError("sizes must be a non-empty 1-d sequence")
@@ -146,25 +171,13 @@ def simulate_curves(
     if samples_per_curve < 2:
         raise ValueError("need samples_per_curve >= 2")
 
-    curves = []
-    for index, n in enumerate(sizes):
-        tokens = np.geomspace(lo * n, hi * n, samples_per_curve)
-        n_total = total_from_nonembed(float(n), embed_map)
-        c_nonembed = 6.0 * n * tokens
-        c_total = 6.0 * n_total * tokens
-        loss = loss_ne_ce(n, c_nonembed, spec, embed_map)
-        curves.append(
-            TrainingCurve(
-                model_index=index,
-                n_nonembed=float(n),
-                n_total=n_total,
-                tokens=tokens,
-                c_total=c_total,
-                c_nonembed=c_nonembed,
-                loss=loss,
-            )
-        )
-    return curves
+    tokens = np.geomspace(lo * sizes, hi * sizes, samples_per_curve, axis=1)
+    n_total = total_from_nonembed(sizes, embed_map)
+    c_nonembed = 6.0 * sizes[:, None] * tokens
+    c_total = 6.0 * n_total[:, None] * tokens
+    loss = loss_ne_ce(sizes[:, None], c_nonembed, spec, embed_map)
+    rows = zip(sizes.tolist(), n_total.tolist(), tokens, c_total, c_nonembed, loss)
+    return [TrainingCurve(index, *row) for index, row in enumerate(rows)]
 
 
 def extract_frontier(
@@ -175,9 +188,11 @@ def extract_frontier(
 ) -> Frontier:
     """Bin pooled samples by compute and keep the minimum-loss sample per bin.
 
-    Bins whose winner is the smallest or largest grid model are discarded by
-    default: at the extremes those models win only because nothing smaller or
-    larger exists, which truncates the envelope and biases fitted exponents.
+    A bin's winner is its first minimum-loss sample in pooled (curve, then
+    sample) order.  Bins whose winner is the smallest or largest grid model
+    are discarded by default: at the extremes those models win only because
+    nothing smaller or larger exists, which truncates the envelope and biases
+    fitted exponents.
     """
     if len(curves) < 2:
         raise ValueError("need >=2 curves")
@@ -187,50 +202,54 @@ def extract_frontier(
         raise ValueError("basis must be 'total' or 'nonembed'")
 
     c_all = np.concatenate([cv.c_nonembed if basis == "nonembed" else cv.c_total for cv in curves])
-    n_all = np.concatenate(
-        [np.full(cv.tokens.size, cv.n_nonembed if basis == "nonembed" else cv.n_total) for cv in curves]
-    )
     loss_all = np.concatenate([cv.loss for cv in curves])
-    d_all = np.concatenate([cv.tokens for cv in curves])
-    index_all = np.concatenate([np.full(cv.tokens.size, cv.model_index) for cv in curves])
+    _check_positive(f"c_{basis}", c_all)
+    if not np.isfinite(loss_all).all():
+        raise ValueError("loss must be finite")
 
     edges = np.geomspace(c_all.min(), c_all.max(), n_bins + 1)
     centers = np.sqrt(edges[:-1] * edges[1:])
     bin_of = np.clip(np.searchsorted(edges, c_all, side="right") - 1, 0, n_bins - 1)
 
-    last_model = len(curves) - 1
-    points = []
-    n_empty = 0
-    for b in range(n_bins):
-        mask = bin_of == b
-        if not mask.any():
-            n_empty += 1
-            continue
-        j = np.argmin(loss_all[mask])
-        winner = int(index_all[mask][j])
-        if drop_edge_models and winner in (0, last_model):
-            continue
-        points.append(
-            FrontierPoint(
-                c=float(centers[b]),
-                loss_min=float(loss_all[mask][j]),
-                n_opt=float(n_all[mask][j]),
-                d_opt=float(d_all[mask][j]),
-                model_index=winner,
-            )
-        )
+    # One pass for each bin's minimum, one for the lowest pooled index attaining
+    # it; a bin without samples keeps the index loss_all.size.
+    best = np.full(n_bins, np.inf)
+    np.minimum.at(best, bin_of, loss_all)
+    ties = np.flatnonzero(loss_all == best[bin_of])
+    first = np.full(n_bins, loss_all.size)
+    np.minimum.at(first, bin_of[ties], ties)
+
+    filled = np.flatnonzero(first < loss_all.size)
+    n_empty = n_bins - filled.size
     if n_empty > 0.5 * n_bins:
         raise ValueError(
             f"{n_empty}/{n_bins} compute bins are empty; token schedules too sparse"
         )
-    if not points:
+    starts = np.cumsum([0] + [cv.loss.size for cv in curves[:-1]])
+    curve = np.searchsorted(starts, first[filled], side="right") - 1
+    sample = first[filled] - starts[curve]
+    winner = np.array([cv.model_index for cv in curves])[curve]
+    edge = (winner == 0) | (winner == len(curves) - 1)
+    keep = ~edge if drop_edge_models else np.ones_like(edge)
+    if not keep.any():
         raise ValueError("no frontier points survive the boundary guard")
-    return Frontier(basis=basis, points=points)
+    filled, curve, sample = filled[keep], curve[keep], sample[keep]
+    n_of = np.array([cv.n_nonembed if basis == "nonembed" else cv.n_total for cv in curves])
+    return Frontier(
+        basis,
+        c=centers[filled],
+        loss_min=best[filled],
+        n_opt=n_of[curve],
+        d_opt=[curves[k].tokens[j] for k, j in zip(curve.tolist(), sample.tolist())],
+        model_index=winner[keep],
+        n_empty=n_empty,
+        n_dropped=keep.size - filled.size,
+    )
 
 
 def fit_param_scaling(frontier: Frontier) -> PowerLawFit:
     """Power law of optimal size vs compute along the frontier."""
-    if len(frontier.points) < 3:
+    if frontier.c.size < 3:
         raise ValueError("need >=3 frontier points")
     return fit_power_law(frontier.c, frontier.n_opt)
 
@@ -239,7 +258,7 @@ def fit_loss_scaling(
     frontier: Frontier, form: str = "kaplan", fixed_offset: float | None = None
 ) -> PowerLawFit:
     """Compute-loss fit along the frontier: offset-free or with offset."""
-    if len(frontier.points) < 3:
+    if frontier.c.size < 3:
         raise ValueError("need >=3 frontier points")
     if form == "kaplan":
         return fit_power_law(frontier.c, frontier.loss_min)
@@ -274,10 +293,11 @@ def write_frontier_csv(frontier: Frontier, path_or_buf) -> None:
     fh, should_close = _open_out(path_or_buf)
     try:
         fh.write(FRONTIER_CSV_HEADER + "\n")
-        for p in frontier.points:
+        columns = (getattr(frontier, name).tolist() for name in _POINT_FIELDS)
+        for c, loss_min, n_opt, d_opt, model_index in zip(*columns):
             fh.write(
-                f"{frontier.basis},{p.c:.17g},{p.loss_min:.17g},"
-                f"{p.n_opt:.17g},{p.d_opt:.17g},{p.model_index}\n"
+                f"{frontier.basis},{c:.17g},{loss_min:.17g},"
+                f"{n_opt:.17g},{d_opt:.17g},{model_index}\n"
             )
     finally:
         if should_close:
@@ -285,25 +305,15 @@ def write_frontier_csv(frontier: Frontier, path_or_buf) -> None:
 
 
 def read_frontier_csv(path) -> Frontier:
-    points = []
-    bases = set()
     with open(Path(path), newline="") as fh:
         reader = csv.DictReader(fh)
         expected = FRONTIER_CSV_HEADER.split(",")
         if reader.fieldnames != expected:
             raise ValueError(f"frontier CSV must have header {FRONTIER_CSV_HEADER!r}")
-        for row in reader:
-            bases.add(row["basis"])
-            points.append(
-                FrontierPoint(
-                    c=float(row["c"]),
-                    loss_min=float(row["loss_min"]),
-                    n_opt=float(row["n_opt"]),
-                    d_opt=float(row["d_opt"]),
-                    model_index=int(row["model_index"]),
-                )
-            )
+        rows = list(reader)
+    bases = {row["basis"] for row in rows}
     if len(bases) > 1:
         raise ValueError("frontier CSV mixes bases")
     basis = bases.pop() if bases else "nonembed"
-    return Frontier(basis=basis, points=points)
+    columns = {name: [float(row[name]) for row in rows] for name in _POINT_FIELDS[:4]}
+    return Frontier(basis, **columns, model_index=[int(row["model_index"]) for row in rows])

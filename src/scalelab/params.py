@@ -92,8 +92,10 @@ class ParamSplit:
     n_nonembed: float
 
     def __post_init__(self):
-        if self.n_embed < 0 or self.n_nonembed < 0:
-            raise ValueError("parameter counts must be >= 0")
+        for name in ("n_embed", "n_nonembed"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
 
     @property
     def n_total(self) -> float:

@@ -187,6 +187,13 @@ def test_exponent_curve_rejects_bad_range():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["n_min", "n_max"])
+def test_exponent_curve_rejects_non_finite_range(name, bad):
+    with pytest.raises(ValueError, match=name):
+        exponent_curve(EPOCH, DEFAULT_EMBED_MAP, **{name: bad})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_optimal_nt_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="c_total"):
         optimal_nt(bad, EPOCH)

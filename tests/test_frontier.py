@@ -1,13 +1,21 @@
+import dataclasses
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalelab import (
     DEFAULT_EMBED_MAP,
     EPOCH,
+    SPEC_CATALOG,
     EmbedMap,
+    Frontier,
+    FrontierPoint,
     LossSpec,
+    TrainingCurve,
+    bracketing_token_schedule,
     ce_of_optimal_ne,
     extract_frontier,
     fit_param_scaling,
@@ -15,6 +23,8 @@ from scalelab import (
     loss_ne_ce,
     read_frontier_csv,
     simulate_curves,
+    size_grid,
+    total_from_nonembed,
     write_curves_csv,
     write_frontier_csv,
 )
@@ -189,3 +199,144 @@ def test_pipeline_rerun_identical(epoch_curves):
     f1 = extract_frontier(epoch_curves, basis="nonembed")
     f2 = extract_frontier(rerun, basis="nonembed")
     assert f1.points == f2.points
+
+
+def _masked_argmin_frontier(curves, n_bins, basis, drop_edge_models):
+    """Reference: each bin's winner by a boolean mask and argmin over all pooled samples."""
+    ne = basis == "nonembed"
+    c_all = np.concatenate([cv.c_nonembed if ne else cv.c_total for cv in curves])
+    n_all = np.concatenate([np.full(cv.loss.size, cv.n_nonembed if ne else cv.n_total)
+                            for cv in curves])
+    loss_all = np.concatenate([cv.loss for cv in curves])
+    d_all = np.concatenate([cv.tokens for cv in curves])
+    index_all = np.concatenate([np.full(cv.loss.size, cv.model_index) for cv in curves])
+    edges = np.geomspace(c_all.min(), c_all.max(), n_bins + 1)
+    centers = np.sqrt(edges[:-1] * edges[1:])
+    bin_of = np.clip(np.searchsorted(edges, c_all, side="right") - 1, 0, n_bins - 1)
+    points, n_empty, n_dropped = [], 0, 0
+    for b in range(n_bins):
+        mask = bin_of == b
+        if not mask.any():
+            n_empty += 1
+            continue
+        j = np.argmin(loss_all[mask])
+        winner = int(index_all[mask][j])
+        if drop_edge_models and winner in (0, len(curves) - 1):
+            n_dropped += 1
+            continue
+        points.append(FrontierPoint(float(centers[b]), float(loss_all[mask][j]),
+                                    float(n_all[mask][j]), float(d_all[mask][j]), winner))
+    return points, n_empty, n_dropped
+
+
+@st.composite
+def curve_sets(draw):
+    """Hand-built curves of unequal lengths whose losses take few values, so bins tie."""
+    lengths = draw(st.lists(st.integers(0, 40), min_size=2, max_size=6).filter(any))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.uniform(0.5, 5.0, draw(st.integers(1, 3)))
+    model_index = rng.permutation(len(lengths)).tolist()
+
+    def positive(size=None):
+        return 10.0 ** rng.uniform(-3.0, 9.0, size)
+
+    return [TrainingCurve(model_index[k], float(positive()), float(positive()), positive(m),
+                          positive(m), positive(m), rng.choice(levels, m))
+            for k, m in enumerate(lengths)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve_sets(), st.integers(10, 24), st.sampled_from(["nonembed", "total"]), st.booleans())
+def test_extract_frontier_matches_masked_argmin(curves, n_bins, basis, drop_edge_models):
+    points, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis, drop_edge_models)
+    if n_empty > 0.5 * n_bins or not points:
+        error = "too sparse" if n_empty > 0.5 * n_bins else "no frontier points"
+        with pytest.raises(ValueError, match=error):
+            extract_frontier(curves, n_bins, basis, drop_edge_models)
+        return
+    frontier = extract_frontier(curves, n_bins, basis, drop_edge_models)
+    assert frontier.points == points
+    assert (frontier.n_empty, frontier.n_dropped) == (n_empty, n_dropped)
+
+
+@settings(deadline=None)
+@given(st.floats(-3.0, 9.0), st.lists(st.floats(0.01, 2.0), max_size=7),
+       st.sampled_from([0.0, 1e-3, 47491.0, 1e8]), st.sampled_from(sorted(SPEC_CATALOG)),
+       st.floats(-2.0, 3.0), st.floats(0.01, 6.0), st.integers(2, 64))
+def test_simulate_curves_matches_per_model_evaluation(log_first, log_steps, omega, spec_name,
+                                                      log_lo, log_span, samples):
+    sizes = 10.0 ** (log_first + np.cumsum([0.0, *log_steps]))
+    emap, spec = EmbedMap(omega), SPEC_CATALOG[spec_name]
+    lo, hi = 10.0**log_lo, 10.0 ** (log_lo + log_span)
+    curves = simulate_curves(sizes, spec, emap, (lo, hi), samples)
+    assert len(curves) == sizes.size
+    for index, (n, cv) in enumerate(zip(sizes, curves)):
+        tokens = np.geomspace(lo * n, hi * n, samples)
+        n_total = total_from_nonembed(float(n), emap)
+        c_nonembed = 6.0 * n * tokens
+        assert (cv.model_index, cv.n_nonembed, cv.n_total) == (index, float(n), n_total)
+        np.testing.assert_array_equal(cv.tokens, tokens)
+        np.testing.assert_array_equal(cv.c_nonembed, c_nonembed)
+        np.testing.assert_array_equal(cv.c_total, 6.0 * n_total * tokens)
+        np.testing.assert_array_equal(cv.loss, loss_ne_ce(n, c_nonembed, spec, emap))
+
+
+def test_frontier_points_round_trip_the_columns(epoch_frontier_total):
+    front = epoch_frontier_total
+    points = front.points
+    assert [dataclasses.astuple(p) for p in points] == list(zip(
+        front.c.tolist(), front.loss_min.tolist(), front.n_opt.tolist(),
+        front.d_opt.tolist(), front.model_index.tolist()))
+    again = Frontier(front.basis, points)
+    for name in ("c", "loss_min", "n_opt", "d_opt", "model_index"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(front, name))
+    assert again.model_index.dtype.kind == "i"
+    assert dataclasses.replace(front, points=points[:3]).points == points[:3]
+    with pytest.raises(ValueError):
+        front.c[0] = 1.0
+    with pytest.raises(ValueError, match="equal length"):
+        Frontier("total", c=[1.0, 2.0], loss_min=[1.0], n_opt=[1.0], d_opt=[1.0],
+                 model_index=[1])
+
+
+def test_frontier_counts_empty_and_dropped_bins(epoch_curves, epoch_frontier_nonembed,
+                                                tmp_path):
+    front = epoch_frontier_nonembed
+    assert front.n_dropped > 0
+    assert front.n_empty + front.n_dropped + front.c.size == 200
+    kept_all = extract_frontier(epoch_curves, basis="nonembed", drop_edge_models=False)
+    assert kept_all.n_dropped == 0
+    assert kept_all.n_empty == front.n_empty
+    assert kept_all.c.size == front.c.size + front.n_dropped
+    path = tmp_path / "frontier.csv"
+    write_frontier_csv(front, path)
+    again = read_frontier_csv(path)
+    assert (again.n_empty, again.n_dropped) == (None, None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_extract_frontier_rejects_non_finite_samples(epoch_curves, bad):
+    def spoil(field):
+        cv = epoch_curves[3]
+        values = getattr(cv, field).copy()
+        values[7] = bad
+        return [*epoch_curves[:3], dataclasses.replace(cv, **{field: values}),
+                *epoch_curves[4:]]
+
+    with pytest.raises(ValueError, match="loss"):
+        extract_frontier(spoil("loss"))
+    with pytest.raises(ValueError, match="c_total"):
+        extract_frontier(spoil("c_total"), basis="total")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+@pytest.mark.parametrize("name", ["n_min", "n_max"])
+def test_size_grid_rejects_non_finite_range(name, bad):
+    with pytest.raises(ValueError, match=name):
+        size_grid(**{"n_min": 1e6, "n_max": 1e9, name: bad}, count=5)
+
+
+@pytest.mark.parametrize("margin", [np.nan, np.inf, 0.5, -3.0])
+def test_bracketing_token_schedule_rejects_bad_margin(margin):
+    with pytest.raises(ValueError, match="margin"):
+        bracketing_token_schedule(kaplan_size_grid(), EPOCH, DEFAULT_EMBED_MAP, margin)

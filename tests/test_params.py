@@ -269,3 +269,10 @@ def test_map_rejects_non_finite_input(fn, name, bad):
         fn(bad, DEFAULT_EMBED_MAP)
     with pytest.raises(ValueError, match=name):
         fn(np.array([1e6, bad]), DEFAULT_EMBED_MAP)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name", ["n_embed", "n_nonembed"])
+def test_param_split_rejects_non_finite(name, bad):
+    with pytest.raises(ValueError, match=name):
+        ParamSplit(**{"n_embed": 1.0, "n_nonembed": 1.0, name: bad})
