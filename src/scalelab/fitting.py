@@ -3,12 +3,15 @@
 The offset form y = prefactor * x**exponent + offset is fitted by profiling:
 for a candidate offset the inner problem is exact log-log least squares on
 (x, y - offset), so the outer problem reduces to a one-dimensional
-golden-section search minimizing the y-space residual.
+golden-section search minimizing the y-space residual.  The least-squares
+design depends only on x, so it is built once per fit and each candidate
+offset costs one solve against it.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +54,33 @@ class PowerLawFit:
         }
 
 
+def _loglog_design(log_x: np.ndarray):
+    """Column-scaled degree-1 least-squares design on ln x, built once per x.
+
+    Returns ``solve(log_y) -> array([exponent, intercept])``.  The column
+    scaling, ``rcond`` and LAPACK solve are those of NumPy's degree-1
+    polynomial fit, whose coefficients it reproduces bit for bit; only the
+    solve depends on y.
+    """
+    lhs = np.vander(log_x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = log_x.size * np.finfo(float).eps
+
+    def solve(log_y: np.ndarray) -> np.ndarray:
+        coef, _, rank, _ = np.linalg.lstsq(lhs, log_y, rcond)
+        if rank < 2:
+            warnings.warn("log-log fit is poorly conditioned", np.exceptions.RankWarning,
+                          stacklevel=2)
+        return coef / scale
+
+    return solve
+
+
 def _loglog_ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """OLS on (ln x, ln y); returns (prefactor, exponent, r_squared)."""
     log_x, log_y = np.log(x), np.log(y)
-    exponent, intercept = np.polyfit(log_x, log_y, 1)
+    exponent, intercept = _loglog_design(log_x)(log_y)
     resid = log_y - (intercept + exponent * log_x)
     ss_tot = np.sum((log_y - log_y.mean()) ** 2)
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - np.sum(resid**2) / ss_tot
@@ -111,21 +137,15 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
     """Fit y = prefactor * x**exponent + offset on decreasing frontier data.
 
     The offset is profiled over [0, min(y)) by golden-section search on the
-    y-space sum of squared residuals (200 iterations, tolerance
-    1e-10*min(y)); each candidate offset is scored with the exact inner
-    log-log fit.  Passing ``fixed_offset`` skips the search, which with
-    ``fixed_offset=0`` reproduces ``fit_power_law`` exactly.
+    y-space sum of squared residuals, stopping once the bracket is narrower
+    than 1e-10*min(y) (about 50 evaluations; 200 iterations is only a cap).
+    Each candidate offset is scored with the exact inner log-log fit, solved
+    against a design built once from x.  Passing ``fixed_offset`` skips the
+    search, which with ``fixed_offset=0`` reproduces ``fit_power_law`` exactly.
     """
     x, y = _validated_xy(x, y, min_points=3)
     order = np.argsort(x)
     x, y = x[order], y[order]
-
-    def inner(offset: float) -> tuple[float, float, float]:
-        return _loglog_ols(x, y - offset)
-
-    def y_space_sse(offset: float) -> float:
-        prefactor, exponent, _ = inner(offset)
-        return float(np.sum((offset + prefactor * x**exponent - y) ** 2))
 
     if fixed_offset is not None:
         if not (math.isfinite(fixed_offset) and fixed_offset >= 0):
@@ -142,14 +162,22 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
         y_min = float(y.min())
         if y_min <= 0:
             raise ValueError("min(y) must be > 0 when fitting a positive offset")
+        solve = _loglog_design(np.log(x))
+
+        def y_space_sse(offset: float) -> float:
+            exponent, intercept = solve(np.log(y - offset))
+            prefactor = float(np.exp(intercept))
+            return float(np.sum((offset + prefactor * x ** float(exponent) - y) ** 2))
+
         hi = y_min * (1.0 - 1e-12)
         candidate = _golden_section(y_space_sse, 0.0, hi, tol=1e-10 * y_min)
-        if not math.isfinite(y_space_sse(candidate)):
+        sse = y_space_sse(candidate)
+        if not math.isfinite(sse):
             raise ArithmeticError("offset search failed to bracket a minimum")
         # Never do worse than the offset-free nested model.
-        offset = candidate if y_space_sse(candidate) <= y_space_sse(0.0) else 0.0
+        offset = candidate if sse <= y_space_sse(0.0) else 0.0
 
-    prefactor, exponent, r_squared = inner(offset)
+    prefactor, exponent, r_squared = _loglog_ols(x, y - offset)
     return PowerLawFit(prefactor, exponent, offset, r_squared, int(x.size))
 
 

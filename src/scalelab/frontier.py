@@ -8,6 +8,7 @@ forms the frontier, from which the headline power laws are fitted.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,6 +97,7 @@ class FrontierPoint:
 
 
 _POINT_FIELDS = ("c", "loss_min", "n_opt", "d_opt", "model_index")
+_BASES = ("total", "nonembed")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -118,6 +120,8 @@ class Frontier:
 
     def __init__(self, basis, points=None, *, c=(), loss_min=(), n_opt=(), d_opt=(),
                  model_index=(), n_empty=None, n_dropped=None):
+        if basis not in _BASES:
+            raise ValueError(f"basis must be 'total' or 'nonembed', got {basis!r}")
         columns = (c, loss_min, n_opt, d_opt, model_index)
         if points is not None:
             columns = [[getattr(p, name) for p in points] for name in _POINT_FIELDS]
@@ -163,11 +167,13 @@ def simulate_curves(
     sizes = np.asarray(sizes, dtype=float)
     if sizes.ndim != 1 or sizes.size < 1:
         raise ValueError("sizes must be a non-empty 1-d sequence")
+    if not np.isfinite(sizes).all():
+        raise ValueError("sizes must be finite")
     if np.any(sizes <= 0) or np.any(np.diff(sizes) <= 0):
         raise ValueError("sizes must be positive and strictly increasing")
     lo, hi = tokens_per_param
-    if not 0 < lo < hi:
-        raise ValueError("tokens_per_param must satisfy 0 < lo < hi")
+    if not 0 < lo < hi < math.inf:
+        raise ValueError("tokens_per_param must be finite and satisfy 0 < lo < hi")
     if samples_per_curve < 2:
         raise ValueError("need samples_per_curve >= 2")
 
@@ -198,7 +204,7 @@ def extract_frontier(
         raise ValueError("need >=2 curves")
     if n_bins < 10:
         raise ValueError("need n_bins >= 10")
-    if basis not in ("total", "nonembed"):
+    if basis not in _BASES:
         raise ValueError("basis must be 'total' or 'nonembed'")
 
     c_all = np.concatenate([cv.c_nonembed if basis == "nonembed" else cv.c_total for cv in curves])

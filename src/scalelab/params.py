@@ -13,6 +13,7 @@ derived in closed form from a fixed width/depth aspect ratio.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -46,8 +47,12 @@ DEFAULT_OMEGA = 47491.0
 
 def _check_positive(name, value):
     """Raise ValueError unless every entry of ``value`` is finite and > 0."""
-    v = np.asarray(value, dtype=float)
-    if not (np.isfinite(v) & (v > 0)).all():
+    if isinstance(value, float):  # also np.float64; skips building a 0-d array
+        ok = math.isfinite(value) and value > 0
+    else:
+        v = np.asarray(value, dtype=float)
+        ok = (np.isfinite(v) & (v > 0)).all()
+    if not ok:
         raise ValueError(f"{name} must be finite and > 0")
 
 

@@ -159,3 +159,14 @@ def test_non_finite_omega_errors(capsys):
     code, _, err = _run(capsys, ["exponent-curve", "--omega", "nan"])
     assert code != 0
     assert "omega" in err
+
+
+def test_fit_rejects_unknown_basis(tmp_path, capsys):
+    path = tmp_path / "frontier.csv"
+    code, _, _ = _run(capsys, ["frontier", "--basis", "total", "--output", str(path)])
+    assert code == 0
+    path.write_text(path.read_text().replace("\ntotal,", "\ntot,"))
+    code, out, err = _run(capsys, ["fit", str(path)])
+    assert code != 0
+    assert out == ""
+    assert "basis" in err

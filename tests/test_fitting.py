@@ -1,11 +1,17 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from scalelab import (
     fit_power_law,
     fit_power_law_with_offset,
     sum_squared_error,
 )
+from scalelab.fitting import _loglog_design, _loglog_ols
 
 
 def test_exact_power_law_recovery():
@@ -138,3 +144,133 @@ def test_fits_reject_non_finite(fit, bad):
 def test_fixed_offset_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="fixed_offset"):
         fit_power_law_with_offset([1.0, 2.0, 3.0], [3.0, 2.0, 1.5], fixed_offset=bad)
+
+
+def _with_warnings(f, *args):
+    """Call f, returning its result and the categories of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(*args)
+    return out, [w.category for w in caught]
+
+
+# n in [2, 400] points with x over 1e-13..1e26 and y over 1e-6..1e6.
+LOG10_XY = st.lists(st.tuples(st.floats(-13.0, 26.0), st.floats(-6.0, 6.0)),
+                    min_size=2, max_size=400)
+
+
+@settings(deadline=None)
+@given(LOG10_XY)
+@example([(10.0, 0.0), (10.0 + 1e-14, 1.0)])  # rank-deficient: both warn
+@example([(10.0, 0.0), (10.0001, 1.0), (10.0002, 0.5)])  # ill-conditioned
+def test_loglog_ols_matches_polyfit_bit_for_bit(points):
+    x, y = 10.0 ** np.array(points).T
+    assume(np.unique(x).size >= 2)
+    log_x, log_y = np.log(x), np.log(y)
+    want, want_warned = _with_warnings(np.polyfit, log_x, log_y, 1)
+    got, got_warned = _with_warnings(_loglog_design(log_x), log_y)
+    np.testing.assert_array_equal(got, want)
+    assert got_warned == want_warned
+    (prefactor, exponent, _), _ = _with_warnings(_loglog_ols, x, y)
+    assert (prefactor, exponent) == (float(np.exp(want[1])), float(want[0]))
+
+
+def _reference_offset_fit(x, y):
+    """The offset profile with one np.polyfit per candidate offset, as first written."""
+    order = np.argsort(x)
+    x, y = x[order], y[order]
+
+    def inner(offset):
+        log_x, log_y = np.log(x), np.log(y - offset)
+        exponent, intercept = np.polyfit(log_x, log_y, 1)
+        resid = log_y - (intercept + exponent * log_x)
+        ss_tot = np.sum((log_y - log_y.mean()) ** 2)
+        r_squared = 1.0 if ss_tot == 0.0 else 1.0 - np.sum(resid**2) / ss_tot
+        return float(np.exp(intercept)), float(exponent), float(r_squared)
+
+    def y_space_sse(offset):
+        prefactor, exponent, _ = inner(offset)
+        return float(np.sum((offset + prefactor * x**exponent - y) ** 2))
+
+    inv_phi, inv_phi_sq = (math.sqrt(5.0) - 1.0) / 2.0, (3.0 - math.sqrt(5.0)) / 2.0
+    y_min = float(y.min())
+    lo, hi, tol = 0.0, y_min * (1.0 - 1e-12), 1e-10 * y_min
+    h = hi - lo
+    c, d = lo + inv_phi_sq * h, lo + inv_phi * h
+    fc, fd = y_space_sse(c), y_space_sse(d)
+    for _ in range(200):
+        if h <= tol:
+            break
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            h *= inv_phi
+            c = lo + inv_phi_sq * h
+            fc = y_space_sse(c)
+        else:
+            lo, c, fc = c, d, fd
+            h *= inv_phi
+            d = lo + inv_phi * h
+            fd = y_space_sse(d)
+    candidate = 0.5 * (lo + hi)
+    if not math.isfinite(y_space_sse(candidate)):
+        raise ArithmeticError("offset search failed to bracket a minimum")
+    offset = candidate if y_space_sse(candidate) <= y_space_sse(0.0) else 0.0
+    return (*inner(offset), offset)
+
+
+def _planted(n, log10_x0, decades, gamma, e, log10_tail):
+    """y = e * (1 + tail * (x / x_max)**-gamma), where tail sets how far the
+    power-law term at the largest x sits above the floor e."""
+    x = np.geomspace(10.0**log10_x0, 10.0 ** (log10_x0 + decades), n)
+    prefactor = 10.0**log10_tail * e * x[-1] ** gamma
+    return x, e * (1.0 + 10.0**log10_tail * (x / x[-1]) ** -gamma), prefactor
+
+
+@settings(deadline=None)
+@given(st.integers(3, 60), st.floats(-3.0, 20.0), st.floats(0.5, 12.0), st.floats(0.02, 1.0),
+       st.floats(1e-3, 1e3), st.floats(-5.0, 2.0), st.floats(0.0, 0.05),
+       st.integers(0, 2**32 - 1))
+def test_offset_fit_matches_polyfit_per_step_profile(n, log10_x0, decades, gamma, e,
+                                                     log10_tail, noise, seed):
+    x, y, _ = _planted(n, log10_x0, decades, gamma, e, log10_tail)
+    rng = np.random.default_rng(seed)
+    y = y * np.exp(noise * rng.standard_normal(n))
+    assume(np.all(np.diff(y) < 0))
+    shuffle = rng.permutation(n)
+    x, y = x[shuffle], y[shuffle]
+    try:
+        want = _reference_offset_fit(x, y)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            fit_power_law_with_offset(x, y)
+        return
+    fit = fit_power_law_with_offset(x, y)
+    assert (fit.prefactor, fit.exponent, fit.r_squared, fit.offset) == want
+    assert fit.n_points == n
+
+
+# The power-law term at the largest x is 1e-2..1e2 times the floor.  Closer to
+# the floor the profiled SSE can have a second, lower minimum near the true
+# offset that golden-section search misses (see the strict xfail below).
+@settings(deadline=None)
+@given(st.integers(3, 60), st.floats(-3.0, 20.0), st.floats(0.5, 12.0), st.floats(0.02, 1.0),
+       st.floats(1e-3, 1e3), st.floats(-2.0, 2.0))
+def test_offset_fit_recovers_planted_law_and_never_loses_to_offset_zero(
+        n, log10_x0, decades, gamma, e, log10_tail):
+    x, y, prefactor = _planted(n, log10_x0, decades, gamma, e, log10_tail)
+    assume(np.all(np.diff(y) < 0))
+    fit = fit_power_law_with_offset(x, y)
+    assert fit.offset == pytest.approx(e, rel=1e-6)
+    assert fit.exponent == pytest.approx(-gamma, rel=1e-6)
+    assert fit.prefactor == pytest.approx(prefactor, rel=1e-5)
+    nested = fit_power_law_with_offset(x, y, fixed_offset=0.0)
+    assert sum_squared_error(fit, x, y) <= sum_squared_error(nested, x, y)
+
+
+@pytest.mark.xfail(strict=True, reason="golden-section search assumes a unimodal SSE profile")
+def test_offset_fit_recovers_floor_when_tail_is_near_it():
+    # The power-law term falls to 1e-4 of the floor: the profiled SSE has a
+    # local minimum near offset 0.52 and its global one at the true 1.0.
+    x = np.geomspace(1.0, 1e4, 8)
+    fit = fit_power_law_with_offset(x, 1.0 / x + 1.0)
+    assert fit.offset == pytest.approx(1.0, rel=1e-6)

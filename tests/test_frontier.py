@@ -340,3 +340,22 @@ def test_size_grid_rejects_non_finite_range(name, bad):
 def test_bracketing_token_schedule_rejects_bad_margin(margin):
     with pytest.raises(ValueError, match="margin"):
         bracketing_token_schedule(kaplan_size_grid(), EPOCH, DEFAULT_EMBED_MAP, margin)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_simulate_curves_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="sizes"):
+        simulate_curves([1e6, bad], EPOCH, DEFAULT_EMBED_MAP)
+    for schedule in [(10.0, bad), (bad, 10.0)]:
+        with pytest.raises(ValueError, match="tokens_per_param"):
+            simulate_curves([1e5, 1e6], EPOCH, DEFAULT_EMBED_MAP, tokens_per_param=schedule)
+
+
+def test_frontier_rejects_unknown_basis(tmp_path, epoch_frontier_total):
+    with pytest.raises(ValueError, match="basis"):
+        Frontier("tot", c=[1.0], loss_min=[1.0], n_opt=[1.0], d_opt=[1.0], model_index=[1])
+    path = tmp_path / "frontier.csv"
+    write_frontier_csv(epoch_frontier_total, path)
+    path.write_text(path.read_text().replace("\ntotal,", "\ntot,"))
+    with pytest.raises(ValueError, match="basis"):
+        read_frontier_csv(path)

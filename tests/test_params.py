@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from scalelab import (
     omega_from_shape,
     total_from_nonembed,
 )
+from scalelab.params import _check_positive
 
 THIRD = 1.0 / 3.0
 
@@ -276,3 +279,17 @@ def test_map_rejects_non_finite_input(fn, name, bad):
 def test_param_split_rejects_non_finite(name, bad):
     with pytest.raises(ValueError, match=name):
         ParamSplit(**{"n_embed": 1.0, "n_nonembed": 1.0, name: bad})
+
+
+@pytest.mark.parametrize("value", [1.0, 5e-324, 1e308, 0.0, -0.0, -1.0, *NON_FINITE])
+def test_check_positive_scalar_path_matches_array_path(value):
+    def accepts(v):
+        try:
+            _check_positive("arg", v)
+        except ValueError as exc:
+            assert "arg" in str(exc)
+            return False
+        return True
+
+    expected = math.isfinite(value) and value > 0
+    assert accepts(value) == accepts(np.float64(value)) == accepts(np.array([value])) == expected
