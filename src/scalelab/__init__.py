@@ -24,6 +24,7 @@ from .fitting import (
     sum_squared_error,
 )
 from .frontier import (
+    Curves,
     Frontier,
     FrontierPoint,
     TrainingCurve,

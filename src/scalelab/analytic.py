@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fitting import _match_scalar
 from .lossmodel import LossSpec, loss_ne_ce
 from .params import THIRD, EmbedMap, _check_positive, _check_third
 
@@ -47,7 +48,7 @@ def optimal_nt(c_total, spec: LossSpec):
         1.0 / (spec.alpha + spec.beta)
     )
     out = prefactor * (c / 6.0) ** share
-    return float(out) if np.isscalar(c_total) else out
+    return _match_scalar(out, c_total)
 
 
 def ce_of_optimal_ne(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
@@ -68,7 +69,7 @@ def ce_of_optimal_ne(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
         * (n + om * cbrt) ** ((1.0 + a) / b)
         * (b * spec.d_c / (a * spec.n_c)) ** (1.0 / b)
     )
-    return float(out) if np.isscalar(n_nonembed_opt) else out
+    return _match_scalar(out, n_nonembed_opt)
 
 
 def local_param_exponent(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
@@ -88,7 +89,7 @@ def local_param_exponent(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
         + ((a + 1.0) / b) * (x + om / 3.0) / (x + om)
     )
     out = 1.0 / inv_g
-    return float(out) if np.isscalar(n_nonembed_opt) else out
+    return _match_scalar(out, n_nonembed_opt)
 
 
 def local_loss_exponent(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
@@ -111,7 +112,7 @@ def local_loss_exponent(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
         + b * spec.d_c * (c / (6.0 * n)) ** (-b) * (1.0 - 1.0 / g)
     )
     out = g / loss_opt * bracket
-    return float(out) if np.isscalar(n_nonembed_opt) else out
+    return _match_scalar(out, n_nonembed_opt)
 
 
 def loss_compute_exponent_total(spec: LossSpec) -> float:

@@ -1,7 +1,9 @@
 """Command-line front end emitting figure-ready CSV data and fit reports.
 
 Every command is deterministic and writes to --output or standard output;
-reruns with the same flags produce byte-identical files.
+reruns with the same flags produce byte-identical files.  Exit status: 0 on
+success, 2 for bad input (as for an argparse usage error), 1 for a failed
+`reproduce` tolerance or a numerical failure.
 """
 
 from __future__ import annotations
@@ -274,7 +276,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, ArithmeticError) else 2
 
 
 if __name__ == "__main__":

@@ -27,6 +27,11 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
 
+def _match_scalar(out, *inputs):
+    """``out`` as a Python float when every input is a scalar, else unchanged."""
+    return float(out) if all(map(np.isscalar, inputs)) else out
+
+
 @dataclass(frozen=True)
 class PowerLawFit:
     """y = prefactor * x**exponent (+ offset); r_squared from log-space residuals."""
@@ -40,7 +45,7 @@ class PowerLawFit:
     def predict(self, x):
         base = self.prefactor * np.asarray(x, dtype=float) ** self.exponent
         out = base + (self.offset or 0.0)
-        return float(out) if np.isscalar(x) else out
+        return _match_scalar(out, x)
 
     def to_report(self, form: str, basis: str) -> dict:
         return {

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +28,7 @@ __all__ = [
     "DEFAULT_SAMPLES_PER_CURVE",
     "DEFAULT_BINS",
     "TrainingCurve",
+    "Curves",
     "FrontierPoint",
     "Frontier",
     "kaplan_size_grid",
@@ -83,6 +86,82 @@ class TrainingCurve:
     c_total: np.ndarray
     c_nonembed: np.ndarray
     loss: np.ndarray
+
+
+_CURVE_FIELDS = ("model_index", "n_nonembed", "n_total")
+_SAMPLE_FIELDS = ("tokens", "c_total", "c_nonembed", "loss")
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Curves(Sequence):
+    """Training curves as one read-only columnar table.
+
+    ``model_index``, ``n_nonembed`` and ``n_total`` hold one entry per curve;
+    ``tokens``, ``c_total``, ``c_nonembed`` and ``loss`` hold every sample in
+    curve-then-sample order, curve ``k``'s from ``starts[k]`` up to the next
+    curve's start.  As a sequence the table yields one ``TrainingCurve`` per
+    curve, whose arrays are views of the sample columns; a slice is a new table.
+    """
+
+    model_index: np.ndarray
+    n_nonembed: np.ndarray
+    n_total: np.ndarray
+    tokens: np.ndarray
+    c_total: np.ndarray
+    c_nonembed: np.ndarray
+    loss: np.ndarray
+    starts: np.ndarray
+
+    def __init__(self, model_index, n_nonembed, n_total, tokens, c_total, c_nonembed, loss,
+                 starts):
+        # Views, so freezing them leaves the caller's arrays writeable.
+        per_curve = [np.asarray(v, dtype=t).view() for v, t in
+                     zip((model_index, n_nonembed, n_total, starts), (int, float, float, int))]
+        samples = [np.asarray(v, dtype=float).view() for v in (tokens, c_total, c_nonembed, loss)]
+        if per_curve[0].ndim != 1 or any(a.shape != per_curve[0].shape for a in per_curve):
+            raise ValueError("per-curve columns and starts must be 1-d and of equal length")
+        if any(a.shape != (samples[0].size,) for a in samples):
+            raise ValueError("sample columns must be 1-d and of equal length")
+        bounds = np.append(per_curve[3], samples[0].size)
+        if bounds[0] != 0 or np.any(np.diff(bounds) < 0):
+            raise ValueError("starts must rise from 0 to at most the sample count")
+        for a in per_curve + samples:
+            a.flags.writeable = False
+        vars(self).update(zip(_CURVE_FIELDS + ("starts",), per_curve))
+        vars(self).update(zip(_SAMPLE_FIELDS, samples), _bounds=bounds.tolist())
+
+    @classmethod
+    def from_rows(cls, rows) -> Curves:
+        """Concatenate ``TrainingCurve`` records into one table."""
+        rows = list(rows)
+        lengths = [np.size(cv.loss) for cv in rows]
+        for name in _SAMPLE_FIELDS:
+            if [np.shape(getattr(cv, name)) for cv in rows] != [(m,) for m in lengths]:
+                raise ValueError(f"each curve's {name} must be 1-d and as long as its loss")
+        samples = {name: np.concatenate([getattr(cv, name) for cv in rows] or [np.empty(0)])
+                   for name in _SAMPLE_FIELDS}
+        per_curve = {name: [getattr(cv, name) for cv in rows] for name in _CURVE_FIELDS}
+        return cls(**per_curve, **samples, starts=np.cumsum([0] + lengths)[:-1])
+
+    def __len__(self) -> int:
+        return self.model_index.size
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Curves.from_rows(map(self._row, range(*key.indices(len(self)))))
+        k = operator.index(key)
+        if not -len(self) <= k < len(self):
+            raise IndexError("curve index out of range")
+        return self._row(k % len(self))
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def _row(self, k: int) -> TrainingCurve:
+        a, b = self._bounds[k], self._bounds[k + 1]
+        return TrainingCurve(int(self.model_index[k]), float(self.n_nonembed[k]),
+                             float(self.n_total[k]), self.tokens[a:b], self.c_total[a:b],
+                             self.c_nonembed[a:b], self.loss[a:b])
 
 
 @dataclass(frozen=True)
@@ -159,10 +238,11 @@ def simulate_curves(
     embed_map: EmbedMap,
     tokens_per_param: tuple[float, float] = DEFAULT_TOKENS_PER_PARAM,
     samples_per_curve: int = DEFAULT_SAMPLES_PER_CURVE,
-) -> list[TrainingCurve]:
+) -> Curves:
     """Evaluate the loss surface along each model's token schedule.
 
-    Each curve's arrays are one row of (models, samples) arrays computed at once.
+    Every sample is computed at once on C-ordered (models, samples) arrays,
+    whose flattened rows are the table's sample columns.
     """
     sizes = np.asarray(sizes, dtype=float)
     if sizes.ndim != 1 or sizes.size < 1:
@@ -177,23 +257,25 @@ def simulate_curves(
     if samples_per_curve < 2:
         raise ValueError("need samples_per_curve >= 2")
 
-    tokens = np.geomspace(lo * sizes, hi * sizes, samples_per_curve, axis=1)
+    # geomspace along axis 1 returns a Fortran-ordered array.
+    tokens = np.ascontiguousarray(np.geomspace(lo * sizes, hi * sizes, samples_per_curve, axis=1))
     n_total = total_from_nonembed(sizes, embed_map)
     c_nonembed = 6.0 * sizes[:, None] * tokens
     c_total = 6.0 * n_total[:, None] * tokens
     loss = loss_ne_ce(sizes[:, None], c_nonembed, spec, embed_map)
-    rows = zip(sizes.tolist(), n_total.tolist(), tokens, c_total, c_nonembed, loss)
-    return [TrainingCurve(index, *row) for index, row in enumerate(rows)]
+    return Curves(np.arange(sizes.size), sizes, n_total, tokens.ravel(), c_total.ravel(),
+                  c_nonembed.ravel(), loss.ravel(), np.arange(sizes.size) * samples_per_curve)
 
 
 def extract_frontier(
-    curves: list[TrainingCurve],
+    curves: Sequence[TrainingCurve],
     n_bins: int = DEFAULT_BINS,
     basis: str = "nonembed",
     drop_edge_models: bool = True,
 ) -> Frontier:
     """Bin pooled samples by compute and keep the minimum-loss sample per bin.
 
+    ``curves`` is a ``Curves`` table or any sequence of ``TrainingCurve``.
     A bin's winner is its first minimum-loss sample in pooled (curve, then
     sample) order.  Bins whose winner is the smallest or largest grid model
     are discarded by default: at the extremes those models win only because
@@ -206,16 +288,19 @@ def extract_frontier(
         raise ValueError("need n_bins >= 10")
     if basis not in _BASES:
         raise ValueError("basis must be 'total' or 'nonembed'")
+    if not isinstance(curves, Curves):
+        curves = Curves.from_rows(curves)
 
-    c_all = np.concatenate([cv.c_nonembed if basis == "nonembed" else cv.c_total for cv in curves])
-    loss_all = np.concatenate([cv.loss for cv in curves])
+    c_all = curves.c_nonembed if basis == "nonembed" else curves.c_total
+    loss_all = curves.loss
     _check_positive(f"c_{basis}", c_all)
     if not np.isfinite(loss_all).all():
         raise ValueError("loss must be finite")
 
     edges = np.geomspace(c_all.min(), c_all.max(), n_bins + 1)
     centers = np.sqrt(edges[:-1] * edges[1:])
-    bin_of = np.clip(np.searchsorted(edges, c_all, side="right") - 1, 0, n_bins - 1)
+    # edges[0] is the minimum, and compute at or above edges[-1] falls in the last bin.
+    bin_of = np.searchsorted(edges[1:-1], c_all, side="right")
 
     # One pass for each bin's minimum, one for the lowest pooled index attaining
     # it; a bin without samples keeps the index loss_all.size.
@@ -231,22 +316,20 @@ def extract_frontier(
         raise ValueError(
             f"{n_empty}/{n_bins} compute bins are empty; token schedules too sparse"
         )
-    starts = np.cumsum([0] + [cv.loss.size for cv in curves[:-1]])
-    curve = np.searchsorted(starts, first[filled], side="right") - 1
-    sample = first[filled] - starts[curve]
-    winner = np.array([cv.model_index for cv in curves])[curve]
+    curve = np.searchsorted(curves.starts, first[filled], side="right") - 1
+    winner = curves.model_index[curve]
     edge = (winner == 0) | (winner == len(curves) - 1)
     keep = ~edge if drop_edge_models else np.ones_like(edge)
     if not keep.any():
         raise ValueError("no frontier points survive the boundary guard")
-    filled, curve, sample = filled[keep], curve[keep], sample[keep]
-    n_of = np.array([cv.n_nonembed if basis == "nonembed" else cv.n_total for cv in curves])
+    filled, curve = filled[keep], curve[keep]
+    n_of = curves.n_nonembed if basis == "nonembed" else curves.n_total
     return Frontier(
         basis,
         c=centers[filled],
         loss_min=best[filled],
         n_opt=n_of[curve],
-        d_opt=[curves[k].tokens[j] for k, j in zip(curve.tolist(), sample.tolist())],
+        d_opt=curves.tokens[first[filled]],
         model_index=winner[keep],
         n_empty=n_empty,
         n_dropped=keep.size - filled.size,
@@ -279,17 +362,16 @@ def _open_out(path_or_buf):
     return open(path_or_buf, "w", newline=""), True
 
 
-def write_curves_csv(curves: list[TrainingCurve], path_or_buf) -> None:
+def write_curves_csv(curves: Sequence[TrainingCurve], path_or_buf) -> None:
     """Curves CSV; full double precision so reruns are byte-identical."""
     fh, should_close = _open_out(path_or_buf)
     try:
         fh.write(CURVES_CSV_HEADER + "\n")
         for cv in curves:
-            for d, ct, ce, ls in zip(cv.tokens, cv.c_total, cv.c_nonembed, cv.loss):
-                fh.write(
-                    f"{cv.model_index},{cv.n_nonembed:.17g},{cv.n_total:.17g},"
-                    f"{d:.17g},{ct:.17g},{ce:.17g},{ls:.17g}\n"
-                )
+            head = f"{cv.model_index},{cv.n_nonembed:.17g},{cv.n_total:.17g},"
+            columns = (getattr(cv, name).tolist() for name in _SAMPLE_FIELDS)
+            fh.write("".join(f"{head}{d:.17g},{ct:.17g},{ce:.17g},{ls:.17g}\n"
+                             for d, ct, ce, ls in zip(*columns)))
     finally:
         if should_close:
             fh.close()

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fitting import _match_scalar
 from .params import EmbedMap, _check_positive, _check_third, total_from_nonembed
 
 __all__ = [
@@ -61,9 +62,7 @@ def loss_nd(n_total, d, spec: LossSpec):
     n = np.asarray(n_total, dtype=float)
     toks = np.asarray(d, dtype=float)
     out = spec.n_c / n**spec.alpha + spec.d_c / toks**spec.beta + spec.e_irr
-    if np.isscalar(n_total) and np.isscalar(d):
-        return float(out)
-    return out
+    return _match_scalar(out, n_total, d)
 
 
 def loss_nt_ct(n_total, c_total, spec: LossSpec):
@@ -71,7 +70,7 @@ def loss_nt_ct(n_total, c_total, spec: LossSpec):
     _check_positive("n_total", n_total)
     _check_positive("c_total", c_total)
     d = np.asarray(c_total, dtype=float) / (6.0 * np.asarray(n_total, dtype=float))
-    return loss_nd(n_total, d if d.ndim else float(d), spec)
+    return _match_scalar(loss_nd(n_total, d, spec), n_total, c_total)
 
 
 def loss_ne_ce(n_nonembed, c_nonembed, spec: LossSpec, embed_map: EmbedMap):
@@ -86,7 +85,7 @@ def loss_ne_ce(n_nonembed, c_nonembed, spec: LossSpec, embed_map: EmbedMap):
     _check_positive("c_nonembed", c_nonembed)
     n_total = total_from_nonembed(n_nonembed, embed_map)
     d = np.asarray(c_nonembed, dtype=float) / (6.0 * np.asarray(n_nonembed, dtype=float))
-    return loss_nd(n_total, d if d.ndim else float(d), spec)
+    return _match_scalar(loss_nd(n_total, d, spec), n_nonembed, c_nonembed)
 
 
 def compute_flops(n, d):

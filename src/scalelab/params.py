@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fitting import _loglog_ols
+from .fitting import _loglog_ols, _match_scalar
 
 __all__ = [
     "DEFAULT_OMEGA",
@@ -152,7 +152,7 @@ def total_from_nonembed(n_nonembed, embed_map: EmbedMap):
     n = np.asarray(n_nonembed, dtype=float)
     _check_positive("n_nonembed", n)
     out = n + embed_map.omega * n**embed_map.delta
-    return float(out) if np.isscalar(n_nonembed) else out
+    return _match_scalar(out, n_nonembed)
 
 
 def nonembed_from_total(n_total, embed_map: EmbedMap):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from scalelab import cli
 from scalelab.cli import main
 
 
@@ -170,3 +171,33 @@ def test_fit_rejects_unknown_basis(tmp_path, capsys):
     assert code != 0
     assert out == ""
     assert "basis" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponent-curve", "--omega", "nan"],                # ValueError
+    ["reproduce", "--bins", "3000"],                     # ValueError in the offset fit
+    ["frontier", "--spec", "/nonexistent/spec.json"],    # OSError
+    ["fit", "/nonexistent/frontier.csv"],                # OSError
+])
+def test_bad_input_exits_2(capsys, argv):
+    code, _, err = _run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_reproduce_tolerance_failure_exits_1(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    code, out, err = _run(capsys, ["reproduce", "--bins", "15", "--output", str(report_path)])
+    assert code == 1
+    assert "FAIL" in out and err == ""
+    assert any(e["pass"] is False for e in json.loads(report_path.read_text()))
+
+
+def test_arithmetic_error_exits_1(capsys, monkeypatch):
+    def underflow(*args, **kwargs):
+        raise ArithmeticError("n_nonembed underflows to 0 for this n_total")
+
+    monkeypatch.setattr(cli, "exponent_curve", underflow)
+    code, _, err = _run(capsys, ["exponent-curve"])
+    assert code == 1
+    assert err == "error: n_nonembed underflows to 0 for this n_total\n"

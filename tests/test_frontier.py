@@ -10,6 +10,7 @@ from scalelab import (
     DEFAULT_EMBED_MAP,
     EPOCH,
     SPEC_CATALOG,
+    Curves,
     EmbedMap,
     Frontier,
     FrontierPoint,
@@ -359,3 +360,90 @@ def test_frontier_rejects_unknown_basis(tmp_path, epoch_frontier_total):
     path.write_text(path.read_text().replace("\ntotal,", "\ntot,"))
     with pytest.raises(ValueError, match="basis"):
         read_frontier_csv(path)
+
+
+def test_curves_sequence_contract(epoch_curves):
+    curves = epoch_curves
+    assert isinstance(curves, Curves) and len(curves) == 20
+    assert curves[-1].model_index == 19 and curves[np.int64(-20)].model_index == 0
+    assert curves[np.int64(7)].n_nonembed == curves.n_nonembed[7]
+    for bad in (20, -21, np.int64(20)):
+        with pytest.raises(IndexError):
+            curves[bad]
+    with pytest.raises(TypeError):
+        curves[1.0]
+    rows = list(curves)
+    assert [cv.model_index for cv in rows] == list(range(20))
+    for k, cv in enumerate(rows):
+        samples = slice(curves.starts[k], curves.starts[k] + cv.loss.size)
+        for name in ("tokens", "c_total", "c_nonembed", "loss"):
+            column = getattr(curves, name)
+            assert np.shares_memory(getattr(cv, name), column)
+            np.testing.assert_array_equal(getattr(cv, name), column[samples])
+        assert (cv.n_nonembed, cv.n_total) == (curves.n_nonembed[k], curves.n_total[k])
+        np.testing.assert_array_equal(curves[k - 20].tokens, cv.tokens)
+    part = curves[3:9:2]
+    assert isinstance(part, Curves)
+    assert part.model_index.tolist() == [3, 5, 7]
+    assert part.starts.tolist() == [0, 512, 1024]
+    np.testing.assert_array_equal(part.loss, np.concatenate([rows[k].loss for k in (3, 5, 7)]))
+    assert len(curves[5:2]) == 0 and len(curves[-2:]) == 2
+
+
+def test_curves_columns_are_read_only_and_checked(epoch_curves):
+    for name in ("model_index", "n_nonembed", "n_total", "tokens", "c_total", "c_nonembed",
+                 "loss", "starts"):
+        with pytest.raises(ValueError):
+            getattr(epoch_curves, name)[0] = 1
+    with pytest.raises(ValueError):
+        epoch_curves[2].loss[0] = 1.0
+    loss = np.ones(3)
+    table = Curves([0, 1], [1.0, 2.0], [2.0, 3.0], loss, loss, loss, loss, starts=[0, 2])
+    assert loss.flags.writeable and [len(cv.loss) for cv in table] == [2, 1]
+    with pytest.raises(ValueError, match="sample columns"):
+        Curves([0, 1], [1.0, 2.0], [2.0, 3.0], loss, loss, loss, np.ones(4), starts=[0, 2])
+    with pytest.raises(ValueError, match="equal length"):
+        Curves([0, 1], [1.0, 2.0], [2.0], loss, loss, loss, loss, starts=[0, 2])
+    for starts in ([1, 2], [2, 1], [0, 4]):
+        with pytest.raises(ValueError, match="starts"):
+            Curves([0, 1], [1.0, 2.0], [2.0, 3.0], loss, loss, loss, loss, starts=starts)
+    short = dataclasses.replace(epoch_curves[0], tokens=epoch_curves[0].tokens[:-1])
+    with pytest.raises(ValueError, match="tokens"):
+        Curves.from_rows([short, epoch_curves[1]])
+
+
+def test_simulate_curves_columns_are_c_contiguous(epoch_curves):
+    for name in ("model_index", "n_nonembed", "n_total", "tokens", "c_total", "c_nonembed",
+                 "loss", "starts"):
+        assert getattr(epoch_curves, name).flags.c_contiguous
+    assert epoch_curves.starts.tolist() == list(range(0, 20 * 512, 512))
+
+
+@pytest.mark.parametrize("basis", ["nonembed", "total"])
+def test_extract_frontier_takes_rows_or_table_alike(epoch_curves, basis):
+    table = extract_frontier(epoch_curves, basis=basis)
+    rows = extract_frontier(list(epoch_curves), basis=basis)
+    for name in ("basis", "n_empty", "n_dropped"):
+        assert getattr(rows, name) == getattr(table, name)
+    for name in ("c", "loss_min", "n_opt", "d_opt", "model_index"):
+        np.testing.assert_array_equal(getattr(rows, name), getattr(table, name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(10, 40),
+       st.sampled_from([(1.0, 1e6), (1e-150, 1e150), (7.0, 7.0 * (1 + 1e-9)), (0.5, 2.0)]))
+def test_extract_frontier_bins_samples_on_and_beside_edges(seed, n_bins, c_range):
+    """Compute exactly on each bin edge and one ulp either side lands as in the reference."""
+    edges = np.geomspace(*c_range, n_bins + 1)
+    c = np.concatenate([edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges[:-1], np.inf)])
+    rng = np.random.default_rng(seed)
+    c = c[rng.permutation(c.size)]
+    loss = rng.choice(rng.uniform(1.0, 2.0, 4), c.size)
+    cuts = np.sort(rng.integers(0, c.size + 1, 3))
+    curves = [TrainingCurve(k, float(k + 1), float(k + 2), ck, ck, ck, lk)
+              for k, (ck, lk) in enumerate(zip(np.split(c, cuts), np.split(loss, cuts)))]
+    for basis in ("nonembed", "total"):
+        points, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis, False)
+        frontier = extract_frontier(curves, n_bins, basis, drop_edge_models=False)
+        assert frontier.points == points
+        assert (frontier.n_empty, frontier.n_dropped) == (n_empty, n_dropped)
