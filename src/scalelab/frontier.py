@@ -298,7 +298,12 @@ def extract_frontier(
         raise ValueError("loss must be finite")
 
     edges = np.geomspace(c_all.min(), c_all.max(), n_bins + 1)
-    centers = np.sqrt(edges[:-1] * edges[1:])
+    # sqrt(e0*e1) with both edges scaled by a power of two near e0, which is
+    # exact: the same bits wherever e0*e1 is a normal double, and no overflow
+    # or underflow outside that range.
+    e0, e1 = edges[:-1], edges[1:]
+    s = np.ldexp(1.0, np.frexp(e0)[1])
+    centers = s * np.sqrt((e0 / s) * (e1 / s))
     # edges[0] is the minimum, and compute at or above edges[-1] falls in the last bin.
     bin_of = np.searchsorted(edges[1:-1], c_all, side="right")
 

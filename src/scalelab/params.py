@@ -161,20 +161,27 @@ def nonembed_from_total(n_total, embed_map: EmbedMap):
     With t = n_nonembed**(1/3), n_total = t**3 + omega*t is a depressed cubic
     with one real root.  Cardano's form t = u - v, u*v = omega/3, u**3 - v**3 =
     n_total is evaluated as t = n_total / (u**2 + u*v + v**2), which avoids the
-    cancellation in u - v.  Accepts scalars or arrays.
+    cancellation in u - v.  Accepts scalars or arrays; a float gives a float.
     """
     _check_third(embed_map)
-    # [()] unwraps 0-d input to an np.float64, whose arithmetic is cheaper.
-    n = np.asarray(n_total, dtype=float)[()]
+    # A float is worked in Python floats, whose arithmetic is cheaper than
+    # NumPy scalars'.  cbrt and hypot stay NumPy's (math.hypot rounds
+    # differently), so the bits equal the array path's.  [()] unwraps other
+    # 0-d input to an np.float64.
+    scalar = isinstance(n_total, float)
+    n = float(n_total) if scalar else np.asarray(n_total, dtype=float)[()]
     _check_positive("n_total", n)
     omega = embed_map.omega
     if omega == 0.0:
         return n
-    u = np.cbrt(n / 2.0 + np.hypot(n / 2.0, (omega / 3.0) ** 1.5))
+    half = n / 2.0
+    u = np.cbrt(half + np.hypot(half, (omega / 3.0) ** 1.5))
+    if scalar:
+        u = float(u)
     v = omega / (3.0 * u)
     t = n / (u * u + u * v + v * v)
     x = t * t * t
-    if (x == 0.0).any():
+    if (x == 0.0) if scalar else (x == 0.0).any():
         raise ArithmeticError("n_nonembed underflows to 0 for this n_total")
     return x
 
@@ -192,7 +199,7 @@ def fit_embed_map(splits: list[ParamSplit]) -> EmbedMapFit:
     n_nonembed = np.array([s.n_nonembed for s in splits], dtype=float)
     _check_positive("n_embed", n_embed)
     _check_positive("n_nonembed", n_nonembed)
-    if np.unique(n_nonembed).size < 2:
+    if not n_nonembed.min() < n_nonembed.max():
         raise ValueError("need >=2 distinct n_nonembed values")
     omega, delta, r_squared = _loglog_ols(n_nonembed, n_embed)
     return EmbedMapFit(EmbedMap(omega, delta), r_squared, len(splits))

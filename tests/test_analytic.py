@@ -1,10 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalelab import (
     CHINCHILLA,
     DEFAULT_EMBED_MAP,
+    DEFAULT_OMEGA,
     EPOCH,
+    SPEC_CATALOG,
     EmbedMap,
     LossSpec,
     ce_of_optimal_ne,
@@ -79,6 +85,64 @@ def test_ce_of_optimal_ne_matches_grid_argmin():
         i = int(np.argmin(losses))
         j = int(np.argmin(np.abs(log_grid - np.log(n_star))))
         assert abs(i - j) <= 1
+
+
+# Brute-force optima over random exponents in [0.1, 0.6], a range holding both
+# catalog specs, on a fixed log grid (step 2.3e-4 in ln) wide enough for every
+# optimum drawn; the closed form must sit within one step of the grid argmin.
+ALPHA_BETA = st.floats(0.1, 0.6)
+WIDE_GRID = np.geomspace(1e-1, 1e21, 220_001)
+
+
+def _nearest_grid_index(n):
+    j = int(np.argmin(np.abs(np.log(WIDE_GRID) - np.log(n))))
+    assert 0 < j < WIDE_GRID.size - 1
+    return j
+
+
+def _grid_steps_from_argmin(losses, n_star):
+    return abs(int(np.argmin(losses)) - _nearest_grid_index(n_star))
+
+
+@settings(max_examples=50, deadline=None)
+@given(ALPHA_BETA, ALPHA_BETA, st.floats(12.0, 24.0), st.sampled_from(sorted(SPEC_CATALOG)))
+def test_optimal_nt_matches_grid_argmin_for_random_exponents(alpha, beta, log_c, name):
+    spec = dataclasses.replace(SPEC_CATALOG[name], alpha=alpha, beta=beta)
+    c = 10.0**log_c
+    losses = loss_nt_ct(WIDE_GRID, c, spec)
+    assert _grid_steps_from_argmin(losses, optimal_nt(c, spec)) <= 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(ALPHA_BETA, ALPHA_BETA, st.floats(1.0, 15.0),
+       st.sampled_from([0.0, 1e3, DEFAULT_OMEGA, 1e6]), st.sampled_from(sorted(SPEC_CATALOG)))
+def test_ce_of_optimal_ne_matches_grid_argmin_for_random_exponents(alpha, beta, log_n, omega,
+                                                                   name):
+    """The closed form is a stationary point of the loss, and the optimum when it is the only one.
+
+    With omega > 0 and beta below a bound that falls from 0.122 at alpha = 0.1
+    to 0 near alpha = 0.33, some budgets have two loss minima in n_nonembed;
+    see the xfail below.
+    """
+    spec = dataclasses.replace(SPEC_CATALOG[name], alpha=alpha, beta=beta)
+    emap = EmbedMap(omega)
+    n_star = 10.0**log_n
+    losses = loss_ne_ce(WIDE_GRID, ce_of_optimal_ne(n_star, spec, emap), spec, emap)
+    slope = np.sign(np.diff(losses))
+    turns = np.flatnonzero(slope[1:] != slope[:-1]) + 1
+    assert np.abs(turns - _nearest_grid_index(n_star)).min() <= 1
+    if np.count_nonzero((slope[:-1] < 0) & (slope[1:] > 0)) == 1:
+        assert _grid_steps_from_argmin(losses, n_star) <= 1
+
+
+@pytest.mark.xfail(strict=True, reason="two loss minima: the closed form gives the local one")
+def test_ce_of_optimal_ne_is_the_optimum_for_small_exponents():
+    # With these exponents ce_of_optimal_ne falls from n = 1.3e6 to 8.4e6, so at
+    # the compute that makes 1e6 stationary the global minimum is near 2.1e7.
+    spec = dataclasses.replace(CHINCHILLA, alpha=0.109375, beta=0.1015625)
+    c = ce_of_optimal_ne(1e6, spec, DEFAULT_EMBED_MAP)
+    losses = loss_ne_ce(WIDE_GRID, c, spec, DEFAULT_EMBED_MAP)
+    assert _grid_steps_from_argmin(losses, 1e6) <= 1
 
 
 def _fd_param_exponent(n, spec, emap, h=FD_LOG_STEP):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +205,48 @@ def test_arithmetic_error_exits_1(capsys, monkeypatch):
     code, _, err = _run(capsys, ["exponent-curve"])
     assert code == 1
     assert err == "error: n_nonembed underflows to 0 for this n_total\n"
+
+
+def test_fit_prefactor_overflow_exits_1(tmp_path, capsys):
+    # n_opt falls 100x every 1/32 decade of compute: ln prefactor is 741.4
+    path = tmp_path / "steep.csv"
+    path.write_text("basis,c,loss_min,n_opt,d_opt,model_index\n"
+                    "nonembed,1e5,3.0,100.0,10.0,1\n"
+                    f"nonembed,{10.0**5.03125!r},2.0,1.0,10.0,2\n"
+                    f"nonembed,{10.0**5.0625!r},1.0,0.01,10.0,3\n")
+    code, out, err = _run(capsys, ["fit", str(path), "--form", "plain"])
+    assert code == 1
+    assert out == "" and err == "error: prefactor overflows\n"
+
+
+# Runs every command in one fresh interpreter, then lists what got imported.
+_EVERY_COMMAND = """
+import sys
+from scalelab.cli import main
+
+out = sys.argv[1]
+for argv in [
+    ["simulate", "--output", f"{out}/curves.csv"],
+    ["frontier", "--basis", "nonembed", "--output", f"{out}/nonembed.csv"],
+    ["frontier", "--basis", "total", "--output", f"{out}/total.csv"],
+    ["fit", f"{out}/nonembed.csv", "--form", "plain", "--output", f"{out}/plain.json"],
+    ["fit", f"{out}/nonembed.csv", "--form", "kaplan", "--output", f"{out}/kaplan.json"],
+    ["fit", f"{out}/total.csv", "--form", "chinchilla", "--output", f"{out}/chinchilla.json"],
+    ["exponent-curve", "--output", f"{out}/curve.csv"],
+    ["reproduce", "--output", f"{out}/report.json"],
+    ["fit-embed-map", "--output", f"{out}/embed.json"],
+]:
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """np.unique imports numpy.ma on first use, 12-18 ms of a fitting command's start-up."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -11,7 +11,7 @@ from scalelab import (
     fit_power_law_with_offset,
     sum_squared_error,
 )
-from scalelab.fitting import _loglog_design, _loglog_ols
+from scalelab.fitting import _loglog_design, _loglog_ols, _validated_xy
 
 
 def test_exact_power_law_recovery():
@@ -140,6 +140,29 @@ def test_fits_reject_non_finite(fit, bad):
         fit([1.0, 2.0, 3.0], [3.0, bad, 1.0])
 
 
+@pytest.mark.parametrize("fit", [fit_power_law, fit_power_law_with_offset])
+def test_fits_reject_all_equal_x(fit):
+    with pytest.raises(ValueError, match="distinct"):
+        fit([2.0, 2.0, 2.0], [3.0, 2.0, 1.0])
+
+
+# Few values, so most draws repeat some; neighbours one ulp apart and the extremes.
+REPEATED_X = st.lists(
+    st.sampled_from([5e-324, 1e-300, 1.0, 1.0 + 2**-52, 3.0, np.nextafter(3.0, 0.0), 1e300]),
+    min_size=3, max_size=12)
+
+
+@given(REPEATED_X)
+def test_distinct_x_check_matches_unique(xs):
+    x = np.array(xs)
+    distinct = np.unique(x).size >= 2
+    if distinct:
+        _validated_xy(x, np.ones_like(x), min_points=3)
+    else:
+        with pytest.raises(ValueError, match="distinct"):
+            _validated_xy(x, np.ones_like(x), min_points=3)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fixed_offset_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="fixed_offset"):
@@ -163,6 +186,7 @@ LOG10_XY = st.lists(st.tuples(st.floats(-13.0, 26.0), st.floats(-6.0, 6.0)),
 @given(LOG10_XY)
 @example([(10.0, 0.0), (10.0 + 1e-14, 1.0)])  # rank-deficient: both warn
 @example([(10.0, 0.0), (10.0001, 1.0), (10.0002, 0.5)])  # ill-conditioned
+@example([(5.0, 2.0), (5.03125, 0.0)])  # intercept 741.4: exp overflows
 def test_loglog_ols_matches_polyfit_bit_for_bit(points):
     x, y = 10.0 ** np.array(points).T
     assume(np.unique(x).size >= 2)
@@ -171,8 +195,20 @@ def test_loglog_ols_matches_polyfit_bit_for_bit(points):
     got, got_warned = _with_warnings(_loglog_design(log_x), log_y)
     np.testing.assert_array_equal(got, want)
     assert got_warned == want_warned
+    with np.errstate(over="ignore"):
+        want_prefactor = float(np.exp(want[1]))
+    if not math.isfinite(want_prefactor):
+        with pytest.raises(ArithmeticError, match="prefactor overflows"):
+            _with_warnings(_loglog_ols, x, y)
+        return
     (prefactor, exponent, _), _ = _with_warnings(_loglog_ols, x, y)
-    assert (prefactor, exponent) == (float(np.exp(want[1])), float(want[0]))
+    assert (prefactor, exponent) == (want_prefactor, float(want[0]))
+
+
+def test_fit_power_law_reports_prefactor_overflow():
+    # ln-space intercept 741.4 > ln(max double)
+    with pytest.raises(ArithmeticError, match="prefactor overflows"):
+        fit_power_law([1e5, 10.0**5.03125], [100.0, 1.0])
 
 
 def _reference_offset_fit(x, y):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scalelab import (
@@ -167,6 +167,21 @@ def test_fit_embed_map_preconditions():
         fit_embed_map([ParamSplit(1e5, 1e6), ParamSplit(2e5, 1e6)])
 
 
+def test_fit_embed_map_rejects_all_equal_n_nonembed():
+    with pytest.raises(ValueError, match="distinct"):
+        fit_embed_map(_splits_from_map(1000.0, THIRD, [1e6, 1e6, 1e6]))
+
+
+@given(st.lists(st.sampled_from([1e4, 1e6, 1e8]), min_size=2, max_size=8))
+def test_fit_embed_map_distinct_check_matches_unique(n_values):
+    splits = _splits_from_map(1000.0, THIRD, n_values)
+    if np.unique(n_values).size >= 2:
+        assert fit_embed_map(splits).embed_map.delta == pytest.approx(THIRD, rel=1e-9)
+    else:
+        with pytest.raises(ValueError, match="distinct"):
+            fit_embed_map(splits)
+
+
 def test_fit_embed_map_bundled_dataset():
     fit = fit_embed_map(load_model_configs(bundled_config_path()))
     assert fit.embed_map.omega == pytest.approx(47491.0, rel=0.02)
@@ -239,6 +254,18 @@ def test_inverse_array_matches_scalar_calls(log_ns, log_omega):
     got = nonembed_from_total(n, emap)
     assert got.shape == n.shape
     np.testing.assert_array_equal(got, [nonembed_from_total(float(v), emap) for v in n])
+
+
+@given(st.lists(st.floats(-6.0, 300.0), min_size=1, max_size=16), LOG_OMEGA)
+@example([-3.16], -1.83)  # math.hypot in place of np.hypot changes this root's last bit
+def test_inverse_scalar_path_matches_array_bit_for_bit(log_ns, log_omega):
+    emap = EmbedMap(10.0**log_omega)
+    n = 10.0 ** np.array(log_ns)
+    want = nonembed_from_total(n, emap)
+    for scalars in (n.tolist(), list(n)):  # Python floats, np.float64
+        got = [nonembed_from_total(v, emap) for v in scalars]
+        assert all(type(v) is float for v in got)
+        np.testing.assert_array_equal(got, want)
 
 
 @given(LOG_N, st.floats(1e-6, 5.0), LOG_OMEGA)
