@@ -14,6 +14,7 @@ simulation pipeline can cross-check them against finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,13 +52,42 @@ def optimal_nt(c_total, spec: LossSpec):
     return _match_scalar(out, c_total)
 
 
+def _min_beta(alpha: float) -> float:
+    """Bound B(alpha): with omega > 0, ``ce_of_optimal_ne`` is strictly increasing iff beta > B.
+
+    B is the supremum over y = n**(2/3)/omega > 0 of
+    f(y) = (y + 1/9)/(y + 1/3) - (1 + alpha)(y + 1/3)/(y + 1), which tends to
+    -alpha/3 as y -> 0 and peaks at y* = (1 - s/3)/(s - 1), s = sqrt(3(1 + alpha)),
+    when 1 < s < 3.
+    """
+    bound = -alpha / 3.0
+    s = math.sqrt(3.0 * (1.0 + alpha))
+    if 1.0 < s < 3.0:
+        y = (1.0 - s / 3.0) / (s - 1.0)
+        bound = max(bound, (y + 1 / 9) / (y + 1 / 3) - (1.0 + alpha) * (y + 1 / 3) / (y + 1.0))
+    return bound
+
+
+def _check_single_optimum(spec: LossSpec, embed_map: EmbedMap) -> None:
+    _check_third(embed_map)
+    bound = _min_beta(spec.alpha)
+    if embed_map.omega > 0 and spec.beta <= bound:
+        raise ValueError(
+            f"beta = {spec.beta!r} must exceed {bound:.6g} at alpha = "
+            f"{spec.alpha!r}: below it the non-embedding loss has two minima at some budgets"
+        )
+
+
 def ce_of_optimal_ne(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
     """Non-embedding compute at which ``n_nonembed_opt`` is loss-optimal.
 
-    Strictly increasing in its argument; with omega = 0 it reduces to the
-    exact inverse of ``optimal_nt``.
+    Strictly increasing in its argument, so each budget has one optimum; with
+    omega > 0 that holds exactly when beta > B(alpha) (0.179 at alpha = 0,
+    0 at alpha = 1/3), and a spec with beta <= B(alpha) raises
+    ``ValueError``.  With omega = 0 it reduces to the exact inverse of
+    ``optimal_nt``.
     """
-    _check_third(embed_map)
+    _check_single_optimum(spec, embed_map)
     _check_positive("n_nonembed_opt", n_nonembed_opt)
     n = np.asarray(n_nonembed_opt, dtype=float)
     a, b, om = spec.alpha, spec.beta, embed_map.omega
@@ -77,8 +107,10 @@ def local_param_exponent(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
 
     1/g = 1 - (1/beta)(x + omega/9)/(x + omega/3)
             + ((alpha+1)/beta)(x + omega/3)/(x + omega),   x = n**(2/3).
+
+    Raises ``ValueError`` where ``ce_of_optimal_ne`` does.
     """
-    _check_third(embed_map)
+    _check_single_optimum(spec, embed_map)
     _check_positive("n_nonembed_opt", n_nonembed_opt)
     n = np.asarray(n_nonembed_opt, dtype=float)
     a, b, om = spec.alpha, spec.beta, embed_map.omega

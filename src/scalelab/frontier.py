@@ -267,6 +267,48 @@ def simulate_curves(
                   c_nonembed.ravel(), loss.ravel(), np.arange(sizes.size) * samples_per_curve)
 
 
+# Samples binned per block: the block size np.histogram uses for uniform bins,
+# so the estimate's temporaries stay at a few hundred kB for any sample count.
+_BIN_BLOCK = 65536
+
+
+def _geometric_bin_of(c, edges):
+    """Bin of each sample, equal to ``np.searchsorted(edges[1:-1], c, side="right")``.
+
+    ``edges`` are geometric, so a sample's bin is estimated from its logarithm
+    in O(1), checked against the edges, and searched for only where the check
+    fails; the result never depends on the accuracy of ``np.log``.
+    """
+    n = edges.size - 1
+    inner = edges[1:-1]
+    upper = np.append(inner, np.inf)
+    log_lo = math.log(edges[0])
+    span = math.log(edges[-1]) - log_lo
+    # A collapsed range estimates bin 0 everywhere and the check resolves it.
+    scale = n / span if span > 0 else 0.0
+    bin_of = np.empty(c.size, dtype=np.intp)
+    buf = np.empty(min(c.size, _BIN_BLOCK))
+    missed, above = np.empty(buf.size, dtype=bool), np.empty(buf.size, dtype=bool)
+    for start in range(0, c.size, _BIN_BLOCK):
+        cb = c[start:start + _BIN_BLOCK]
+        kb, fb, mb, ab = (a[:cb.size] for a in (bin_of[start:], buf, missed, above))
+        np.log(cb, out=fb)
+        fb -= log_lo
+        fb *= scale
+        np.clip(fb, 0, n - 1, out=fb)
+        np.copyto(kb, fb, casting="unsafe")
+        # mode="clip" writes straight into buf; the default mode buffers the output.
+        np.take(edges, kb, out=fb, mode="clip")
+        np.greater(fb, cb, out=mb)
+        np.take(upper, kb, out=fb, mode="clip")
+        np.greater_equal(cb, fb, out=ab)
+        mb |= ab
+        miss = np.flatnonzero(mb)
+        if miss.size:
+            kb[miss] = np.searchsorted(inner, cb[miss], side="right")
+    return bin_of
+
+
 def extract_frontier(
     curves: Sequence[TrainingCurve],
     n_bins: int = DEFAULT_BINS,
@@ -276,6 +318,10 @@ def extract_frontier(
     """Bin pooled samples by compute and keep the minimum-loss sample per bin.
 
     ``curves`` is a ``Curves`` table or any sequence of ``TrainingCurve``.
+    The ``n_bins`` bins are geometric between the smallest and largest
+    compute; a sample's bin is the number of interior edges at or below its
+    compute, estimated from its logarithm and checked against the edges,
+    with a binary search only for samples the estimate misses.
     A bin's winner is its first minimum-loss sample in pooled (curve, then
     sample) order.  Bins whose winner is the smallest or largest grid model
     are discarded by default: at the extremes those models win only because
@@ -304,8 +350,7 @@ def extract_frontier(
     e0, e1 = edges[:-1], edges[1:]
     s = np.ldexp(1.0, np.frexp(e0)[1])
     centers = s * np.sqrt((e0 / s) * (e1 / s))
-    # edges[0] is the minimum, and compute at or above edges[-1] falls in the last bin.
-    bin_of = np.searchsorted(edges[1:-1], c_all, side="right")
+    bin_of = _geometric_bin_of(c_all, edges)
 
     # One pass for each bin's minimum, one for the lowest pooled index attaining
     # it; a bin without samples keeps the index loss_all.size.

@@ -13,8 +13,10 @@ from scalelab import (
     SPEC_CATALOG,
     EmbedMap,
     LossSpec,
+    bracketing_token_schedule,
     ce_of_optimal_ne,
     exponent_curve,
+    kaplan_size_grid,
     local_loss_exponent,
     local_param_exponent,
     loss_compute_exponent_total,
@@ -26,6 +28,7 @@ from scalelab import (
     total_from_nonembed,
     transition_point,
 )
+from scalelab.analytic import _min_beta
 
 IDENTITY = EmbedMap(0.0)
 FD_LOG_STEP = 1e-4
@@ -118,31 +121,51 @@ def test_optimal_nt_matches_grid_argmin_for_random_exponents(alpha, beta, log_c,
        st.sampled_from([0.0, 1e3, DEFAULT_OMEGA, 1e6]), st.sampled_from(sorted(SPEC_CATALOG)))
 def test_ce_of_optimal_ne_matches_grid_argmin_for_random_exponents(alpha, beta, log_n, omega,
                                                                    name):
-    """The closed form is a stationary point of the loss, and the optimum when it is the only one.
+    """The closed form is the grid optimum, and specs with two loss minima are rejected.
 
-    With omega > 0 and beta below a bound that falls from 0.122 at alpha = 0.1
-    to 0 near alpha = 0.33, some budgets have two loss minima in n_nonembed;
-    see the xfail below.
+    With omega > 0 and beta at or below B(alpha), which falls from 0.122 at
+    alpha = 0.1 to 0 at alpha = 1/3, some budgets have two loss minima in
+    n_nonembed.
     """
     spec = dataclasses.replace(SPEC_CATALOG[name], alpha=alpha, beta=beta)
     emap = EmbedMap(omega)
     n_star = 10.0**log_n
+    if omega > 0 and beta <= _min_beta(alpha):
+        with pytest.raises(ValueError, match="beta"):
+            ce_of_optimal_ne(n_star, spec, emap)
+        return
     losses = loss_ne_ce(WIDE_GRID, ce_of_optimal_ne(n_star, spec, emap), spec, emap)
-    slope = np.sign(np.diff(losses))
-    turns = np.flatnonzero(slope[1:] != slope[:-1]) + 1
-    assert np.abs(turns - _nearest_grid_index(n_star)).min() <= 1
-    if np.count_nonzero((slope[:-1] < 0) & (slope[1:] > 0)) == 1:
-        assert _grid_steps_from_argmin(losses, n_star) <= 1
+    assert _grid_steps_from_argmin(losses, n_star) <= 1
 
 
-@pytest.mark.xfail(strict=True, reason="two loss minima: the closed form gives the local one")
-def test_ce_of_optimal_ne_is_the_optimum_for_small_exponents():
-    # With these exponents ce_of_optimal_ne falls from n = 1.3e6 to 8.4e6, so at
-    # the compute that makes 1e6 stationary the global minimum is near 2.1e7.
+@pytest.mark.parametrize("alpha, bound", [(0.0, 0.178633), (0.1, 0.122273),
+                                          (0.109375, 0.117123), (0.2, 0.068422),
+                                          (0.3392, -0.00293)])
+def test_min_beta_matches_brute_force(alpha, bound):
+    y = np.geomspace(1e-9, 1e9, 2_000_001)
+    f = (y + 1 / 9) / (y + 1 / 3) - (1 + alpha) * (y + 1 / 3) / (y + 1)
+    assert _min_beta(alpha) == pytest.approx(max(f.max(), -alpha / 3), abs=1e-9)
+    assert _min_beta(alpha) == pytest.approx(bound, abs=5e-6)
+
+
+def test_ce_of_optimal_ne_rejects_specs_with_two_loss_minima():
+    # With these exponents the closed form would fall from n = 1.3e6 to 8.4e6, so
+    # at the compute that makes 1e6 stationary the global minimum is near 2.1e7.
     spec = dataclasses.replace(CHINCHILLA, alpha=0.109375, beta=0.1015625)
-    c = ce_of_optimal_ne(1e6, spec, DEFAULT_EMBED_MAP)
-    losses = loss_ne_ce(WIDE_GRID, c, spec, DEFAULT_EMBED_MAP)
-    assert _grid_steps_from_argmin(losses, 1e6) <= 1
+    for call in (ce_of_optimal_ne, local_param_exponent, local_loss_exponent):
+        with pytest.raises(ValueError, match="beta = 0.1015625"):
+            call(1e6, spec, DEFAULT_EMBED_MAP)
+        call(1e6, spec, IDENTITY)
+    with pytest.raises(ValueError, match="beta"):
+        exponent_curve(spec, DEFAULT_EMBED_MAP)
+    with pytest.raises(ValueError, match="beta"):
+        bracketing_token_schedule(kaplan_size_grid(), spec, DEFAULT_EMBED_MAP)
+    at_bound = dataclasses.replace(spec, beta=_min_beta(spec.alpha))
+    with pytest.raises(ValueError, match="beta"):
+        ce_of_optimal_ne(1e6, at_bound, DEFAULT_EMBED_MAP)
+    above = dataclasses.replace(spec, beta=np.nextafter(_min_beta(spec.alpha), 1.0))
+    assert np.all(np.diff(ce_of_optimal_ne(np.geomspace(1e2, 1e12, 1001), above,
+                                           DEFAULT_EMBED_MAP)) > 0)
 
 
 def _fd_param_exponent(n, spec, emap, h=FD_LOG_STEP):

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from scalelab import (
     bracketing_token_schedule,
     ce_of_optimal_ne,
     extract_frontier,
+    fit_loss_scaling,
     fit_param_scaling,
     kaplan_size_grid,
     loss_ne_ce,
@@ -29,6 +31,7 @@ from scalelab import (
     write_curves_csv,
     write_frontier_csv,
 )
+from scalelab import frontier as frontier_module
 
 IDENTITY = EmbedMap(0.0)
 
@@ -468,3 +471,97 @@ def test_extract_frontier_bins_samples_on_and_beside_edges(seed, n_bins, c_range
         frontier = extract_frontier(curves, n_bins, basis, drop_edge_models=False)
         _assert_points_match(frontier, points, bounds)
         assert (frontier.n_empty, frontier.n_dropped) == (n_empty, n_dropped)
+
+
+@st.composite
+def binning_cases(draw, max_bins):
+    """Compute on every edge of a geometric range and one ulp either side, plus
+    random samples inside it, with the bin count and the edges the pooled
+    samples give."""
+    n_bins = draw(st.integers(10, max_bins))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = draw(st.sampled_from([(1e-300, 1e250), (7.0, 7.0 * (1 + 1e-9)), (3.0, 3.0)])
+                  | st.tuples(st.floats(-300.0, 300.0), st.floats(0.0, 300.0)).map(
+                      lambda t: (10.0 ** t[0], 10.0 ** min(t[0] + t[1], 307.0))))
+    edges = np.geomspace(lo, hi, n_bins + 1)
+    inside = np.exp(rng.uniform(np.log(lo), np.log(hi), draw(st.integers(0, 200))))
+    c = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), inside])
+    c = c[rng.permutation(c.size)]
+    if draw(st.booleans()):
+        c = np.full(c.size, c[0])
+    return c, np.geomspace(c.min(), c.max(), n_bins + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(binning_cases(5000))
+def test_geometric_bin_of_matches_searchsorted(case):
+    c, edges = case
+    want = np.searchsorted(edges[1:-1], c, side="right")
+    np.testing.assert_array_equal(frontier_module._geometric_bin_of(c, edges), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(binning_cases(300), st.sampled_from([1, 7, 64]))
+def test_geometric_bin_of_matches_searchsorted_across_blocks(case, block):
+    c, edges = case
+    want = np.searchsorted(edges[1:-1], c, side="right")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontier_module, "_BIN_BLOCK", block)
+        np.testing.assert_array_equal(frontier_module._geometric_bin_of(c, edges), want)
+
+
+def test_geometric_bin_of_spans_real_blocks():
+    rng = np.random.default_rng(11)
+    n_bins = 1999
+    edges = np.geomspace(1e10, 1e25, n_bins + 1)
+    c = np.concatenate([edges, np.nextafter(edges, 0.0)[1:], np.nextafter(edges, np.inf)[:-1]])
+    size = 3 * 65536 + 5
+    c = rng.permutation(np.concatenate([c, 10.0 ** rng.uniform(10, 25, size - c.size)]))
+    edges = np.geomspace(c.min(), c.max(), n_bins + 1)
+    np.testing.assert_array_equal(frontier_module._geometric_bin_of(c, edges),
+                                  np.searchsorted(edges[1:-1], c, side="right"))
+
+
+def test_extract_frontier_memory_stays_flat_at_stress_scale():
+    """Binning 1,024,000 samples allocates blocks, not whole-array temporaries."""
+    curves = simulate_curves(size_grid(1e3, 1e9, 2000), EPOCH, DEFAULT_EMBED_MAP)
+    assert curves.loss.size == 2000 * 512
+    for basis in ("nonembed", "total"):
+        tracemalloc.start()
+        try:
+            extract_frontier(curves, n_bins=2000, basis=basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * 2**20, f"{basis}: {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=80, deadline=None)
+@given(st.just(0.0) | st.floats(1.0, 1e6), st.floats(-3.0, 22.9), st.floats(0.1, 26.0),
+       st.integers(3, 40), st.integers(16, 128), st.integers(10, 200),
+       st.sampled_from(sorted(SPEC_CATALOG)))
+def test_pipeline_sweep(omega, log_lo, log_span, count, samples, n_bins, spec_name):
+    """Simulate, extract in both bases and fit, over wide grids, without a warning."""
+    sizes = size_grid(10.0**log_lo, 10.0 ** min(log_lo + log_span, 23.0), count)
+    curves = simulate_curves(sizes, SPEC_CATALOG[spec_name], EmbedMap(omega),
+                             samples_per_curve=samples)
+    for basis in ("nonembed", "total"):
+        points, bounds, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis,
+                                                                     True)
+        if n_empty > 0.5 * n_bins or not points:
+            error = "too sparse" if n_empty > 0.5 * n_bins else "no frontier points"
+            with pytest.raises(ValueError, match=error):
+                extract_frontier(curves, n_bins, basis)
+            continue
+        front = extract_frontier(curves, n_bins, basis)
+        _assert_points_match(front, points, bounds)
+        assert (front.n_empty, front.n_dropped) == (n_empty, n_dropped)
+        for fit in (lambda: fit_param_scaling(front), lambda: fit_loss_scaling(front),
+                    lambda: fit_loss_scaling(front, "chinchilla")):
+            try:
+                result = fit()
+            except (ValueError, ArithmeticError):
+                continue
+            values = (result.prefactor, result.exponent, result.r_squared, result.offset or 0.0)
+            assert np.all(np.isfinite(values))
