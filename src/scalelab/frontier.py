@@ -242,29 +242,46 @@ def simulate_curves(
     """Evaluate the loss surface along each model's token schedule.
 
     Every sample is computed at once on C-ordered (models, samples) arrays,
-    whose flattened rows are the table's sample columns.
+    whose flattened rows are the table's sample columns; these four columns
+    are the only full-size arrays it makes.
     """
     sizes = np.asarray(sizes, dtype=float)
     if sizes.ndim != 1 or sizes.size < 1:
         raise ValueError("sizes must be a non-empty 1-d sequence")
-    if not np.isfinite(sizes).all():
-        raise ValueError("sizes must be finite")
-    if np.any(sizes <= 0) or np.any(np.diff(sizes) <= 0):
-        raise ValueError("sizes must be positive and strictly increasing")
+    if not (sizes[0] > 0 and sizes[-1] < math.inf and (np.diff(sizes) > 0).all()):
+        raise ValueError("sizes must be finite, positive and strictly increasing")
     lo, hi = tokens_per_param
     if not 0 < lo < hi < math.inf:
         raise ValueError("tokens_per_param must be finite and satisfy 0 < lo < hi")
     if samples_per_curve < 2:
         raise ValueError("need samples_per_curve >= 2")
-
-    # geomspace along axis 1 returns a Fortran-ordered array.
-    tokens = np.ascontiguousarray(np.geomspace(lo * sizes, hi * sizes, samples_per_curve, axis=1))
     n_total = total_from_nonembed(sizes, embed_map)
+    # Extreme compute as associated below, in floats that overflow without warning.
+    n0, n1, t1 = float(sizes[0]), float(sizes[-1]), float(n_total[-1])
+    if not (6.0 * n0 * (float(lo) * n0) > 0 and 6.0 * t1 * (float(hi) * n1) < math.inf):
+        raise ValueError("tokens_per_param takes compute out of the range of doubles")
+
+    tokens = _token_grid(lo * sizes, hi * sizes, samples_per_curve)
     c_nonembed = 6.0 * sizes[:, None] * tokens
     c_total = 6.0 * n_total[:, None] * tokens
     loss = loss_ne_ce(sizes[:, None], c_nonembed, spec, embed_map)
     return Curves(np.arange(sizes.size), sizes, n_total, tokens.ravel(), c_total.ravel(),
                   c_nonembed.ravel(), loss.ravel(), np.arange(sizes.size) * samples_per_curve)
+
+
+def _token_grid(start, stop, num):
+    """``np.geomspace(start, stop, num, axis=1)`` bit for bit, built C-ordered in place;
+    as in linspace, every row takes the zero-step branch once any row needs it."""
+    log_start, log_stop = np.log10(start), np.log10(stop)
+    delta = log_stop - log_start
+    step = delta / (num - 1)
+    j = np.arange(num, dtype=float)
+    y = (j / (num - 1)) * delta[:, None] if (step == 0).any() else j * step[:, None]
+    y += log_start[:, None]
+    y[:, -1] = log_stop
+    np.power(10.0, y, out=y)
+    y[:, 0], y[:, -1] = start, stop
+    return y
 
 
 # Samples binned per block: the block size np.histogram uses for uniform bins,
@@ -317,11 +334,13 @@ def extract_frontier(
 ) -> Frontier:
     """Bin pooled samples by compute and keep the minimum-loss sample per bin.
 
-    ``curves`` is a ``Curves`` table or any sequence of ``TrainingCurve``.
-    The ``n_bins`` bins are geometric between the smallest and largest
-    compute; a sample's bin is the number of interior edges at or below its
-    compute, estimated from its logarithm and checked against the edges,
-    with a binary search only for samples the estimate misses.
+    ``curves`` is a ``Curves`` table or any sequence of ``TrainingCurve``,
+    with at least one sample, finite losses and finite positive compute,
+    checked by the minima and maxima the edges need.  The ``n_bins`` bins
+    are geometric between the smallest and largest compute; a sample's bin
+    is the number of interior edges at or below its compute, estimated from
+    its logarithm and checked against the edges, with a binary search only
+    for samples the estimate misses.
     A bin's winner is its first minimum-loss sample in pooled (curve, then
     sample) order.  Bins whose winner is the smallest or largest grid model
     are discarded by default: at the extremes those models win only because
@@ -339,11 +358,15 @@ def extract_frontier(
 
     c_all = curves.c_nonembed if basis == "nonembed" else curves.c_total
     loss_all = curves.loss
-    _check_positive(f"c_{basis}", c_all)
-    if not np.isfinite(loss_all).all():
+    if loss_all.size == 0:
+        raise ValueError("curves hold no samples")
+    c_lo, c_hi = c_all.min(), c_all.max()
+    if not 0 < c_lo <= c_hi < math.inf:
+        raise ValueError(f"c_{basis} must be finite and > 0")
+    if not -math.inf < loss_all.min() <= loss_all.max() < math.inf:
         raise ValueError("loss must be finite")
 
-    edges = np.geomspace(c_all.min(), c_all.max(), n_bins + 1)
+    edges = np.geomspace(c_lo, c_hi, n_bins + 1)
     # sqrt(e0*e1) with both edges scaled by a power of two near e0, which is
     # exact: the same bits wherever e0*e1 is a normal double, and no overflow
     # or underflow outside that range.
@@ -352,11 +375,13 @@ def extract_frontier(
     centers = s * np.sqrt((e0 / s) * (e1 / s))
     bin_of = _geometric_bin_of(c_all, edges)
 
-    # One pass for each bin's minimum, one for the lowest pooled index attaining
-    # it; a bin without samples keeps the index loss_all.size.
+    # One pass for each bin's minimum, one by blocks for the lowest pooled index
+    # attaining it; a bin without samples keeps the index loss_all.size.
     best = np.full(n_bins, np.inf)
     np.minimum.at(best, bin_of, loss_all)
-    ties = np.flatnonzero(loss_all == best[bin_of])
+    ties = np.concatenate([
+        a + np.flatnonzero(loss_all[a:a + _BIN_BLOCK] == best[bin_of[a:a + _BIN_BLOCK]])
+        for a in range(0, loss_all.size, _BIN_BLOCK)])
     first = np.full(n_bins, loss_all.size)
     np.minimum.at(first, bin_of[ties], ties)
 

@@ -55,14 +55,23 @@ EPOCH = LossSpec(n_c=482.0, d_c=2085.43, alpha=0.3478, beta=0.3658, e_irr=1.817)
 SPEC_CATALOG = {"chinchilla": CHINCHILLA, "epoch": EPOCH}
 
 
-def loss_nd(n_total, d, spec: LossSpec):
-    """Loss at total parameters ``n_total`` and tokens ``d`` (nats)."""
+def _surface(n_total, d, spec: LossSpec):
+    """n_c/n_total**alpha + d_c/d**beta + e_irr, built in the float array ``d``, which
+    holds the result unless ``n_total`` broadcasts it to a larger shape."""
     _check_positive("n_total", n_total)
     _check_positive("d", d)
-    n = np.asarray(n_total, dtype=float)
-    toks = np.asarray(d, dtype=float)
-    out = spec.n_c / n**spec.alpha + spec.d_c / toks**spec.beta + spec.e_irr
-    return _match_scalar(out, n_total, d)
+    d **= spec.beta  # the operator, so the bits are those of d**beta
+    np.divide(spec.d_c, d, out=d)
+    n_term = spec.n_c / np.asarray(n_total, dtype=float) ** spec.alpha
+    full = np.broadcast_shapes(d.shape, np.shape(n_term)) == d.shape
+    d = np.add(d, n_term, out=d if full else None)
+    d += spec.e_irr
+    return d[()]
+
+
+def loss_nd(n_total, d, spec: LossSpec):
+    """Loss at total parameters ``n_total`` and tokens ``d`` (nats)."""
+    return _match_scalar(_surface(n_total, np.array(d, dtype=float), spec), n_total, d)
 
 
 def loss_nt_ct(n_total, c_total, spec: LossSpec):
@@ -70,7 +79,7 @@ def loss_nt_ct(n_total, c_total, spec: LossSpec):
     _check_positive("n_total", n_total)
     _check_positive("c_total", c_total)
     d = np.asarray(c_total, dtype=float) / (6.0 * np.asarray(n_total, dtype=float))
-    return _match_scalar(loss_nd(n_total, d, spec), n_total, c_total)
+    return _match_scalar(_surface(n_total, np.asarray(d), spec), n_total, c_total)
 
 
 def loss_ne_ce(n_nonembed, c_nonembed, spec: LossSpec, embed_map: EmbedMap):
@@ -85,7 +94,7 @@ def loss_ne_ce(n_nonembed, c_nonembed, spec: LossSpec, embed_map: EmbedMap):
     _check_positive("c_nonembed", c_nonembed)
     n_total = total_from_nonembed(n_nonembed, embed_map)
     d = np.asarray(c_nonembed, dtype=float) / (6.0 * np.asarray(n_nonembed, dtype=float))
-    return _match_scalar(loss_nd(n_total, d, spec), n_nonembed, c_nonembed)
+    return _match_scalar(_surface(n_total, np.asarray(d), spec), n_nonembed, c_nonembed)
 
 
 def compute_flops(n, d):

@@ -49,9 +49,9 @@ def _check_positive(name, value):
     """Raise ValueError unless every entry of ``value`` is finite and > 0."""
     if isinstance(value, float):  # also np.float64; skips building a 0-d array
         ok = math.isfinite(value) and value > 0
-    else:
+    else:  # NaN fails both comparisons; no full-size temporaries
         v = np.asarray(value, dtype=float)
-        ok = (np.isfinite(v) & (v > 0)).all()
+        ok = v.size == 0 or (v.min() > 0 and v.max() < math.inf)
     if not ok:
         raise ValueError(f"{name} must be finite and > 0")
 

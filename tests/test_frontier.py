@@ -32,6 +32,7 @@ from scalelab import (
     write_frontier_csv,
 )
 from scalelab import frontier as frontier_module
+from scalelab.analytic import _min_beta
 
 IDENTITY = EmbedMap(0.0)
 
@@ -304,6 +305,30 @@ def test_simulate_curves_matches_per_model_evaluation(log_first, log_steps, omeg
         np.testing.assert_array_equal(cv.loss, loss_ne_ce(n, c_nonembed, spec, emap))
 
 
+@st.composite
+def token_grid_ends(draw):
+    """Rows of (start, stop) from 1e-3 to 1e300, some a few ulps apart, where the
+    log step can be 0."""
+    rows = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = 10.0 ** rng.uniform(-3.0, 300.0, rows)
+    stop = start * 10.0 ** rng.uniform(0.0, 5.0, rows)
+    close = rng.random(rows) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    for k in np.flatnonzero(close):
+        stop[k] = start[k]
+        for _ in range(rng.integers(0, 4)):
+            stop[k] = np.nextafter(stop[k], np.inf)
+    return start, stop
+
+
+@settings(max_examples=200, deadline=None)
+@given(token_grid_ends(), st.integers(2, 1000))
+def test_token_grid_matches_geomspace(ends, num):
+    grid = frontier_module._token_grid(*ends, num)
+    assert grid.flags.c_contiguous
+    np.testing.assert_array_equal(grid, np.geomspace(*ends, num, axis=1), strict=True)
+
+
 def test_frontier_points_round_trip_the_columns(epoch_frontier_total):
     front = epoch_frontier_total
     points = front.points
@@ -372,6 +397,25 @@ def test_simulate_curves_rejects_non_finite(bad):
     for schedule in [(10.0, bad), (bad, 10.0)]:
         with pytest.raises(ValueError, match="tokens_per_param"):
             simulate_curves([1e5, 1e6], EPOCH, DEFAULT_EMBED_MAP, tokens_per_param=schedule)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sizes, schedule", [
+    ([1e290, 1e291], frontier_module.DEFAULT_TOKENS_PER_PARAM),
+    ([1e-3, 1e-2], (1e-320, 1e-310)),
+])
+def test_simulate_curves_rejects_compute_outside_doubles(sizes, schedule):
+    with pytest.raises(ValueError, match="tokens_per_param"):
+        simulate_curves(sizes, EPOCH, DEFAULT_EMBED_MAP, tokens_per_param=schedule)
+
+
+def test_extract_frontier_rejects_curves_without_samples():
+    empty = np.empty(0)
+    table = Curves([0, 1], [1e6, 1e7], [2e6, 2e7], empty, empty, empty, empty, starts=[0, 0])
+    rows = [TrainingCurve(k, 1e6, 2e6, empty, empty, empty, empty) for k in range(2)]
+    for curves in (table, rows):
+        with pytest.raises(ValueError, match="curves"):
+            extract_frontier(curves)
 
 
 def test_frontier_rejects_unknown_basis(tmp_path, epoch_frontier_total):
@@ -533,19 +577,41 @@ def test_extract_frontier_memory_stays_flat_at_stress_scale():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 17 * 2**20, f"{basis}: {peak / 2**20:.2f} MiB"
+        assert peak <= 9 * 2**20, f"{basis}: {peak / 2**20:.2f} MiB"
+
+
+def test_simulate_curves_memory_is_its_output():
+    """2000 x 512 samples allocate the four 8 MB sample columns and no full-size temporary."""
+    sizes = size_grid(1e3, 1e9, 2000)
+    tracemalloc.start()
+    try:
+        simulate_curves(sizes, EPOCH, DEFAULT_EMBED_MAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+@st.composite
+def loss_specs(draw):
+    """A catalog spec, or one drawn far from it with beta above analytic._min_beta(alpha),
+    where the non-embedding loss has one minimum per budget."""
+    if draw(st.booleans()):
+        return SPEC_CATALOG[draw(st.sampled_from(sorted(SPEC_CATALOG)))]
+    alpha = draw(st.floats(0.02, 1.5))
+    beta = max(_min_beta(alpha), 0.0) + draw(st.floats(0.02, 1.5))
+    return LossSpec(draw(st.floats(1.0, 1e4)), draw(st.floats(1.0, 1e4)), alpha, beta,
+                    draw(st.floats(0.0, 10.0)))
 
 
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=80, deadline=None)
 @given(st.just(0.0) | st.floats(1.0, 1e6), st.floats(-3.0, 22.9), st.floats(0.1, 26.0),
-       st.integers(3, 40), st.integers(16, 128), st.integers(10, 200),
-       st.sampled_from(sorted(SPEC_CATALOG)))
-def test_pipeline_sweep(omega, log_lo, log_span, count, samples, n_bins, spec_name):
-    """Simulate, extract in both bases and fit, over wide grids, without a warning."""
+       st.integers(3, 40), st.integers(16, 128), st.integers(10, 200), loss_specs())
+def test_pipeline_sweep(omega, log_lo, log_span, count, samples, n_bins, spec):
+    """Simulate, extract in both bases and fit, over wide grids and specs, without a warning."""
     sizes = size_grid(10.0**log_lo, 10.0 ** min(log_lo + log_span, 23.0), count)
-    curves = simulate_curves(sizes, SPEC_CATALOG[spec_name], EmbedMap(omega),
-                             samples_per_curve=samples)
+    curves = simulate_curves(sizes, spec, EmbedMap(omega), samples_per_curve=samples)
     for basis in ("nonembed", "total"):
         points, bounds, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis,
                                                                      True)

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalelab import (
     CHINCHILLA,
@@ -173,3 +175,47 @@ def test_spec_file_rejects_nan(tmp_path):
     path.write_text('{"n_c": NaN, "d_c": 410.7, "alpha": 0.3, "beta": 0.3, "e_irr": 1.7}')
     with pytest.raises(ValueError, match="n_c"):
         load_loss_spec(path)
+
+
+def _old_loss_nd(n_total, d, spec):
+    """The single expression the loss functions evaluated before they worked in place."""
+    n, toks = np.asarray(n_total, dtype=float), np.asarray(d, dtype=float)
+    return spec.n_c / n**spec.alpha + spec.d_c / toks**spec.beta + spec.e_irr
+
+
+@st.composite
+def loss_arguments(draw):
+    """A spec, a map and two positive arguments as Python floats, 0-d arrays, or arrays
+    broadcasting either one to the other's shape."""
+    exponent = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 3.0)
+    spec = LossSpec(draw(st.floats(1e-3, 1e4)), draw(st.floats(1e-3, 1e4)), draw(exponent),
+                    draw(exponent), draw(st.floats(0.0, 10.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["float", "0-d", "first wider", "second wider", "crossed"]))
+    shapes = {"float": (None, None), "0-d": ((), ()), "first wider": ((4, 3), (3,)),
+              "second wider": ((), (5, 2)), "crossed": ((4, 1), (3,))}[kind]
+    args = []
+    for shape in shapes:
+        value = 10.0 ** rng.uniform(-3.0, 30.0, shape)
+        args.append(float(value) if shape is None else value)
+    return spec, EmbedMap(draw(st.sampled_from([0.0, 47491.0, 1e8]))), *args
+
+
+@settings(max_examples=300, deadline=None)
+@given(loss_arguments())
+def test_loss_functions_match_the_single_expression(case):
+    spec, emap, a, b = case
+    scalar = isinstance(a, float) and isinstance(b, float)
+    n_total = total_from_nonembed(a, emap)
+    want = {
+        "nd": _old_loss_nd(a, b, spec),
+        "nt_ct": _old_loss_nd(a, np.asarray(b) / (6.0 * np.asarray(a)), spec),
+        "ne_ce": _old_loss_nd(n_total, np.asarray(b) / (6.0 * np.asarray(a)), spec),
+    }
+    got = {"nd": loss_nd(a, b, spec), "nt_ct": loss_nt_ct(a, b, spec),
+           "ne_ce": loss_ne_ce(a, b, spec, emap)}
+    for name, value in got.items():
+        assert np.shape(value) == np.broadcast_shapes(np.shape(a), np.shape(b))
+        if scalar:
+            assert type(value) is float
+        assert np.array_equal(value, want[name]), name

@@ -320,3 +320,23 @@ def test_check_positive_scalar_path_matches_array_path(value):
 
     expected = math.isfinite(value) and value > 0
     assert accepts(value) == accepts(np.float64(value)) == accepts(np.array([value])) == expected
+
+
+_ENTRIES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                            2.2250738585072014e-308, 1.0, 1.7976931348623157e308]) | st.floats()
+
+
+@given(_ENTRIES.map(np.array)
+       | st.lists(_ENTRIES, max_size=6).map(lambda v: np.array(v, dtype=float))
+       | st.lists(_ENTRIES, max_size=6).map(lambda v: np.array(v, dtype=float).reshape(-1, 1)))
+def test_check_positive_array_path_matches_elementwise_test(v):
+    """min > 0 and max < inf accept exactly the arrays whose every entry is finite and > 0,
+    0-d and empty arrays included."""
+    expected = bool((np.isfinite(v) & (v > 0)).all())
+    try:
+        _check_positive("arg", v)
+    except ValueError as exc:
+        assert "arg" in str(exc)
+        assert not expected
+    else:
+        assert expected
