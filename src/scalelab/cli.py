@@ -4,6 +4,9 @@ Every command is deterministic and writes to --output or standard output;
 reruns with the same flags produce byte-identical files.  Exit status: 0 on
 success, 2 for bad input (as for an argparse usage error), 1 for a failed
 `reproduce` tolerance or a numerical failure.
+
+The parser needs only the frontier constants; each command imports the
+modules it calls when it runs, so a process loads nothing else.
 """
 
 from __future__ import annotations
@@ -12,33 +15,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .analytic import exponent_curve
-from .frontier import (
-    DEFAULT_BINS,
-    DEFAULT_TOKENS_PER_PARAM,
-    KAPLAN_GRID_POINTS,
-    KAPLAN_SIZE_RANGE,
-    bracketing_token_schedule,
-    extract_frontier,
-    fit_loss_scaling,
-    fit_param_scaling,
-    kaplan_size_grid,
-    read_frontier_csv,
-    simulate_curves,
-    size_grid,
-    write_curves_csv,
-    write_frontier_csv,
-)
-from .lossmodel import SPEC_CATALOG, LossSpec, resolve_spec
-from .params import (
-    DEFAULT_OMEGA,
-    THIRD,
-    EmbedMap,
-    bundled_config_path,
-    fit_embed_map,
-    load_model_configs,
-)
+from .frontier import DEFAULT_BINS, KAPLAN_GRID_POINTS, KAPLAN_SIZE_RANGE
+
+if TYPE_CHECKING:
+    from .lossmodel import LossSpec
+    from .params import EmbedMap
 
 __all__ = ["main"]
 
@@ -66,12 +49,16 @@ def _emit(text: str, output: str | None, echo: bool = False) -> None:
 
 
 def _embed_map_from_args(args) -> EmbedMap:
+    from .params import DEFAULT_OMEGA, THIRD, EmbedMap
+
     omega = DEFAULT_OMEGA if args.omega is None else args.omega
     delta = THIRD if args.delta is None else args.delta
     return EmbedMap(omega, delta)
 
 
 def _sizes_from_args(args):
+    from .frontier import size_grid
+
     return size_grid(args.sizes_min, args.sizes_max, args.sizes_count)
 
 
@@ -80,7 +67,10 @@ def _json_report(payload) -> str:
 
 
 def cmd_fit_embed_map(args) -> int:
-    fit = fit_embed_map(load_model_configs(args.config_csv))
+    from .params import bundled_config_path, fit_embed_map, load_model_configs
+
+    path = bundled_config_path() if args.config_csv is None else args.config_csv
+    fit = fit_embed_map(load_model_configs(path))
     report = {
         "omega": fit.embed_map.omega,
         "delta": fit.embed_map.delta,
@@ -92,6 +82,9 @@ def cmd_fit_embed_map(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .frontier import simulate_curves, write_curves_csv
+    from .lossmodel import resolve_spec
+
     curves = simulate_curves(_sizes_from_args(args), resolve_spec(args.spec or "epoch"),
                              _embed_map_from_args(args))
     write_curves_csv(curves, args.output or sys.stdout)
@@ -99,18 +92,25 @@ def cmd_simulate(args) -> int:
 
 
 def _build_frontier(args, basis: str):
+    from .frontier import extract_frontier, simulate_curves
+    from .lossmodel import resolve_spec
+
     curves = simulate_curves(_sizes_from_args(args), resolve_spec(args.spec or "epoch"),
                              _embed_map_from_args(args))
     return extract_frontier(curves, n_bins=args.bins, basis=basis)
 
 
 def cmd_frontier(args) -> int:
+    from .frontier import write_frontier_csv
+
     frontier = _build_frontier(args, args.basis)
     write_frontier_csv(frontier, args.output or sys.stdout)
     return 0
 
 
 def cmd_fit(args) -> int:
+    from .frontier import fit_loss_scaling, fit_param_scaling, read_frontier_csv
+
     frontier = read_frontier_csv(args.frontier_csv)
     if args.form == "plain":
         fit = fit_param_scaling(frontier)
@@ -121,6 +121,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_exponent_curve(args) -> int:
+    from .analytic import exponent_curve
+    from .lossmodel import resolve_spec
+
     samples = exponent_curve(resolve_spec(args.spec or "epoch"), _embed_map_from_args(args))
     lines = [EXPONENT_CURVE_CSV_HEADER]
     lines += [
@@ -133,6 +136,14 @@ def cmd_exponent_curve(args) -> int:
 
 def _pipeline_measurements(spec: LossSpec, embed_map: EmbedMap, bins: int,
                            tokens_per_param) -> dict:
+    from .frontier import (
+        extract_frontier,
+        fit_loss_scaling,
+        fit_param_scaling,
+        kaplan_size_grid,
+        simulate_curves,
+    )
+
     curves = simulate_curves(kaplan_size_grid(), spec, embed_map,
                              tokens_per_param=tokens_per_param)
     total = extract_frontier(curves, n_bins=bins, basis="total")
@@ -163,13 +174,16 @@ def _print_reproduce_table(entries) -> None:
 
 
 def cmd_reproduce(args) -> int:
+    from .frontier import DEFAULT_TOKENS_PER_PARAM, bracketing_token_schedule, kaplan_size_grid
+    from .lossmodel import SPEC_CATALOG, resolve_spec
+    from .params import DEFAULT_EMBED_MAP
+
     headline = args.spec is None and args.omega is None and args.delta is None
     entries = []
     if headline:
         for name in ("epoch", "chinchilla"):
             measured = _pipeline_measurements(
-                SPEC_CATALOG[name], EmbedMap(DEFAULT_OMEGA, THIRD), args.bins,
-                DEFAULT_TOKENS_PER_PARAM,
+                SPEC_CATALOG[name], DEFAULT_EMBED_MAP, args.bins, DEFAULT_TOKENS_PER_PARAM,
             )
             for key, spec_name, target, tol in HEADLINE_TARGETS:
                 if spec_name != name:
@@ -211,7 +225,8 @@ def _add_map_options(parser) -> None:
     parser.add_argument("--spec", default=None,
                         help="loss constants: 'epoch', 'chinchilla', or path to a JSON file")
     parser.add_argument("--omega", type=float, default=None,
-                        help=f"parameter-map coefficient (default {DEFAULT_OMEGA:g})")
+                        help="parameter-map coefficient (default: scalelab.params.DEFAULT_OMEGA, "
+                             "calibrated on the bundled config suite)")
     parser.add_argument("--delta", type=float, default=None,
                         help="parameter-map exponent (default 1/3; analytic forms require 1/3)")
 
@@ -230,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit-embed-map", help="fit (omega, delta) from a model-config CSV")
-    p.add_argument("config_csv", nargs="?", default=str(bundled_config_path()),
+    p.add_argument("config_csv", nargs="?", default=None,
                    help="config CSV path (default: bundled suite)")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_fit_embed_map)

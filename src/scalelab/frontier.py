@@ -13,13 +13,17 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analytic import ce_of_optimal_ne
 from .fitting import PowerLawFit, fit_power_law, fit_power_law_with_offset
-from .lossmodel import LossSpec, loss_ne_ce
-from .params import EmbedMap, _check_positive, total_from_nonembed
+
+# analytic, lossmodel and params load inside the functions that call them,
+# so commands that only read and fit a frontier never import them.
+if TYPE_CHECKING:
+    from .lossmodel import LossSpec
+    from .params import EmbedMap
 
 __all__ = [
     "KAPLAN_SIZE_RANGE",
@@ -66,6 +70,8 @@ def kaplan_size_grid() -> np.ndarray:
 
 def size_grid(n_min: float, n_max: float, count: int) -> np.ndarray:
     """Log-spaced model size grid."""
+    from .params import _check_positive
+
     _check_positive("n_min", n_min)
     _check_positive("n_max", n_max)
     if not n_min < n_max:
@@ -225,6 +231,8 @@ def bracketing_token_schedule(
 
     Used when a custom spec or map makes the fixed default range unsuitable.
     """
+    from .analytic import ce_of_optimal_ne
+
     if not (np.isfinite(margin) and margin >= 1):
         raise ValueError("margin must be finite and >= 1")
     sizes = np.asarray(sizes, dtype=float)
@@ -243,8 +251,12 @@ def simulate_curves(
 
     Every sample is computed at once on C-ordered (models, samples) arrays,
     whose flattened rows are the table's sample columns; these four columns
-    are the only full-size arrays it makes.
+    are the only full-size arrays it makes.  The loss is the surface itself:
+    the checks here bound every sample, so none is repeated on the grid.
     """
+    from .lossmodel import _surface
+    from .params import _check_third, total_from_nonembed
+
     sizes = np.asarray(sizes, dtype=float)
     if sizes.ndim != 1 or sizes.size < 1:
         raise ValueError("sizes must be a non-empty 1-d sequence")
@@ -255,6 +267,7 @@ def simulate_curves(
         raise ValueError("tokens_per_param must be finite and satisfy 0 < lo < hi")
     if samples_per_curve < 2:
         raise ValueError("need samples_per_curve >= 2")
+    _check_third(embed_map)
     n_total = total_from_nonembed(sizes, embed_map)
     # Extreme compute as associated below, in floats that overflow without warning.
     n0, n1, t1 = float(sizes[0]), float(sizes[-1]), float(n_total[-1])
@@ -264,7 +277,9 @@ def simulate_curves(
     tokens = _token_grid(lo * sizes, hi * sizes, samples_per_curve)
     c_nonembed = 6.0 * sizes[:, None] * tokens
     c_total = 6.0 * n_total[:, None] * tokens
-    loss = loss_ne_ce(sizes[:, None], c_nonembed, spec, embed_map)
+    # d = c_nonembed / (6 n_nonembed), as loss_ne_ce computes it; _surface
+    # turns it into the loss in place.
+    loss = _surface(n_total[:, None], c_nonembed / (6.0 * sizes[:, None]), spec)
     return Curves(np.arange(sizes.size), sizes, n_total, tokens.ravel(), c_total.ravel(),
                   c_nonembed.ravel(), loss.ravel(), np.arange(sizes.size) * samples_per_curve)
 
@@ -421,12 +436,25 @@ def fit_param_scaling(frontier: Frontier) -> PowerLawFit:
 def fit_loss_scaling(
     frontier: Frontier, form: str = "kaplan", fixed_offset: float | None = None
 ) -> PowerLawFit:
-    """Compute-loss fit along the frontier: offset-free or with offset."""
+    """Compute-loss fit along the frontier: offset-free or with offset.
+
+    Profiling the offset needs ``loss_min`` to fall strictly with compute.  A
+    binned frontier does so while its bins are coarser than the spacing of the
+    token schedules: a finer bin can miss every sample of the locally best
+    model, and its minimum can then exceed the previous bin's.
+    """
     if frontier.c.size < 3:
         raise ValueError("need >=3 frontier points")
     if form == "kaplan":
         return fit_power_law(frontier.c, frontier.loss_min)
     if form == "chinchilla":
+        by_c = frontier.loss_min[np.argsort(frontier.c)]
+        if fixed_offset is None and (np.diff(by_c) >= 0).any():
+            raise ValueError(
+                "frontier loss_min does not fall strictly with compute, so no offset can "
+                "be profiled: the compute bins are finer than the token schedule's "
+                "sample spacing; use fewer bins"
+            )
         return fit_power_law_with_offset(frontier.c, frontier.loss_min, fixed_offset)
     raise ValueError("form must be 'kaplan' or 'chinchilla'")
 

@@ -57,9 +57,10 @@ SPEC_CATALOG = {"chinchilla": CHINCHILLA, "epoch": EPOCH}
 
 def _surface(n_total, d, spec: LossSpec):
     """n_c/n_total**alpha + d_c/d**beta + e_irr, built in the float array ``d``, which
-    holds the result unless ``n_total`` broadcasts it to a larger shape."""
-    _check_positive("n_total", n_total)
-    _check_positive("d", d)
+    holds the result unless ``n_total`` broadcasts it to a larger shape.
+
+    Checks nothing: callers pass finite, positive ``n_total`` and ``d``.
+    """
     d **= spec.beta  # the operator, so the bits are those of d**beta
     np.divide(spec.d_c, d, out=d)
     n_term = spec.n_c / np.asarray(n_total, dtype=float) ** spec.alpha
@@ -71,6 +72,8 @@ def _surface(n_total, d, spec: LossSpec):
 
 def loss_nd(n_total, d, spec: LossSpec):
     """Loss at total parameters ``n_total`` and tokens ``d`` (nats)."""
+    _check_positive("n_total", n_total)
+    _check_positive("d", d)
     return _match_scalar(_surface(n_total, np.array(d, dtype=float), spec), n_total, d)
 
 
@@ -79,6 +82,7 @@ def loss_nt_ct(n_total, c_total, spec: LossSpec):
     _check_positive("n_total", n_total)
     _check_positive("c_total", c_total)
     d = np.asarray(c_total, dtype=float) / (6.0 * np.asarray(n_total, dtype=float))
+    _check_positive("d", d)
     return _match_scalar(_surface(n_total, np.asarray(d), spec), n_total, c_total)
 
 
@@ -93,7 +97,9 @@ def loss_ne_ce(n_nonembed, c_nonembed, spec: LossSpec, embed_map: EmbedMap):
     _check_positive("n_nonembed", n_nonembed)
     _check_positive("c_nonembed", c_nonembed)
     n_total = total_from_nonembed(n_nonembed, embed_map)
+    _check_positive("n_total", n_total)
     d = np.asarray(c_nonembed, dtype=float) / (6.0 * np.asarray(n_nonembed, dtype=float))
+    _check_positive("d", d)
     return _match_scalar(_surface(n_total, np.asarray(d), spec), n_nonembed, c_nonembed)
 
 

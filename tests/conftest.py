@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from scalelab import (
@@ -9,6 +14,20 @@ from scalelab import (
     simulate_curves,
     size_grid,
 )
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Runs ``python *args`` in a new interpreter that imports scalelab from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=300)
+
+    return run
 
 
 @pytest.fixture(scope="session")

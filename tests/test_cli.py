@@ -1,12 +1,8 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from scalelab import cli
+from scalelab import analytic
 from scalelab.cli import main
 
 
@@ -189,6 +185,13 @@ def test_bad_input_exits_2(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_offset_fit_error_names_bins_finer_than_the_schedule(capsys):
+    code, out, err = _run(capsys, ["reproduce", "--bins", "3000"])
+    assert code == 2 and out == ""
+    assert "bins are finer than the token schedule" in err
+    assert "use fewer bins" in err
+
+
 def test_reproduce_tolerance_failure_exits_1(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code, out, err = _run(capsys, ["reproduce", "--bins", "15", "--output", str(report_path)])
@@ -201,7 +204,7 @@ def test_arithmetic_error_exits_1(capsys, monkeypatch):
     def underflow(*args, **kwargs):
         raise ArithmeticError("n_nonembed underflows to 0 for this n_total")
 
-    monkeypatch.setattr(cli, "exponent_curve", underflow)
+    monkeypatch.setattr(analytic, "exponent_curve", underflow)
     code, _, err = _run(capsys, ["exponent-curve"])
     assert code == 1
     assert err == "error: n_nonembed underflows to 0 for this n_total\n"
@@ -241,12 +244,52 @@ print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma
 """
 
 
-def test_no_command_imports_numpy_ma(tmp_path):
+def test_no_command_imports_numpy_ma(tmp_path, fresh_python):
     """np.unique imports numpy.ma on first use, 12-18 ms of a fitting command's start-up."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = fresh_python("-c", _EVERY_COMMAND, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# Runs one command in a fresh interpreter, then lists the scalelab modules it loaded.
+_ONE_COMMAND = """
+import sys
+from scalelab.cli import main
+
+assert main(sys.argv[1:]) == 0, sys.argv
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scalelab"))
+"""
+
+_PARSER_MODULES = ["scalelab", "scalelab.cli", "scalelab.fitting", "scalelab.frontier"]
+_SURFACE_MODULES = sorted(_PARSER_MODULES + ["scalelab.lossmodel", "scalelab.params"])
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["fit", "{frontier}", "--form", "plain"], _PARSER_MODULES),
+    (["fit", "{frontier}", "--form", "chinchilla"], _PARSER_MODULES),
+    (["fit-embed-map"], sorted(_PARSER_MODULES + ["scalelab.data", "scalelab.params"])),
+    (["simulate", "--sizes-count", "3"], _SURFACE_MODULES),
+    (["frontier", "--basis", "total"], _SURFACE_MODULES),
+    (["reproduce"], _SURFACE_MODULES),
+    (["reproduce", "--omega", "0"], sorted(_SURFACE_MODULES + ["scalelab.analytic"])),
+    (["exponent-curve"], sorted(_SURFACE_MODULES + ["scalelab.analytic"])),
+], ids=["fit-plain", "fit-chinchilla", "fit-embed-map", "simulate", "frontier", "reproduce",
+        "reproduce-omega-0", "exponent-curve"])
+def test_each_command_loads_only_the_modules_it_calls(tmp_path, fresh_python, argv, loaded):
+    """A command never imports analytic, lossmodel or params unless it calls them."""
+    frontier = tmp_path / "frontier.csv"
+    frontier.write_text("basis,c,loss_min,n_opt,d_opt,model_index\n"
+                        "total,1e10,3.0,1e3,1e6,1\ntotal,1e11,2.5,1e4,1e6,2\n"
+                        "total,1e12,2.2,1e5,1e6,3\ntotal,1e13,2.0,1e6,1e6,4\n")
+    argv = [a.format(frontier=frontier) for a in argv] + ["--output", str(tmp_path / "out")]
+    proc = fresh_python("-c", _ONE_COMMAND, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loaded)
+
+
+@pytest.mark.parametrize("command", ["fit-embed-map", "simulate", "frontier", "fit",
+                                     "exponent-curve", "reproduce"])
+def test_every_command_prints_help(fresh_python, command):
+    proc = fresh_python("-m", "scalelab", command, "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"usage: scalelab {command}")

@@ -103,6 +103,27 @@ def test_frontier_monotonicity(epoch_frontier_nonembed, epoch_frontier_total):
         assert np.all(np.diff(frontier.c) > 0)
 
 
+@pytest.mark.parametrize("basis", ["total", "nonembed"])
+@pytest.mark.parametrize("spec_name", ["epoch", "chinchilla"])
+@pytest.mark.parametrize("n_bins", [50, 100, 150, 200, 250, 300])
+def test_headline_envelope_loss_strictly_decreases(request, n_bins, spec_name, basis):
+    """What the offset fit needs holds at the headline scale.  The winning
+    model_index need not rise: at 200 bins the chinchilla total-basis
+    frontier steps back twice."""
+    frontier = extract_frontier(request.getfixturevalue(f"{spec_name}_curves"),
+                                n_bins=n_bins, basis=basis)
+    assert (np.diff(frontier.loss_min) < 0).all()
+
+
+def test_offset_fit_names_bins_finer_than_the_schedule():
+    flat = Frontier("total", c=[1e10, 1e11, 1e12, 1e13], loss_min=[3.0, 2.5, 2.5, 2.2],
+                    n_opt=[1e3, 1e4, 1e5, 1e6], d_opt=[1e6] * 4, model_index=[1, 2, 3, 4])
+    with pytest.raises(ValueError, match="bins are finer than the token schedule"):
+        fit_loss_scaling(flat, form="chinchilla")
+    assert fit_loss_scaling(flat, form="chinchilla", fixed_offset=1.0).offset == 1.0
+    assert fit_loss_scaling(flat, form="kaplan").exponent < 0
+
+
 def test_frontier_bases_select_same_models(epoch_frontier_nonembed, epoch_frontier_total):
     ne_winners = {p.model_index for p in epoch_frontier_nonembed.points}
     t_winners = {p.model_index for p in epoch_frontier_total.points}

@@ -170,6 +170,16 @@ def test_loss_nd_rejects_non_finite(bad):
         loss_nd(1e6, np.array([1e9, bad]), EPOCH)
 
 
+@pytest.mark.parametrize("loss", [
+    lambda n, c: loss_nt_ct(n, c, EPOCH),
+    lambda n, c: loss_ne_ce(n, c, EPOCH, DEFAULT_EMBED_MAP),
+], ids=["nt_ct", "ne_ce"])
+def test_loss_rejects_derived_tokens_out_of_range(loss):
+    # Both inputs are finite, but d = c/(6n) overflows to inf (NumPy warns first).
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^d must"):
+        loss(1e-300, 1e300)
+
+
 def test_spec_file_rejects_nan(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"n_c": NaN, "d_c": 410.7, "alpha": 0.3, "beta": 0.3, "e_irr": 1.7}')
