@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 _SUBMODULES = {
     "analytic": (
-        "ExponentSample",
         "ce_of_optimal_ne",
         "exponent_curve",
         "local_loss_exponent",

@@ -15,7 +15,6 @@ simulation pipeline can cross-check them against finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .lossmodel import LossSpec, loss_ne_ce
 from .params import THIRD, EmbedMap, _check_positive, _check_third
 
 __all__ = [
-    "ExponentSample",
     "optimal_nt",
     "ce_of_optimal_ne",
     "local_param_exponent",
@@ -168,37 +166,22 @@ def param_exponent_large_scale_limit(spec: LossSpec) -> float:
     return spec.beta / (spec.alpha + spec.beta)
 
 
-@dataclass(frozen=True)
-class ExponentSample:
-    """One point of the frontier: optimum, its compute, local slopes, loss."""
-
-    n_nonembed_opt: float
-    c_nonembed: float
-    g: float
-    k: float
-    loss_opt: float
-
-
 def exponent_curve(
     spec: LossSpec,
     embed_map: EmbedMap,
     n_min: float = EXPONENT_CURVE_RANGE[0],
     n_max: float = EXPONENT_CURVE_RANGE[1],
     count: int = EXPONENT_CURVE_POINTS,
-) -> list[ExponentSample]:
-    """Sample the frontier on a log-spaced grid of non-embedding optima."""
-    _check_positive("n_min", n_min)
-    _check_positive("n_max", n_max)
-    if not n_min < n_max:
-        raise ValueError("need 0 < n_min < n_max")
-    if count < 2:
-        raise ValueError("need count >= 2")
-    n = np.geomspace(n_min, n_max, count)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sample the frontier on a log-spaced grid of non-embedding optima.
+
+    Returns the columns (n_nonembed_opt, c_nonembed, g, k, loss_opt): each
+    optimum, its compute, the local slopes there and its loss.
+    """
+    from .frontier import size_grid
+
+    n = size_grid(n_min, n_max, count)
     c = ce_of_optimal_ne(n, spec, embed_map)
     g = local_param_exponent(n, spec, embed_map)
     k = local_loss_exponent(n, spec, embed_map)
-    loss_opt = loss_ne_ce(n, c, spec, embed_map)
-    return [
-        ExponentSample(float(ni), float(ci), float(gi), float(ki), float(li))
-        for ni, ci, gi, ki, li in zip(n, c, g, k, loss_opt)
-    ]
+    return n, c, g, k, loss_ne_ce(n, c, spec, embed_map)

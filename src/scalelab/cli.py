@@ -124,12 +124,9 @@ def cmd_exponent_curve(args) -> int:
     from .analytic import exponent_curve
     from .lossmodel import resolve_spec
 
-    samples = exponent_curve(resolve_spec(args.spec or "epoch"), _embed_map_from_args(args))
+    columns = exponent_curve(resolve_spec(args.spec or "epoch"), _embed_map_from_args(args))
     lines = [EXPONENT_CURVE_CSV_HEADER]
-    lines += [
-        f"{s.n_nonembed_opt:.17g},{s.c_nonembed:.17g},{s.g:.17g},{s.k:.17g},{s.loss_opt:.17g}"
-        for s in samples
-    ]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in zip(*(a.tolist() for a in columns))]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -83,7 +82,7 @@ def size_grid(n_min: float, n_max: float, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainingCurve:
-    """One model's sweep over its token schedule."""
+    """One model's sweep, as a ``Curves`` table yields it; perfbench still reads these rows."""
 
     model_index: int
     n_nonembed: float
@@ -99,14 +98,14 @@ _SAMPLE_FIELDS = ("tokens", "c_total", "c_nonembed", "loss")
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class Curves(Sequence):
+class Curves:
     """Training curves as one read-only columnar table.
 
     ``model_index``, ``n_nonembed`` and ``n_total`` hold one entry per curve;
     ``tokens``, ``c_total``, ``c_nonembed`` and ``loss`` hold every sample in
     curve-then-sample order, curve ``k``'s from ``starts[k]`` up to the next
-    curve's start.  As a sequence the table yields one ``TrainingCurve`` per
-    curve, whose arrays are views of the sample columns; a slice is a new table.
+    curve's start.  ``len`` counts curves; an integer index or iteration yields
+    one ``TrainingCurve`` per curve, whose arrays are views of the sample columns.
     """
 
     model_index: np.ndarray
@@ -136,26 +135,11 @@ class Curves(Sequence):
         vars(self).update(zip(_CURVE_FIELDS + ("starts",), per_curve))
         vars(self).update(zip(_SAMPLE_FIELDS, samples), _bounds=bounds.tolist())
 
-    @classmethod
-    def from_rows(cls, rows) -> Curves:
-        """Concatenate ``TrainingCurve`` records into one table."""
-        rows = list(rows)
-        lengths = [np.size(cv.loss) for cv in rows]
-        for name in _SAMPLE_FIELDS:
-            if [np.shape(getattr(cv, name)) for cv in rows] != [(m,) for m in lengths]:
-                raise ValueError(f"each curve's {name} must be 1-d and as long as its loss")
-        samples = {name: np.concatenate([getattr(cv, name) for cv in rows] or [np.empty(0)])
-                   for name in _SAMPLE_FIELDS}
-        per_curve = {name: [getattr(cv, name) for cv in rows] for name in _CURVE_FIELDS}
-        return cls(**per_curve, **samples, starts=np.cumsum([0] + lengths)[:-1])
-
     def __len__(self) -> int:
         return self.model_index.size
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return Curves.from_rows(map(self._row, range(*key.indices(len(self)))))
-        k = operator.index(key)
+    def __getitem__(self, k) -> TrainingCurve:
+        k = operator.index(k)
         if not -len(self) <= k < len(self):
             raise IndexError("curve index out of range")
         return self._row(k % len(self))
@@ -172,7 +156,7 @@ class Curves(Sequence):
 
 @dataclass(frozen=True)
 class FrontierPoint:
-    """Per-bin winner: representative compute, its loss, size and tokens."""
+    """Per-bin winner: representative compute, its loss, size and tokens (read by perfbench)."""
 
     c: float
     loss_min: float
@@ -342,34 +326,34 @@ def _geometric_bin_of(c, edges):
 
 
 def extract_frontier(
-    curves: Sequence[TrainingCurve],
+    curves: Curves,
     n_bins: int = DEFAULT_BINS,
     basis: str = "nonembed",
     drop_edge_models: bool = True,
 ) -> Frontier:
     """Bin pooled samples by compute and keep the minimum-loss sample per bin.
 
-    ``curves`` is a ``Curves`` table or any sequence of ``TrainingCurve``,
-    with at least one sample, finite losses and finite positive compute,
-    checked by the minima and maxima the edges need.  The ``n_bins`` bins
-    are geometric between the smallest and largest compute; a sample's bin
-    is the number of interior edges at or below its compute, estimated from
-    its logarithm and checked against the edges, with a binary search only
-    for samples the estimate misses.
+    ``curves`` is a ``Curves`` table of at least two curves and one sample,
+    with finite losses and finite positive compute, checked by the minima and
+    maxima the edges need.  The ``n_bins`` bins are geometric between the
+    smallest and largest compute; a sample's bin is the number of interior
+    edges at or below its compute, estimated from its logarithm and checked
+    against the edges, with a binary search only for samples the estimate
+    misses.
     A bin's winner is its first minimum-loss sample in pooled (curve, then
-    sample) order.  Bins whose winner is the smallest or largest grid model
-    are discarded by default: at the extremes those models win only because
-    nothing smaller or larger exists, which truncates the envelope and biases
-    fitted exponents.
+    sample) order.  Bins whose winner has the table's smallest or largest
+    ``model_index`` are discarded by default: at the extremes those models win
+    only because nothing smaller or larger exists, which truncates the
+    envelope and biases fitted exponents.
     """
+    if not isinstance(curves, Curves):
+        raise TypeError(f"curves must be a Curves table, got {type(curves).__name__}")
     if len(curves) < 2:
         raise ValueError("need >=2 curves")
     if n_bins < 10:
         raise ValueError("need n_bins >= 10")
     if basis not in _BASES:
         raise ValueError("basis must be 'total' or 'nonembed'")
-    if not isinstance(curves, Curves):
-        curves = Curves.from_rows(curves)
 
     c_all = curves.c_nonembed if basis == "nonembed" else curves.c_total
     loss_all = curves.loss
@@ -408,7 +392,7 @@ def extract_frontier(
         )
     curve = np.searchsorted(curves.starts, first[filled], side="right") - 1
     winner = curves.model_index[curve]
-    edge = (winner == 0) | (winner == len(curves) - 1)
+    edge = (winner == curves.model_index.min()) | (winner == curves.model_index.max())
     keep = ~edge if drop_edge_models else np.ones_like(edge)
     if not keep.any():
         raise ValueError("no frontier points survive the boundary guard")
@@ -465,7 +449,7 @@ def _open_out(path_or_buf):
     return open(path_or_buf, "w", newline=""), True
 
 
-def write_curves_csv(curves: Sequence[TrainingCurve], path_or_buf) -> None:
+def write_curves_csv(curves: Curves, path_or_buf) -> None:
     """Curves CSV; full double precision so reruns are byte-identical."""
     fh, should_close = _open_out(path_or_buf)
     try:
@@ -502,6 +486,9 @@ def read_frontier_csv(path) -> Frontier:
         if reader.fieldnames != expected:
             raise ValueError(f"frontier CSV must have header {FRONTIER_CSV_HEADER!r}")
         rows = list(reader)
+    for k, row in enumerate(rows, 1):
+        if None in row.values():
+            raise ValueError(f"frontier CSV row {k} has fewer than {len(expected)} fields")
     bases = {row["basis"] for row in rows}
     if len(bases) > 1:
         raise ValueError("frontier CSV mixes bases")

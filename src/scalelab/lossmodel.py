@@ -81,7 +81,8 @@ def loss_nt_ct(n_total, c_total, spec: LossSpec):
     """Loss at total parameters and total compute, via d = c/(6n)."""
     _check_positive("n_total", n_total)
     _check_positive("c_total", c_total)
-    d = np.asarray(c_total, dtype=float) / (6.0 * np.asarray(n_total, dtype=float))
+    with np.errstate(over="ignore"):  # an overflowing d fails the check below instead
+        d = np.asarray(c_total, dtype=float) / (6.0 * np.asarray(n_total, dtype=float))
     _check_positive("d", d)
     return _match_scalar(_surface(n_total, np.asarray(d), spec), n_total, c_total)
 
@@ -98,7 +99,8 @@ def loss_ne_ce(n_nonembed, c_nonembed, spec: LossSpec, embed_map: EmbedMap):
     _check_positive("c_nonembed", c_nonembed)
     n_total = total_from_nonembed(n_nonembed, embed_map)
     _check_positive("n_total", n_total)
-    d = np.asarray(c_nonembed, dtype=float) / (6.0 * np.asarray(n_nonembed, dtype=float))
+    with np.errstate(over="ignore"):
+        d = np.asarray(c_nonembed, dtype=float) / (6.0 * np.asarray(n_nonembed, dtype=float))
     _check_positive("d", d)
     return _match_scalar(_surface(n_total, np.asarray(d), spec), n_nonembed, c_nonembed)
 
@@ -112,16 +114,17 @@ def load_loss_spec(path) -> LossSpec:
     """Read a custom LossSpec from a JSON object file."""
     with open(path) as fh:
         raw = json.load(fh)
-    try:
-        return LossSpec(
-            n_c=float(raw["n_c"]),
-            d_c=float(raw["d_c"]),
-            alpha=float(raw["alpha"]),
-            beta=float(raw["beta"]),
-            e_irr=float(raw["e_irr"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"spec file missing key: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"spec file must hold a JSON object, not {type(raw).__name__}")
+    values = {}
+    for key in ("n_c", "d_c", "alpha", "beta", "e_irr"):
+        if key not in raw:
+            raise ValueError(f"spec file missing key: {key!r}")
+        try:
+            values[key] = float(raw[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"spec file key {key!r} must be a number, got {raw[key]!r}") from None
+    return LossSpec(**values)
 
 
 def resolve_spec(selector: str) -> LossSpec:

@@ -222,11 +222,14 @@ def load_model_configs(path) -> list[ParamSplit]:
     splits = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"name", "d_model", "n_layers", "vocab", "context_learned"}
-        missing = required - set(reader.fieldnames or [])
+        required = ("name", "d_model", "n_layers", "vocab", "context_learned")
+        missing = set(required) - set(reader.fieldnames or [])
         if missing:
             raise ValueError(f"config CSV missing columns: {sorted(missing)}")
-        for row in reader:
+        for k, row in enumerate(reader, 1):
+            short = [name for name in required if row[name] is None]
+            if short:
+                raise ValueError(f"config CSV row {k} has no {', '.join(short)}")
             shape = ModelShape(
                 d_model=int(row["d_model"]),
                 n_layers=int(row["n_layers"]),

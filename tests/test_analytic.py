@@ -256,16 +256,13 @@ def test_transition_point():
 
 
 def test_exponent_curve_contract():
-    samples = exponent_curve(EPOCH, DEFAULT_EMBED_MAP)
-    assert len(samples) == 400
-    n = np.array([s.n_nonembed_opt for s in samples])
+    n, c, g, k, loss_opt = exponent_curve(EPOCH, DEFAULT_EMBED_MAP)
+    assert {a.shape for a in (n, c, g, k, loss_opt)} == {(400,)}
     assert n[0] == pytest.approx(1e2) and n[-1] == pytest.approx(1e13)
-    for s in samples[::37]:
-        assert s.c_nonembed == pytest.approx(
-            ce_of_optimal_ne(s.n_nonembed_opt, EPOCH, DEFAULT_EMBED_MAP), rel=1e-10)
-        assert 0 < s.g < 1
-        assert s.k < 0
-        assert s.loss_opt > EPOCH.e_irr
+    np.testing.assert_allclose(c, ce_of_optimal_ne(n, EPOCH, DEFAULT_EMBED_MAP), rtol=1e-10)
+    assert np.all((0 < g) & (g < 1))
+    assert np.all(k < 0)
+    assert np.all(loss_opt > EPOCH.e_irr)
 
 
 def test_exponent_curve_rejects_bad_range():

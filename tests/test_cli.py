@@ -185,6 +185,24 @@ def test_bad_input_exits_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command, text, named", [
+    ("fit", "basis,c,loss_min,n_opt,d_opt,model_index\n"
+            "total,1e10,3.0,1e3,1e6,1\ntotal,1e11,2.5\n", "row 2 has fewer than 6"),
+    ("fit-embed-map", "name,d_model,n_layers,vocab,context_learned\n"
+                      "a,512,8,32000,0\nb,1024,8\n", "row 2 has no vocab"),
+    ("exponent-curve --spec", "[406.4, 410.7, 0.3392, 0.2849, 1.693]", "JSON object"),
+    ("exponent-curve --spec", '{"n_c": 406.4, "d_c": null, "alpha": 0.3392, "beta": 0.2849, '
+                              '"e_irr": 1.693}', "'d_c'"),
+], ids=["frontier-csv-short-row", "config-csv-short-row", "spec-array", "spec-null"])
+def test_malformed_input_file_exits_2(tmp_path, capsys, command, text, named):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = _run(capsys, [*command.split(), str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert named in err
+
+
 def test_offset_fit_error_names_bins_finer_than_the_schedule(capsys):
     code, out, err = _run(capsys, ["reproduce", "--bins", "3000"])
     assert code == 2 and out == ""

@@ -16,7 +16,6 @@ from scalelab import (
     Frontier,
     FrontierPoint,
     LossSpec,
-    TrainingCurve,
     bracketing_token_schedule,
     ce_of_optimal_ne,
     extract_frontier,
@@ -168,8 +167,13 @@ def test_omega_zero_total_basis_recovers_global_exponent():
 
 
 def test_extract_frontier_preconditions(epoch_curves):
+    first = epoch_curves[0]
+    one = Curves([0], [first.n_nonembed], [first.n_total], first.tokens, first.c_total,
+                 first.c_nonembed, first.loss, starts=[0])
     with pytest.raises(ValueError):
-        extract_frontier(epoch_curves[:1])
+        extract_frontier(one)
+    with pytest.raises(TypeError, match="curves"):
+        extract_frontier(list(epoch_curves))
     with pytest.raises(ValueError):
         extract_frontier(epoch_curves, n_bins=5)
     with pytest.raises(ValueError):
@@ -240,6 +244,7 @@ def _masked_argmin_frontier(curves, n_bins, basis, drop_edge_models):
     loss_all = np.concatenate([cv.loss for cv in curves])
     d_all = np.concatenate([cv.tokens for cv in curves])
     index_all = np.concatenate([np.full(cv.loss.size, cv.model_index) for cv in curves])
+    labels = [cv.model_index for cv in curves]
     edges = np.geomspace(c_all.min(), c_all.max(), n_bins + 1)
     with np.errstate(over="ignore", under="ignore"):
         product = edges[:-1] * edges[1:]
@@ -254,7 +259,7 @@ def _masked_argmin_frontier(curves, n_bins, basis, drop_edge_models):
             continue
         j = np.argmin(loss_all[mask])
         winner = int(index_all[mask][j])
-        if drop_edge_models and winner in (0, len(curves) - 1):
+        if drop_edge_models and winner in (min(labels), max(labels)):
             n_dropped += 1
             continue
         points.append(FrontierPoint(float(centers[b]), float(loss_all[mask][j]),
@@ -275,18 +280,20 @@ def _assert_points_match(frontier, points, bounds):
 
 @st.composite
 def curve_sets(draw):
-    """Hand-built curves of unequal lengths whose losses take few values, so bins tie."""
+    """Hand-built tables of curves of unequal length, some empty, labelled by a shuffled
+    range that need not start at 0, whose losses take few values, so bins tie."""
     lengths = draw(st.lists(st.integers(0, 40), min_size=2, max_size=6).filter(any))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = rng.uniform(0.5, 5.0, draw(st.integers(1, 3)))
-    model_index = rng.permutation(len(lengths)).tolist()
+    model_index = rng.permutation(len(lengths)) + draw(st.sampled_from([0, 3]))
+    samples = sum(lengths)
 
-    def positive(size=None):
+    def positive(size):
         return 10.0 ** rng.uniform(-3.0, 9.0, size)
 
-    return [TrainingCurve(model_index[k], float(positive()), float(positive()), positive(m),
-                          positive(m), positive(m), rng.choice(levels, m))
-            for k, m in enumerate(lengths)]
+    return Curves(model_index, positive(len(lengths)), positive(len(lengths)), positive(samples),
+                  positive(samples), positive(samples), rng.choice(levels, samples),
+                  starts=np.cumsum([0, *lengths[:-1]]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -386,11 +393,9 @@ def test_frontier_counts_empty_and_dropped_bins(epoch_curves, epoch_frontier_non
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_extract_frontier_rejects_non_finite_samples(epoch_curves, bad):
     def spoil(field):
-        cv = epoch_curves[3]
-        values = getattr(cv, field).copy()
-        values[7] = bad
-        return [*epoch_curves[:3], dataclasses.replace(cv, **{field: values}),
-                *epoch_curves[4:]]
+        values = getattr(epoch_curves, field).copy()
+        values[epoch_curves.starts[3] + 7] = bad
+        return dataclasses.replace(epoch_curves, **{field: values})
 
     with pytest.raises(ValueError, match="loss"):
         extract_frontier(spoil("loss"))
@@ -433,10 +438,8 @@ def test_simulate_curves_rejects_compute_outside_doubles(sizes, schedule):
 def test_extract_frontier_rejects_curves_without_samples():
     empty = np.empty(0)
     table = Curves([0, 1], [1e6, 1e7], [2e6, 2e7], empty, empty, empty, empty, starts=[0, 0])
-    rows = [TrainingCurve(k, 1e6, 2e6, empty, empty, empty, empty) for k in range(2)]
-    for curves in (table, rows):
-        with pytest.raises(ValueError, match="curves"):
-            extract_frontier(curves)
+    with pytest.raises(ValueError, match="curves"):
+        extract_frontier(table)
 
 
 def test_frontier_rejects_unknown_basis(tmp_path, epoch_frontier_total):
@@ -469,12 +472,8 @@ def test_curves_sequence_contract(epoch_curves):
             np.testing.assert_array_equal(getattr(cv, name), column[samples])
         assert (cv.n_nonembed, cv.n_total) == (curves.n_nonembed[k], curves.n_total[k])
         np.testing.assert_array_equal(curves[k - 20].tokens, cv.tokens)
-    part = curves[3:9:2]
-    assert isinstance(part, Curves)
-    assert part.model_index.tolist() == [3, 5, 7]
-    assert part.starts.tolist() == [0, 512, 1024]
-    np.testing.assert_array_equal(part.loss, np.concatenate([rows[k].loss for k in (3, 5, 7)]))
-    assert len(curves[5:2]) == 0 and len(curves[-2:]) == 2
+    with pytest.raises(TypeError):
+        curves[3:9]
 
 
 def test_curves_columns_are_read_only_and_checked(epoch_curves):
@@ -494,9 +493,6 @@ def test_curves_columns_are_read_only_and_checked(epoch_curves):
     for starts in ([1, 2], [2, 1], [0, 4]):
         with pytest.raises(ValueError, match="starts"):
             Curves([0, 1], [1.0, 2.0], [2.0, 3.0], loss, loss, loss, loss, starts=starts)
-    short = dataclasses.replace(epoch_curves[0], tokens=epoch_curves[0].tokens[:-1])
-    with pytest.raises(ValueError, match="tokens"):
-        Curves.from_rows([short, epoch_curves[1]])
 
 
 def test_simulate_curves_columns_are_c_contiguous(epoch_curves):
@@ -506,14 +502,23 @@ def test_simulate_curves_columns_are_c_contiguous(epoch_curves):
     assert epoch_curves.starts.tolist() == list(range(0, 20 * 512, 512))
 
 
-@pytest.mark.parametrize("basis", ["nonembed", "total"])
-def test_extract_frontier_takes_rows_or_table_alike(epoch_curves, basis):
-    table = extract_frontier(epoch_curves, basis=basis)
-    rows = extract_frontier(list(epoch_curves), basis=basis)
-    for name in ("basis", "n_empty", "n_dropped"):
-        assert getattr(rows, name) == getattr(table, name)
-    for name in ("c", "loss_min", "n_opt", "d_opt", "model_index"):
-        np.testing.assert_array_equal(getattr(rows, name), getattr(table, name))
+def test_edge_guard_drops_the_tables_own_extreme_models(epoch_curves):
+    """A sub-grid labelled 3..8 loses the bins won by models 3 and 8, as the same
+    sub-grid labelled 0..5 loses those won by 0 and 5."""
+    a = epoch_curves.starts[3]
+    sub = Curves(*(getattr(epoch_curves, name)[3:9] for name in
+                   ("model_index", "n_nonembed", "n_total")),
+                 *(getattr(epoch_curves, name)[a:epoch_curves.starts[9]] for name in
+                   ("tokens", "c_total", "c_nonembed", "loss")),
+                 starts=epoch_curves.starts[3:9] - a)
+    kept = extract_frontier(sub, n_bins=10, drop_edge_models=False)
+    assert {3, 8} <= set(kept.model_index.tolist())
+    front = extract_frontier(sub, n_bins=10)
+    want = extract_frontier(dataclasses.replace(sub, model_index=sub.model_index - 3), n_bins=10)
+    np.testing.assert_array_equal(front.model_index, want.model_index + 3)
+    for name in ("c", "loss_min", "n_opt", "d_opt"):
+        np.testing.assert_array_equal(getattr(front, name), getattr(want, name))
+    assert front.n_dropped == np.isin(kept.model_index, [3, 8]).sum() > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -528,8 +533,8 @@ def test_extract_frontier_bins_samples_on_and_beside_edges(seed, n_bins, c_range
     c = c[rng.permutation(c.size)]
     loss = rng.choice(rng.uniform(1.0, 2.0, 4), c.size)
     cuts = np.sort(rng.integers(0, c.size + 1, 3))
-    curves = [TrainingCurve(k, float(k + 1), float(k + 2), ck, ck, ck, lk)
-              for k, (ck, lk) in enumerate(zip(np.split(c, cuts), np.split(loss, cuts)))]
+    curves = Curves(range(4), [1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0], c, c, c, loss,
+                    starts=[0, *cuts])
     for basis in ("nonembed", "total"):
         points, bounds, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis,
                                                                      False)

@@ -175,9 +175,10 @@ def test_loss_nd_rejects_non_finite(bad):
     lambda n, c: loss_ne_ce(n, c, EPOCH, DEFAULT_EMBED_MAP),
 ], ids=["nt_ct", "ne_ce"])
 def test_loss_rejects_derived_tokens_out_of_range(loss):
-    # Both inputs are finite, but d = c/(6n) overflows to inf (NumPy warns first).
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^d must"):
-        loss(1e-300, 1e300)
+    # Both inputs are finite, but d = c/(6n) overflows to inf, or 6n does and d is 0.
+    for n, c in [(1e-300, 1e300), (1e308, 1e300)]:
+        with pytest.raises(ValueError, match="^d must"):
+            loss(n, c)
 
 
 def test_spec_file_rejects_nan(tmp_path):

@@ -2,10 +2,10 @@ import pytest
 
 import scalelab
 
-# Every name the package exported when it imported all its submodules eagerly.
+# Every public name of the package, by the submodule that defines it.
 EXPORTED = {
-    "analytic": """ExponentSample ce_of_optimal_ne exponent_curve local_loss_exponent
-        local_param_exponent loss_compute_exponent_total optimal_nt
+    "analytic": """ce_of_optimal_ne exponent_curve local_loss_exponent local_param_exponent
+        loss_compute_exponent_total optimal_nt
         param_exponent_large_scale_limit param_exponent_small_scale_limit
         transition_point""",
     "fitting": "PowerLawFit fit_power_law fit_power_law_with_offset sum_squared_error",
