@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .fitting import _match_scalar
-from .lossmodel import LossSpec, loss_ne_ce
+from .lossmodel import LossSpec, _surface
 from .params import THIRD, EmbedMap, _check_positive, _check_third
 
 __all__ = [
@@ -66,7 +66,8 @@ def _min_beta(alpha: float) -> float:
     return bound
 
 
-def _check_single_optimum(spec: LossSpec, embed_map: EmbedMap) -> None:
+def _checked_optima(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap) -> np.ndarray:
+    """``n_nonembed_opt`` as an array, once it and the spec's single optimum are checked."""
     _check_third(embed_map)
     bound = _min_beta(spec.alpha)
     if embed_map.omega > 0 and spec.beta <= bound:
@@ -74,6 +75,39 @@ def _check_single_optimum(spec: LossSpec, embed_map: EmbedMap) -> None:
             f"beta = {spec.beta!r} must exceed {bound:.6g} at alpha = "
             f"{spec.alpha!r}: below it the non-embedding loss has two minima at some budgets"
         )
+    _check_positive("n_nonembed_opt", n_nonembed_opt)
+    return np.asarray(n_nonembed_opt, dtype=float)
+
+
+def _ce(n, cbrt, spec: LossSpec, omega: float):
+    """c at checked optima ``n``, given cbrt = n**(1/3)."""
+    a, b = spec.alpha, spec.beta
+    return (6.0 * n * (n + omega / 3.0 * cbrt) ** (-1.0 / b) * (n + omega * cbrt) ** ((1.0 + a) / b)
+            * (b * spec.d_c / (a * spec.n_c)) ** (1.0 / b))
+
+
+def _param_slope(n, spec: LossSpec, omega: float):
+    """g at checked optima ``n``."""
+    a, b = spec.alpha, spec.beta
+    x = n ** (2.0 * THIRD)
+    return 1.0 / (1.0 - (1.0 / b) * (x + omega / 9.0) / (x + omega / 3.0)
+                  + ((a + 1.0) / b) * (x + omega / 3.0) / (x + omega))
+
+
+def _optimum(n, spec: LossSpec, omega: float):
+    """(c, g, k, loss) at checked optima ``n``: each closed form once, loss_ne_ce's checks."""
+    cbrt = n**THIRD
+    c = _ce(n, cbrt, spec, omega)
+    g = _param_slope(n, spec, omega)
+    n_total = n + omega * cbrt  # total_from_nonembed at delta = 1/3
+    _check_positive("c_nonembed", c)  # so n_total, a factor of c, is finite too
+    with np.errstate(over="ignore"):  # an overflowing d fails the check below instead
+        d = c / (6.0 * n)
+    _check_positive("d", d)
+    bracket = (-spec.alpha * spec.n_c * (n + omega / 3.0 * cbrt) / n_total ** (spec.alpha + 1.0)
+               + spec.beta * spec.d_c * d ** (-spec.beta) * (1.0 - 1.0 / g))
+    loss = _surface(n_total, np.asarray(d), spec)  # overwrites an array d
+    return c, g, g / loss * bracket, loss
 
 
 def ce_of_optimal_ne(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
@@ -85,19 +119,8 @@ def ce_of_optimal_ne(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
     ``ValueError``.  With omega = 0 it reduces to the exact inverse of
     ``optimal_nt``.
     """
-    _check_single_optimum(spec, embed_map)
-    _check_positive("n_nonembed_opt", n_nonembed_opt)
-    n = np.asarray(n_nonembed_opt, dtype=float)
-    a, b, om = spec.alpha, spec.beta, embed_map.omega
-    cbrt = n**THIRD
-    out = (
-        6.0
-        * n
-        * (n + om / 3.0 * cbrt) ** (-1.0 / b)
-        * (n + om * cbrt) ** ((1.0 + a) / b)
-        * (b * spec.d_c / (a * spec.n_c)) ** (1.0 / b)
-    )
-    return _match_scalar(out, n_nonembed_opt)
+    n = _checked_optima(n_nonembed_opt, spec, embed_map)
+    return _match_scalar(_ce(n, n**THIRD, spec, embed_map.omega), n_nonembed_opt)
 
 
 def local_param_exponent(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
@@ -108,18 +131,8 @@ def local_param_exponent(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
 
     Raises ``ValueError`` where ``ce_of_optimal_ne`` does.
     """
-    _check_single_optimum(spec, embed_map)
-    _check_positive("n_nonembed_opt", n_nonembed_opt)
-    n = np.asarray(n_nonembed_opt, dtype=float)
-    a, b, om = spec.alpha, spec.beta, embed_map.omega
-    x = n ** (2.0 * THIRD)
-    inv_g = (
-        1.0
-        - (1.0 / b) * (x + om / 9.0) / (x + om / 3.0)
-        + ((a + 1.0) / b) * (x + om / 3.0) / (x + om)
-    )
-    out = 1.0 / inv_g
-    return _match_scalar(out, n_nonembed_opt)
+    n = _checked_optima(n_nonembed_opt, spec, embed_map)
+    return _match_scalar(_param_slope(n, spec, embed_map.omega), n_nonembed_opt)
 
 
 def local_loss_exponent(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
@@ -129,20 +142,8 @@ def local_loss_exponent(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
                  + beta d_c (c/(6n))**(-beta) (1 - 1/g) ]
     with c and L* taken on the compute-optimal frontier.
     """
-    _check_third(embed_map)
-    _check_positive("n_nonembed_opt", n_nonembed_opt)
-    n = np.asarray(n_nonembed_opt, dtype=float)
-    a, b, om = spec.alpha, spec.beta, embed_map.omega
-    g = local_param_exponent(n, spec, embed_map)
-    c = ce_of_optimal_ne(n, spec, embed_map)
-    loss_opt = loss_ne_ce(n, c, spec, embed_map)
-    cbrt = n**THIRD
-    bracket = (
-        -a * spec.n_c * (n + om / 3.0 * cbrt) / (n + om * cbrt) ** (a + 1.0)
-        + b * spec.d_c * (c / (6.0 * n)) ** (-b) * (1.0 - 1.0 / g)
-    )
-    out = g / loss_opt * bracket
-    return _match_scalar(out, n_nonembed_opt)
+    n = _checked_optima(n_nonembed_opt, spec, embed_map)
+    return _match_scalar(_optimum(n, spec, embed_map.omega)[2], n_nonembed_opt)
 
 
 def loss_compute_exponent_total(spec: LossSpec) -> float:
@@ -180,8 +181,5 @@ def exponent_curve(
     """
     from .frontier import size_grid
 
-    n = size_grid(n_min, n_max, count)
-    c = ce_of_optimal_ne(n, spec, embed_map)
-    g = local_param_exponent(n, spec, embed_map)
-    k = local_loss_exponent(n, spec, embed_map)
-    return n, c, g, k, loss_ne_ce(n, c, spec, embed_map)
+    n = _checked_optima(size_grid(n_min, n_max, count), spec, embed_map)
+    return (n, *_optimum(n, spec, embed_map.omega))

@@ -4,8 +4,9 @@ The offset form y = prefactor * x**exponent + offset is fitted by profiling:
 for a candidate offset the inner problem is exact log-log least squares on
 (x, y - offset), so the outer problem reduces to a one-dimensional
 golden-section search minimizing the y-space residual.  The least-squares
-design depends only on x, so it is built once per fit and each candidate
-offset costs one solve against it.
+design depends only on x, so it is built once per fit, and the final fit
+reuses it.  One profile step costs one LAPACK solve against it plus in-place
+passes: the log of y - offset, and the squared residual built in one buffer.
 """
 
 from __future__ import annotations
@@ -62,41 +63,51 @@ class PowerLawFit:
 def _loglog_design(log_x: np.ndarray):
     """Column-scaled degree-1 least-squares design on ln x, built once per x.
 
-    Returns ``solve(log_y) -> array([exponent, intercept])``.  The column
-    scaling, ``rcond`` and LAPACK solve are those of NumPy's degree-1
+    Returns ``solve(log_y) -> (exponent, intercept)`` as Python floats.  The
+    column scaling, ``rcond`` and LAPACK solve are those of NumPy's degree-1
     polynomial fit, whose coefficients it reproduces bit for bit; only the
     solve depends on y.
     """
     lhs = np.vander(log_x, 2)
     scale = np.sqrt((lhs * lhs).sum(axis=0))
     lhs /= scale
+    scale_exponent, scale_intercept = scale.tolist()
     rcond = log_x.size * np.finfo(float).eps
 
-    def solve(log_y: np.ndarray) -> np.ndarray:
+    def solve(log_y: np.ndarray) -> tuple[float, float]:
         coef, _, rank, _ = np.linalg.lstsq(lhs, log_y, rcond)
         if rank < 2:
             warnings.warn("log-log fit is poorly conditioned", np.exceptions.RankWarning,
                           stacklevel=2)
-        return coef / scale
+        exponent, intercept = coef.tolist()
+        return exponent / scale_exponent, intercept / scale_intercept
 
     return solve
 
 
-def _loglog_ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def _loglog_ols(x: np.ndarray, y: np.ndarray, solve=None) -> tuple[float, float, float]:
     """OLS on (ln x, ln y); returns (prefactor, exponent, r_squared).
 
+    ``solve`` is ``_loglog_design(ln x)`` when the caller has already built it.
     Raises ArithmeticError when exp(intercept) overflows a double.
     """
     log_x, log_y = np.log(x), np.log(y)
-    exponent, intercept = _loglog_design(log_x)(log_y)
+    exponent, intercept = (solve or _loglog_design(log_x))(log_y)
     with np.errstate(over="ignore"):
         prefactor = float(np.exp(intercept))
     if not math.isfinite(prefactor):
         raise ArithmeticError("prefactor overflows")
-    resid = log_y - (intercept + exponent * log_x)
-    ss_tot = np.sum((log_y - log_y.mean()) ** 2)
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - np.sum(resid**2) / ss_tot
-    return prefactor, float(exponent), float(r_squared)
+    # In place, in the operation order of log_y - (intercept + exponent*log_x),
+    # (log_y - mean)**2 and resid**2, so the bits are theirs.
+    resid = exponent * log_x
+    resid += intercept
+    np.subtract(log_y, resid, out=resid)
+    resid *= resid
+    dev = log_y - log_y.sum() / log_y.size
+    dev *= dev
+    ss_tot = dev.sum()
+    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - resid.sum() / ss_tot
+    return prefactor, exponent, float(r_squared)
 
 
 def _validated_xy(x, y, min_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,12 +117,14 @@ def _validated_xy(x, y, min_points: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x.size < min_points:
         raise ValueError(f"need >={min_points} points, got {x.size}")
-    if not np.all(np.isfinite(x) & (x > 0)):
+    # Reductions, not np.isfinite/np.all/np.unique: NaN fails every comparison,
+    # and np.unique imports numpy.ma on first use (~15 ms).
+    x_min, x_max = x.min(), x.max()
+    if not (x_min > 0 and x_max < math.inf):
         raise ValueError("x values must be finite and > 0")
-    if not np.all(np.isfinite(y)):
+    if not (y.min() > -math.inf and y.max() < math.inf):
         raise ValueError("y values must be finite")
-    # min < max, not np.unique, which imports numpy.ma on first use (~15 ms).
-    if not x.min() < x.max():
+    if not x_min < x_max:
         raise ValueError("need >=2 distinct x values")
     return x, y
 
@@ -119,7 +132,7 @@ def _validated_xy(x, y, min_points: int) -> tuple[np.ndarray, np.ndarray]:
 def fit_power_law(x, y) -> PowerLawFit:
     """Plain log-log least squares; requires strictly positive data."""
     x, y = _validated_xy(x, y, min_points=2)
-    if np.any(y <= 0):
+    if not y.min() > 0:
         raise ValueError("y values must be > 0")
     prefactor, exponent, r_squared = _loglog_ols(x, y)
     return PowerLawFit(prefactor, exponent, None, r_squared, int(x.size))
@@ -160,14 +173,15 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
     order = np.argsort(x)
     x, y = x[order], y[order]
 
+    solve = None
     if fixed_offset is not None:
         if not (math.isfinite(fixed_offset) and fixed_offset >= 0):
             raise ValueError("fixed_offset must be finite and >= 0")
-        if np.any(y - fixed_offset <= 0):
+        if not y.min() > fixed_offset:  # y - fixed_offset > 0, without overflow
             raise ValueError("y - fixed_offset must be > 0")
         offset = float(fixed_offset)
     else:
-        if np.any(np.diff(y) >= 0):
+        if (y[1:] >= y[:-1]).any():
             raise ValueError(
                 "y must be strictly decreasing in x to profile an offset "
                 "(non-power-law data)"
@@ -178,9 +192,17 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
         solve = _loglog_design(np.log(x))
 
         def y_space_sse(offset: float) -> float:
-            exponent, intercept = solve(np.log(y - offset))
+            log_y = y - offset
+            np.log(log_y, out=log_y)
+            exponent, intercept = solve(log_y)
             prefactor = float(np.exp(intercept))
-            return float(np.sum((offset + prefactor * x ** float(exponent) - y) ** 2))
+            # (offset + prefactor * x**exponent - y)**2 in one buffer, same operation order.
+            r = x**exponent
+            r *= prefactor
+            r += offset
+            r -= y
+            r *= r
+            return float(r.sum())
 
         hi = y_min * (1.0 - 1e-12)
         candidate = _golden_section(y_space_sse, 0.0, hi, tol=1e-10 * y_min)
@@ -190,7 +212,7 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
         # Never do worse than the offset-free nested model.
         offset = candidate if sse <= y_space_sse(0.0) else 0.0
 
-    prefactor, exponent, r_squared = _loglog_ols(x, y - offset)
+    prefactor, exponent, r_squared = _loglog_ols(x, y - offset, solve)
     return PowerLawFit(prefactor, exponent, offset, r_squared, int(x.size))
 
 

@@ -487,6 +487,8 @@ def read_frontier_csv(path) -> Frontier:
             raise ValueError(f"frontier CSV must have header {FRONTIER_CSV_HEADER!r}")
         rows = list(reader)
     for k, row in enumerate(rows, 1):
+        if None in row:  # csv.DictReader files the extra fields of a long row under None
+            raise ValueError(f"frontier CSV row {k} has more than {len(expected)} fields")
         if None in row.values():
             raise ValueError(f"frontier CSV row {k} has fewer than {len(expected)} fields")
     bases = {row["basis"] for row in rows}

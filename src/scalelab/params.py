@@ -227,6 +227,9 @@ def load_model_configs(path) -> list[ParamSplit]:
         if missing:
             raise ValueError(f"config CSV missing columns: {sorted(missing)}")
         for k, row in enumerate(reader, 1):
+            if None in row:  # the extra fields of a long row
+                raise ValueError(f"config CSV row {k} has more than "
+                                 f"{len(reader.fieldnames)} fields")
             short = [name for name in required if row[name] is None]
             if short:
                 raise ValueError(f"config CSV row {k} has no {', '.join(short)}")

@@ -265,6 +265,21 @@ def test_exponent_curve_contract():
     assert np.all(loss_opt > EPOCH.e_irr)
 
 
+@settings(deadline=None)
+@given(st.floats(0.05, 0.8), st.floats(0.05, 1.0), st.sampled_from([0.0, 1.0, DEFAULT_OMEGA, 1e6]),
+       st.floats(0.0, 8.0), st.floats(0.5, 5.0))
+def test_exponent_curve_columns_equal_the_public_closed_forms(alpha, beta_above, omega,
+                                                              log10_n_min, decades):
+    spec = LossSpec(406.4, 410.7, alpha, max(_min_beta(alpha), 0.05) + beta_above, 1.693)
+    emap = EmbedMap(omega)
+    n, c, g, k, loss_opt = exponent_curve(spec, emap, 10.0**log10_n_min,
+                                          10.0 ** (log10_n_min + decades), 50)
+    np.testing.assert_array_equal(c, ce_of_optimal_ne(n, spec, emap))
+    np.testing.assert_array_equal(g, local_param_exponent(n, spec, emap))
+    np.testing.assert_array_equal(k, local_loss_exponent(n, spec, emap))
+    np.testing.assert_array_equal(loss_opt, loss_ne_ce(n, c, spec, emap))
+
+
 def test_exponent_curve_rejects_bad_range():
     with pytest.raises(ValueError):
         exponent_curve(EPOCH, DEFAULT_EMBED_MAP, n_min=10.0, n_max=1.0)

@@ -190,10 +190,16 @@ def test_bad_input_exits_2(capsys, argv):
             "total,1e10,3.0,1e3,1e6,1\ntotal,1e11,2.5\n", "row 2 has fewer than 6"),
     ("fit-embed-map", "name,d_model,n_layers,vocab,context_learned\n"
                       "a,512,8,32000,0\nb,1024,8\n", "row 2 has no vocab"),
+    ("fit", "basis,c,loss_min,n_opt,d_opt,model_index\n"
+            "total,1e10,3.0,1e3,1e6,1,99\ntotal,1e11,2.5,2e3,2e6,2\n"
+            "total,1e12,2.2,4e3,4e6,3\ntotal,1e13,2.0,8e3,8e6,4\n", "row 1 has more than 6"),
+    ("fit-embed-map", "name,d_model,n_layers,vocab,context_learned\n"
+                      "a,512,8,32000,0,99,98\nb,1024,8,32000,0\n", "row 1 has more than 5"),
     ("exponent-curve --spec", "[406.4, 410.7, 0.3392, 0.2849, 1.693]", "JSON object"),
     ("exponent-curve --spec", '{"n_c": 406.4, "d_c": null, "alpha": 0.3392, "beta": 0.2849, '
                               '"e_irr": 1.693}', "'d_c'"),
-], ids=["frontier-csv-short-row", "config-csv-short-row", "spec-array", "spec-null"])
+], ids=["frontier-csv-short-row", "config-csv-short-row", "frontier-csv-long-row",
+        "config-csv-long-row", "spec-array", "spec-null"])
 def test_malformed_input_file_exits_2(tmp_path, capsys, command, text, named):
     path = tmp_path / "input"
     path.write_text(text)

@@ -11,6 +11,7 @@ from scalelab import (
     fit_power_law_with_offset,
     sum_squared_error,
 )
+from scalelab import fitting
 from scalelab.fitting import _loglog_design, _loglog_ols, _validated_xy
 
 
@@ -310,3 +311,108 @@ def test_offset_fit_recovers_floor_when_tail_is_near_it():
     x = np.geomspace(1.0, 1e4, 8)
     fit = fit_power_law_with_offset(x, 1.0 / x + 1.0)
     assert fit.offset == pytest.approx(1.0, rel=1e-6)
+
+
+def _counting(counts, name, f):
+    def wrapped(*args, **kwargs):
+        counts[name] += 1
+        return f(*args, **kwargs)
+    return wrapped
+
+
+def test_offset_fit_builds_one_design_and_solves_once_per_profile_step(monkeypatch):
+    counts = {"vander": 0, "lstsq": 0, "search_sse": 0}
+    monkeypatch.setattr(np, "vander", _counting(counts, "vander", np.vander))
+    monkeypatch.setattr(np.linalg, "lstsq", _counting(counts, "lstsq", np.linalg.lstsq))
+    golden = fitting._golden_section
+    monkeypatch.setattr(fitting, "_golden_section",
+                        lambda f, *args, **kwargs: golden(_counting(counts, "search_sse", f),
+                                                          *args, **kwargs))
+    x = np.geomspace(1e12, 1e22, 40)
+    y = (x / 1e9) ** -0.178 + 1.817
+    fit_power_law_with_offset(x, y)
+    # The search's evaluations, then the candidate's and offset 0's: one solve
+    # each, and one for the final fit, all against one design.
+    assert counts["search_sse"] > 40
+    assert counts["vander"] == 1
+    assert counts["lstsq"] == counts["search_sse"] + 2 + 1
+
+    counts.update(vander=0, lstsq=0, search_sse=0)
+    fit_power_law_with_offset(x, y, fixed_offset=1.0)
+    assert counts == {"vander": 1, "lstsq": 1, "search_sse": 0}
+
+
+def _checks_as_first_written(x, y, offset_fit, fixed_offset=None):
+    """The fits' input checks written with np.isfinite, np.any and np.diff."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    min_points = 3 if offset_fit else 2
+    if x.size < min_points:
+        raise ValueError(f"need >={min_points} points, got {x.size}")
+    if not np.all(np.isfinite(x) & (x > 0)):
+        raise ValueError("x values must be finite and > 0")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y values must be finite")
+    if np.unique(x).size < 2:
+        raise ValueError("need >=2 distinct x values")
+    if not offset_fit:
+        if np.any(y <= 0):
+            raise ValueError("y values must be > 0")
+        return
+    y = y[np.argsort(x)]
+    if fixed_offset is not None:
+        if not (math.isfinite(fixed_offset) and fixed_offset >= 0):
+            raise ValueError("fixed_offset must be finite and >= 0")
+        if np.any(y - fixed_offset <= 0):
+            raise ValueError("y - fixed_offset must be > 0")
+        return
+    if np.any(np.diff(y) >= 0):
+        raise ValueError("y must be strictly decreasing in x to profile an offset "
+                         "(non-power-law data)")
+    if float(y.min()) <= 0:
+        raise ValueError("min(y) must be > 0 when fitting a positive offset")
+
+
+def _outcome(f, *args):
+    """The message of the input check ``f`` fails, else None; warnings ignored."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            f(*args)
+        except (ArithmeticError, np.linalg.LinAlgError):
+            pass
+        except ValueError as e:
+            return str(e)
+    return None
+
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e308, 5e-324, 1e-310,
+               0.5, 1.0, 2.0, 3.0, 1e308]
+
+
+@st.composite
+def edged_power_laws(draw):
+    """A decreasing power law on up to 6 shuffled points, with x made all equal
+    or up to 3 entries of x or y replaced by edge values."""
+    n = draw(st.integers(0, 6))
+    order = draw(st.permutations(range(n)))
+    x = np.geomspace(1.0, 1e3, n)[order]
+    y = 2.0 * x**-0.5 + 0.5
+    if n and draw(st.integers(0, 4)) == 0:
+        x[:] = x[0]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3])) if n else 0):
+        values = draw(st.sampled_from([x, y]))
+        values[draw(st.integers(0, n - 1))] = draw(st.sampled_from(EDGE_VALUES))
+    return x.tolist(), y.tolist()
+
+
+@settings(deadline=None)
+@given(edged_power_laws(),
+       st.sampled_from([None, 0.0, 0.5, 1e-310, 1e308, math.inf, math.nan, -1.0]))
+def test_input_checks_match_their_first_form(xy, fixed_offset):
+    x, y = xy
+    cases = [(fit_power_law, (x, y), False), (fit_power_law_with_offset, (x, y), True),
+             (fit_power_law_with_offset, (x, y, fixed_offset), True)]
+    for fit, args, offset_fit in cases:
+        assert _outcome(fit, *args) == _outcome(_checks_as_first_written, *args[:2],
+                                                offset_fit, *args[2:])
