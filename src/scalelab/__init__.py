@@ -51,7 +51,6 @@ _SUBMODULES = {
         "EPOCH",
         "SPEC_CATALOG",
         "LossSpec",
-        "compute_flops",
         "load_loss_spec",
         "loss_nd",
         "loss_ne_ce",

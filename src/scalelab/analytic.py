@@ -18,7 +18,6 @@ import math
 
 import numpy as np
 
-from .fitting import _match_scalar
 from .lossmodel import LossSpec, _surface
 from .params import THIRD, EmbedMap, _check_positive, _check_third
 
@@ -38,16 +37,29 @@ EXPONENT_CURVE_RANGE = (1e2, 1e13)
 EXPONENT_CURVE_POINTS = 400
 
 
+def _vector(x) -> np.ndarray:
+    """``x`` as a float array of at least one dimension, so that a scalar gets the
+    array loops' bits: NumPy's scalar math on a 0-d array can differ by an ulp."""
+    v = np.asarray(x, dtype=float)
+    return v.reshape(1) if v.ndim == 0 else v
+
+
+def _unwrap(out: np.ndarray, x):
+    """``out``, computed on ``_vector(x)``, in the form of ``x``: a float for a scalar."""
+    if np.ndim(x):
+        return out
+    return float(out[0]) if np.isscalar(x) else out[0]
+
+
 def optimal_nt(c_total, spec: LossSpec):
     """Unique minimizer of the (n_total, c_total) loss at a fixed budget."""
     _check_positive("c_total", c_total)
-    c = np.asarray(c_total, dtype=float)
+    c = _vector(c_total)
     share = spec.beta / (spec.alpha + spec.beta)
     prefactor = (spec.alpha * spec.n_c / (spec.beta * spec.d_c)) ** (
         1.0 / (spec.alpha + spec.beta)
     )
-    out = prefactor * (c / 6.0) ** share
-    return _match_scalar(out, c_total)
+    return _unwrap(prefactor * (c / 6.0) ** share, c_total)
 
 
 def _min_beta(alpha: float) -> float:
@@ -67,7 +79,7 @@ def _min_beta(alpha: float) -> float:
 
 
 def _checked_optima(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap) -> np.ndarray:
-    """``n_nonembed_opt`` as an array, once it and the spec's single optimum are checked."""
+    """``_vector(n_nonembed_opt)``, once it and the spec's single optimum are checked."""
     _check_third(embed_map)
     bound = _min_beta(spec.alpha)
     if embed_map.omega > 0 and spec.beta <= bound:
@@ -76,7 +88,7 @@ def _checked_optima(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap) -> np.n
             f"{spec.alpha!r}: below it the non-embedding loss has two minima at some budgets"
         )
     _check_positive("n_nonembed_opt", n_nonembed_opt)
-    return np.asarray(n_nonembed_opt, dtype=float)
+    return _vector(n_nonembed_opt)
 
 
 def _ce(n, cbrt, spec: LossSpec, omega: float):
@@ -120,7 +132,7 @@ def ce_of_optimal_ne(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
     ``optimal_nt``.
     """
     n = _checked_optima(n_nonembed_opt, spec, embed_map)
-    return _match_scalar(_ce(n, n**THIRD, spec, embed_map.omega), n_nonembed_opt)
+    return _unwrap(_ce(n, n**THIRD, spec, embed_map.omega), n_nonembed_opt)
 
 
 def local_param_exponent(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
@@ -132,7 +144,7 @@ def local_param_exponent(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
     Raises ``ValueError`` where ``ce_of_optimal_ne`` does.
     """
     n = _checked_optima(n_nonembed_opt, spec, embed_map)
-    return _match_scalar(_param_slope(n, spec, embed_map.omega), n_nonembed_opt)
+    return _unwrap(_param_slope(n, spec, embed_map.omega), n_nonembed_opt)
 
 
 def local_loss_exponent(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
@@ -143,7 +155,7 @@ def local_loss_exponent(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
     with c and L* taken on the compute-optimal frontier.
     """
     n = _checked_optima(n_nonembed_opt, spec, embed_map)
-    return _match_scalar(_optimum(n, spec, embed_map.omega)[2], n_nonembed_opt)
+    return _unwrap(_optimum(n, spec, embed_map.omega)[2], n_nonembed_opt)
 
 
 def loss_compute_exponent_total(spec: LossSpec) -> float:

@@ -49,11 +49,9 @@ def _emit(text: str, output: str | None, echo: bool = False) -> None:
 
 
 def _embed_map_from_args(args) -> EmbedMap:
-    from .params import DEFAULT_OMEGA, THIRD, EmbedMap
+    from .params import DEFAULT_OMEGA, EmbedMap
 
-    omega = DEFAULT_OMEGA if args.omega is None else args.omega
-    delta = THIRD if args.delta is None else args.delta
-    return EmbedMap(omega, delta)
+    return EmbedMap(DEFAULT_OMEGA if args.omega is None else args.omega)
 
 
 def _sizes_from_args(args):
@@ -175,7 +173,7 @@ def cmd_reproduce(args) -> int:
     from .lossmodel import SPEC_CATALOG, resolve_spec
     from .params import DEFAULT_EMBED_MAP
 
-    headline = args.spec is None and args.omega is None and args.delta is None
+    headline = args.spec is None and args.omega is None
     entries = []
     if headline:
         for name in ("epoch", "chinchilla"):
@@ -224,8 +222,6 @@ def _add_map_options(parser) -> None:
     parser.add_argument("--omega", type=float, default=None,
                         help="parameter-map coefficient (default: scalelab.params.DEFAULT_OMEGA, "
                              "calibrated on the bundled config suite)")
-    parser.add_argument("--delta", type=float, default=None,
-                        help="parameter-map exponent (default 1/3; analytic forms require 1/3)")
 
 
 def _add_grid_options(parser) -> None:

@@ -283,46 +283,49 @@ def _token_grid(start, stop, num):
     return y
 
 
-# Samples binned per block: the block size np.histogram uses for uniform bins,
-# so the estimate's temporaries stay at a few hundred kB for any sample count.
+# Samples per block: the block size np.histogram uses for uniform bins, so
+# extract_frontier's scratch stays at about 1 MiB for any sample count.
 _BIN_BLOCK = 65536
 
 
-def _geometric_bin_of(c, edges):
-    """Bin of each sample, equal to ``np.searchsorted(edges[1:-1], c, side="right")``.
+def _block_scratch(size):
+    """Buffers for blocks of up to ``size`` samples: bins, floats and two masks."""
+    return (np.empty(size, dtype=np.intp), np.empty(size), np.empty(size, dtype=bool),
+            np.empty(size, dtype=bool))
+
+
+def _geometric_bin_of(c, edges, scratch):
+    """Bin of each sample of the block ``c``, equal to
+    ``np.searchsorted(edges[1:-1], c, side="right")``, as a view of ``scratch[0]``.
 
     ``edges`` are geometric, so a sample's bin is estimated from its logarithm
     in O(1), checked against the edges, and searched for only where the check
-    fails; the result never depends on the accuracy of ``np.log``.
+    fails; the result never depends on the accuracy of ``np.log``.  ``scratch``
+    is a ``_block_scratch`` of at least ``c.size`` samples; the call overwrites
+    all of its buffers.
     """
     n = edges.size - 1
-    inner = edges[1:-1]
-    upper = np.append(inner, np.inf)
     log_lo = math.log(edges[0])
     span = math.log(edges[-1]) - log_lo
     # A collapsed range estimates bin 0 everywhere and the check resolves it.
     scale = n / span if span > 0 else 0.0
-    bin_of = np.empty(c.size, dtype=np.intp)
-    buf = np.empty(min(c.size, _BIN_BLOCK))
-    missed, above = np.empty(buf.size, dtype=bool), np.empty(buf.size, dtype=bool)
-    for start in range(0, c.size, _BIN_BLOCK):
-        cb = c[start:start + _BIN_BLOCK]
-        kb, fb, mb, ab = (a[:cb.size] for a in (bin_of[start:], buf, missed, above))
-        np.log(cb, out=fb)
-        fb -= log_lo
-        fb *= scale
-        np.clip(fb, 0, n - 1, out=fb)
-        np.copyto(kb, fb, casting="unsafe")
-        # mode="clip" writes straight into buf; the default mode buffers the output.
-        np.take(edges, kb, out=fb, mode="clip")
-        np.greater(fb, cb, out=mb)
-        np.take(upper, kb, out=fb, mode="clip")
-        np.greater_equal(cb, fb, out=ab)
-        mb |= ab
-        miss = np.flatnonzero(mb)
-        if miss.size:
-            kb[miss] = np.searchsorted(inner, cb[miss], side="right")
-    return bin_of
+    k, f, missed, above = (a[:c.size] for a in scratch)
+    np.log(c, out=f)
+    f -= log_lo
+    f *= scale
+    np.clip(f, 0, n - 1, out=f)
+    np.copyto(k, f, casting="unsafe")
+    # mode="clip" writes straight into f; the default mode buffers the output.
+    np.take(edges, k, out=f, mode="clip")
+    np.greater(f, c, out=missed)
+    # The last bin's upper edge is the largest edge, so samples on it are searched.
+    np.take(edges[1:], k, out=f, mode="clip")
+    np.greater_equal(c, f, out=above)
+    missed |= above
+    miss = np.flatnonzero(missed)
+    if miss.size:
+        k[miss] = np.searchsorted(edges[1:-1], c[miss], side="right")
+    return k
 
 
 def extract_frontier(
@@ -339,7 +342,8 @@ def extract_frontier(
     smallest and largest compute; a sample's bin is the number of interior
     edges at or below its compute, estimated from its logarithm and checked
     against the edges, with a binary search only for samples the estimate
-    misses.
+    misses.  Samples go through in blocks of ``_BIN_BLOCK``, so no scratch
+    array grows with the sample count.
     A bin's winner is its first minimum-loss sample in pooled (curve, then
     sample) order.  Bins whose winner has the table's smallest or largest
     ``model_index`` are discarded by default: at the extremes those models win
@@ -372,19 +376,36 @@ def extract_frontier(
     e0, e1 = edges[:-1], edges[1:]
     s = np.ldexp(1.0, np.frexp(e0)[1])
     centers = s * np.sqrt((e0 / s) * (e1 / s))
-    bin_of = _geometric_bin_of(c_all, edges)
 
-    # One pass for each bin's minimum, one by blocks for the lowest pooled index
-    # attaining it; a bin without samples keeps the index loss_all.size.
-    best = np.full(n_bins, np.inf)
-    np.minimum.at(best, bin_of, loss_all)
-    ties = np.concatenate([
-        a + np.flatnonzero(loss_all[a:a + _BIN_BLOCK] == best[bin_of[a:a + _BIN_BLOCK]])
-        for a in range(0, loss_all.size, _BIN_BLOCK)])
-    first = np.full(n_bins, loss_all.size)
-    np.minimum.at(first, bin_of[ties], ties)
+    # One pass over blocks, each binned into the same scratch: the block's
+    # per-bin minimum and the first pooled index attaining it, found while the
+    # block is in cache, replace the running ones only where that minimum is
+    # strictly lower.  Ties keep the earlier block, so a bin's winner is its
+    # first minimum-loss sample in pooled order; a bin without samples keeps
+    # the index size.  Only the bins a block touches are merged and reset, so
+    # a block costs O(block) whatever n_bins is.
+    size = loss_all.size
+    scratch = _block_scratch(min(size, _BIN_BLOCK))
+    best, block_min = np.full(n_bins, np.inf), np.full(n_bins, np.inf)
+    first, block_first = np.full(n_bins, size), np.full(n_bins, size)
+    for a in range(0, size, _BIN_BLOCK):
+        loss = loss_all[a:a + _BIN_BLOCK]
+        k = _geometric_bin_of(c_all[a:a + _BIN_BLOCK], edges, scratch)
+        np.minimum.at(block_min, k, loss)
+        at_min, is_tie = scratch[1][:k.size], scratch[2][:k.size]
+        np.take(block_min, k, out=at_min, mode="clip")
+        np.equal(loss, at_min, out=is_tie)
+        ties = np.flatnonzero(is_tie)
+        touched = k[ties]  # each bin the block touched, at least once
+        ties += a
+        np.minimum.at(block_first, touched, ties)
+        won = touched[block_min[touched] < best[touched]]
+        best[won] = block_min[won]
+        first[won] = block_first[won]
+        block_min[touched] = np.inf
+        block_first[touched] = size
 
-    filled = np.flatnonzero(first < loss_all.size)
+    filled = np.flatnonzero(first < size)
     n_empty = n_bins - filled.size
     if n_empty > 0.5 * n_bins:
         raise ValueError(

@@ -24,7 +24,6 @@ __all__ = [
     "loss_nd",
     "loss_nt_ct",
     "loss_ne_ce",
-    "compute_flops",
     "load_loss_spec",
     "resolve_spec",
 ]
@@ -103,11 +102,6 @@ def loss_ne_ce(n_nonembed, c_nonembed, spec: LossSpec, embed_map: EmbedMap):
         d = np.asarray(c_nonembed, dtype=float) / (6.0 * np.asarray(n_nonembed, dtype=float))
     _check_positive("d", d)
     return _match_scalar(_surface(n_total, np.asarray(d), spec), n_nonembed, c_nonembed)
-
-
-def compute_flops(n, d):
-    """Training FLOPs approximation c = 6*n*d (forward + backward)."""
-    return 6.0 * n * d
 
 
 def load_loss_spec(path) -> LossSpec:

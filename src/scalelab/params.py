@@ -84,10 +84,6 @@ class ModelShape:
         if self.vocab < 0 or self.context_learned < 0:
             raise ValueError("vocab and context_learned must be >= 0")
 
-    @property
-    def aspect_ratio(self) -> float:
-        return self.d_model / self.n_layers
-
 
 @dataclass(frozen=True)
 class ParamSplit:

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalelab import (
@@ -278,6 +278,30 @@ def test_exponent_curve_columns_equal_the_public_closed_forms(alpha, beta_above,
     np.testing.assert_array_equal(g, local_param_exponent(n, spec, emap))
     np.testing.assert_array_equal(k, local_loss_exponent(n, spec, emap))
     np.testing.assert_array_equal(loss_opt, loss_ne_ce(n, c, spec, emap))
+
+
+@settings(deadline=None)
+@given(st.floats(0.05, 0.8), st.floats(0.05, 1.0), st.sampled_from([0.0, 1.0, DEFAULT_OMEGA, 1e6]),
+       st.floats(-3.0, 15.0), st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
+@example(0.5, 1.05 - max(_min_beta(0.5), 0.05), 0.0, 0.5204, 0.0, 0)
+def test_scalar_closed_forms_equal_the_array_element(alpha, beta_above, omega, log10_n, decades,
+                                                     seed):
+    """A float, a NumPy scalar and a 0-d array give the bits of the same value inside an array."""
+    spec = LossSpec(406.4, 410.7, alpha, max(_min_beta(alpha), 0.05) + beta_above, 1.693)
+    emap = EmbedMap(omega)
+    rng = np.random.default_rng(seed)
+    n = 10.0 ** (log10_n + decades * rng.random(37))
+    n[0] = 3.3144247494664265
+    forms = [lambda x: ce_of_optimal_ne(x, spec, emap),
+             lambda x: local_param_exponent(x, spec, emap),
+             lambda x: local_loss_exponent(x, spec, emap),
+             lambda x: optimal_nt(x, spec)]
+    for form in forms:
+        column = form(n)
+        for i in (0, *rng.integers(0, n.size, 4)):
+            got = [form(float(n[i])), form(n[i]), form(np.asarray(n[i]))]
+            assert [type(v) for v in got] == [float, float, np.float64]
+            assert {np.float64(v).tobytes() for v in got} == {column[i].tobytes()}
 
 
 def test_exponent_curve_rejects_bad_range():

@@ -562,12 +562,20 @@ def binning_cases(draw, max_bins):
     return c, np.geomspace(c.min(), c.max(), n_bins + 1)
 
 
+def _bin_by_blocks(c, edges, block):
+    """``_geometric_bin_of`` over ``c`` in blocks of ``block`` samples, all sharing one
+    scratch, as ``extract_frontier`` calls it."""
+    scratch = frontier_module._block_scratch(min(c.size, block))
+    return np.concatenate([frontier_module._geometric_bin_of(c[a:a + block], edges, scratch)
+                           .copy() for a in range(0, c.size, block)])
+
+
 @settings(max_examples=300, deadline=None)
 @given(binning_cases(5000))
 def test_geometric_bin_of_matches_searchsorted(case):
     c, edges = case
     want = np.searchsorted(edges[1:-1], c, side="right")
-    np.testing.assert_array_equal(frontier_module._geometric_bin_of(c, edges), want)
+    np.testing.assert_array_equal(_bin_by_blocks(c, edges, frontier_module._BIN_BLOCK), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -575,9 +583,7 @@ def test_geometric_bin_of_matches_searchsorted(case):
 def test_geometric_bin_of_matches_searchsorted_across_blocks(case, block):
     c, edges = case
     want = np.searchsorted(edges[1:-1], c, side="right")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(frontier_module, "_BIN_BLOCK", block)
-        np.testing.assert_array_equal(frontier_module._geometric_bin_of(c, edges), want)
+    np.testing.assert_array_equal(_bin_by_blocks(c, edges, block), want)
 
 
 def test_geometric_bin_of_spans_real_blocks():
@@ -588,22 +594,60 @@ def test_geometric_bin_of_spans_real_blocks():
     size = 3 * 65536 + 5
     c = rng.permutation(np.concatenate([c, 10.0 ** rng.uniform(10, 25, size - c.size)]))
     edges = np.geomspace(c.min(), c.max(), n_bins + 1)
-    np.testing.assert_array_equal(frontier_module._geometric_bin_of(c, edges),
+    np.testing.assert_array_equal(_bin_by_blocks(c, edges, frontier_module._BIN_BLOCK),
                                   np.searchsorted(edges[1:-1], c, side="right"))
 
 
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_extract_frontier_keeps_the_first_tie_across_blocks(block):
+    """Equal bin minima in different blocks: the earlier sample wins, and a later block
+    takes a bin only with a strictly lower loss, as with one block."""
+    rng = np.random.default_rng(5)
+    size, n_bins = 200, 10
+    edges = np.geomspace(1.0, 1e4, n_bins + 1)
+    c = np.exp(rng.uniform(0.0, np.log(1e4), size))
+    c[[0, 1]] = edges[0], edges[-1]
+    loss = rng.choice([1.0, 1.5, 2.0], size)
+    c[[5, 130]], loss[[5, 130]] = np.sqrt(edges[3] * edges[4]), 0.5  # a tie in bin 3
+    c[[10, 150]], loss[[10, 150]] = np.sqrt(edges[6] * edges[7]), (0.75, 0.6)  # 150 wins bin 6
+    tokens = np.arange(1.0, size + 1)  # names each sample's pooled index
+    curves = Curves(range(4), [1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0], tokens, c, c, loss,
+                    starts=[0, 50, 100, 150])
+    bin_of = np.searchsorted(edges[1:-1], c, side="right")
+    first_min = [idx[np.argmin(loss[idx])] for idx in
+                 (np.flatnonzero(bin_of == b) for b in range(n_bins))]
+    for basis in ("nonembed", "total"):
+        want = extract_frontier(curves, n_bins, basis, drop_edge_models=False)
+        np.testing.assert_array_equal(want.d_opt, tokens[first_min])
+        assert (want.d_opt[3], want.d_opt[6]) == (6.0, 151.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(frontier_module, "_BIN_BLOCK", block)
+            got = extract_frontier(curves, n_bins, basis, drop_edge_models=False)
+        for name in ("c", "loss_min", "n_opt", "d_opt", "model_index", "n_empty",
+                     "n_dropped"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def _extraction_peak(curves, basis):
+    tracemalloc.start()
+    try:
+        extract_frontier(curves, n_bins=2000, basis=basis)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_extract_frontier_memory_stays_flat_at_stress_scale():
-    """Binning 1,024,000 samples allocates blocks, not whole-array temporaries."""
+    """Extraction streams the samples through fixed block scratch: 1,024,000 samples
+    allocate about 1.4 MiB, no more than 256,000 do."""
     curves = simulate_curves(size_grid(1e3, 1e9, 2000), EPOCH, DEFAULT_EMBED_MAP)
+    smaller = simulate_curves(size_grid(1e3, 1e9, 500), EPOCH, DEFAULT_EMBED_MAP)
     assert curves.loss.size == 2000 * 512
     for basis in ("nonembed", "total"):
-        tracemalloc.start()
-        try:
-            extract_frontier(curves, n_bins=2000, basis=basis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 9 * 2**20, f"{basis}: {peak / 2**20:.2f} MiB"
+        peak = _extraction_peak(curves, basis)
+        assert peak <= 2.5 * 2**20, f"{basis}: {peak / 2**20:.2f} MiB"
+        growth = peak - _extraction_peak(smaller, basis)
+        assert abs(growth) < 0.25 * 2**20, f"{basis}: {growth / 2**20:+.2f} MiB"
 
 
 def test_simulate_curves_memory_is_its_output():

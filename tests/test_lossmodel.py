@@ -12,7 +12,6 @@ from scalelab import (
     EPOCH,
     EmbedMap,
     LossSpec,
-    compute_flops,
     load_loss_spec,
     loss_nd,
     loss_ne_ce,
@@ -88,7 +87,7 @@ def test_loss_ne_ce_reduces_to_total_at_omega_zero():
 def test_loss_ne_ce_routes_through_map():
     # N_ne=1e7, D=2e8: equals the (n_total, d) form through the map
     d = 2e8
-    c_ne = compute_flops(1e7, d)
+    c_ne = 6.0 * 1e7 * d
     via_map = loss_nd(total_from_nonembed(1e7, DEFAULT_EMBED_MAP), d, EPOCH)
     assert loss_ne_ce(1e7, c_ne, EPOCH, DEFAULT_EMBED_MAP) == pytest.approx(via_map, rel=1e-12)
     assert via_map == pytest.approx(5.1210366976228461, rel=1e-12)
@@ -117,21 +116,10 @@ def test_coordinate_systems_agree():
         d = 10.0 ** rng.uniform(3, 11)
         n_t = total_from_nonembed(n_ne, DEFAULT_EMBED_MAP)
         reference = loss_nd(n_t, d, EPOCH)
-        assert loss_ne_ce(n_ne, compute_flops(n_ne, d), EPOCH,
+        assert loss_ne_ce(n_ne, 6.0 * n_ne * d, EPOCH,
                           DEFAULT_EMBED_MAP) == pytest.approx(reference, rel=1e-12)
-        assert loss_nt_ct(n_t, compute_flops(n_t, d), EPOCH) == pytest.approx(
+        assert loss_nt_ct(n_t, 6.0 * n_t * d, EPOCH) == pytest.approx(
             reference, rel=1e-12)
-
-
-def test_compute_flops():
-    assert compute_flops(0, 123.0) == 0.0
-    assert compute_flops(1e6, 1e9) == 6e15
-    # ratio identity at equal token count
-    n_ne = 1e7
-    n_t = total_from_nonembed(n_ne, DEFAULT_EMBED_MAP)
-    d = 3.7e9
-    assert compute_flops(n_t, d) / compute_flops(n_ne, d) == pytest.approx(
-        n_t / n_ne, rel=1e-14)
 
 
 def test_load_loss_spec_round_trip(tmp_path):

@@ -12,7 +12,7 @@ EXPORTED = {
     "frontier": """Curves Frontier FrontierPoint TrainingCurve bracketing_token_schedule
         extract_frontier fit_loss_scaling fit_param_scaling kaplan_size_grid
         read_frontier_csv simulate_curves size_grid write_curves_csv write_frontier_csv""",
-    "lossmodel": """CHINCHILLA EPOCH SPEC_CATALOG LossSpec compute_flops load_loss_spec
+    "lossmodel": """CHINCHILLA EPOCH SPEC_CATALOG LossSpec load_loss_spec
         loss_nd loss_ne_ce loss_nt_ct resolve_spec""",
     "params": """DEFAULT_EMBED_MAP DEFAULT_OMEGA EmbedMap EmbedMapFit ModelShape ParamSplit
         bundled_config_path count_params fit_embed_map load_model_configs
