@@ -91,11 +91,23 @@ def _checked_optima(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap) -> np.n
     return _vector(n_nonembed_opt)
 
 
-def _ce(n, cbrt, spec: LossSpec, omega: float):
-    """c at checked optima ``n``, given cbrt = n**(1/3)."""
+def _ce(n, cbrt, spec: LossSpec, omega: float, names=("n_nonembed_opt",) * 2):
+    """c at checked optima ``n``, given cbrt = n**(1/3).
+
+    Raises ``ValueError`` where c leaves the range of doubles, naming the
+    input: ``names[0]`` if the first entry of ``n`` is out of range, else
+    ``names[1]``, so that a grid names the end it goes out at.
+    """
     a, b = spec.alpha, spec.beta
-    return (6.0 * n * (n + omega / 3.0 * cbrt) ** (-1.0 / b) * (n + omega * cbrt) ** ((1.0 + a) / b)
-            * (b * spec.d_c / (a * spec.n_c)) ** (1.0 / b))
+    # An overflowing factor, or one times another that underflows (NaN), fails the
+    # check below instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (6.0 * n * (n + omega / 3.0 * cbrt) ** (-1.0 / b)
+             * (n + omega * cbrt) ** ((1.0 + a) / b) * (b * spec.d_c / (a * spec.n_c)) ** (1.0 / b))
+    if c.size and not (c.min() > 0 and c.max() < math.inf):  # NaN fails both
+        name = names[0] if not 0 < c[0] < math.inf else names[1]
+        raise ValueError(f"{name} takes c_nonembed out of the range of doubles")
+    return c
 
 
 def _param_slope(n, spec: LossSpec, omega: float):
@@ -106,13 +118,15 @@ def _param_slope(n, spec: LossSpec, omega: float):
                   + ((a + 1.0) / b) * (x + omega / 3.0) / (x + omega))
 
 
-def _optimum(n, spec: LossSpec, omega: float):
-    """(c, g, k, loss) at checked optima ``n``: each closed form once, loss_ne_ce's checks."""
+def _optimum(n, spec: LossSpec, omega: float, names=("n_nonembed_opt",) * 2):
+    """(c, g, k, loss) at checked optima ``n``: each closed form once, loss_ne_ce's checks.
+
+    ``names`` are ``_ce``'s.
+    """
     cbrt = n**THIRD
-    c = _ce(n, cbrt, spec, omega)
+    c = _ce(n, cbrt, spec, omega, names)  # finite, so n_total, a factor of c, is too
     g = _param_slope(n, spec, omega)
     n_total = n + omega * cbrt  # total_from_nonembed at delta = 1/3
-    _check_positive("c_nonembed", c)  # so n_total, a factor of c, is finite too
     with np.errstate(over="ignore"):  # an overflowing d fails the check below instead
         d = c / (6.0 * n)
     _check_positive("d", d)
@@ -129,7 +143,8 @@ def ce_of_optimal_ne(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
     omega > 0 that holds exactly when beta > B(alpha) (0.179 at alpha = 0,
     0 at alpha = 1/3), and a spec with beta <= B(alpha) raises
     ``ValueError``.  With omega = 0 it reduces to the exact inverse of
-    ``optimal_nt``.
+    ``optimal_nt``.  An optimum whose compute leaves the range of doubles
+    raises ``ValueError`` naming ``n_nonembed_opt``.
     """
     n = _checked_optima(n_nonembed_opt, spec, embed_map)
     return _unwrap(_ce(n, n**THIRD, spec, embed_map.omega), n_nonembed_opt)
@@ -141,7 +156,7 @@ def local_param_exponent(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
     1/g = 1 - (1/beta)(x + omega/9)/(x + omega/3)
             + ((alpha+1)/beta)(x + omega/3)/(x + omega),   x = n**(2/3).
 
-    Raises ``ValueError`` where ``ce_of_optimal_ne`` does.
+    Raises ``ValueError`` for the specs that ``ce_of_optimal_ne`` rejects.
     """
     n = _checked_optima(n_nonembed_opt, spec, embed_map)
     return _unwrap(_param_slope(n, spec, embed_map.omega), n_nonembed_opt)
@@ -152,7 +167,8 @@ def local_loss_exponent(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap):
 
     k = (g/L*) [ -alpha n_c (n + omega/3 n^(1/3)) / (n + omega n^(1/3))**(alpha+1)
                  + beta d_c (c/(6n))**(-beta) (1 - 1/g) ]
-    with c and L* taken on the compute-optimal frontier.
+    with c and L* taken on the compute-optimal frontier.  Raises ``ValueError``
+    where ``ce_of_optimal_ne`` does.
     """
     n = _checked_optima(n_nonembed_opt, spec, embed_map)
     return _unwrap(_optimum(n, spec, embed_map.omega)[2], n_nonembed_opt)
@@ -194,4 +210,4 @@ def exponent_curve(
     from .frontier import size_grid
 
     n = _checked_optima(size_grid(n_min, n_max, count), spec, embed_map)
-    return (n, *_optimum(n, spec, embed_map.omega))
+    return (n, *_optimum(n, spec, embed_map.omega, ("n_min", "n_max")))

@@ -12,7 +12,6 @@ modules it calls when it runs, so a process loads nothing else.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -61,6 +60,8 @@ def _sizes_from_args(args):
 
 
 def _json_report(payload) -> str:
+    import json
+
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -286,6 +287,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

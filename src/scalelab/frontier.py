@@ -7,7 +7,6 @@ forms the frontier, from which the headline power laws are fitted.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 from dataclasses import dataclass
@@ -69,15 +68,13 @@ def kaplan_size_grid() -> np.ndarray:
 
 def size_grid(n_min: float, n_max: float, count: int) -> np.ndarray:
     """Log-spaced model size grid."""
-    from .params import _check_positive
+    from .params import _check_count, _check_positive
 
     _check_positive("n_min", n_min)
     _check_positive("n_max", n_max)
     if not n_min < n_max:
         raise ValueError("need 0 < n_min < n_max")
-    if count < 2:
-        raise ValueError("need count >= 2")
-    return np.geomspace(n_min, n_max, count)
+    return np.geomspace(n_min, n_max, _check_count("count", count, 2))
 
 
 @dataclass(frozen=True)
@@ -239,7 +236,7 @@ def simulate_curves(
     the checks here bound every sample, so none is repeated on the grid.
     """
     from .lossmodel import _surface
-    from .params import _check_third, total_from_nonembed
+    from .params import _check_count, _check_third, total_from_nonembed
 
     sizes = np.asarray(sizes, dtype=float)
     if sizes.ndim != 1 or sizes.size < 1:
@@ -249,8 +246,7 @@ def simulate_curves(
     lo, hi = tokens_per_param
     if not 0 < lo < hi < math.inf:
         raise ValueError("tokens_per_param must be finite and satisfy 0 < lo < hi")
-    if samples_per_curve < 2:
-        raise ValueError("need samples_per_curve >= 2")
+    samples_per_curve = _check_count("samples_per_curve", samples_per_curve, 2)
     _check_third(embed_map)
     n_total = total_from_nonembed(sizes, embed_map)
     # Extreme compute as associated below, in floats that overflow without warning.
@@ -350,12 +346,13 @@ def extract_frontier(
     only because nothing smaller or larger exists, which truncates the
     envelope and biases fitted exponents.
     """
+    from .params import _check_count
+
     if not isinstance(curves, Curves):
         raise TypeError(f"curves must be a Curves table, got {type(curves).__name__}")
     if len(curves) < 2:
         raise ValueError("need >=2 curves")
-    if n_bins < 10:
-        raise ValueError("need n_bins >= 10")
+    n_bins = _check_count("n_bins", n_bins, 10)
     if basis not in _BASES:
         raise ValueError("basis must be 'total' or 'nonembed'")
 
@@ -501,6 +498,8 @@ def write_frontier_csv(frontier: Frontier, path_or_buf) -> None:
 
 
 def read_frontier_csv(path) -> Frontier:
+    import csv
+
     with open(Path(path), newline="") as fh:
         reader = csv.DictReader(fh)
         expected = FRONTIER_CSV_HEADER.split(",")

@@ -8,7 +8,6 @@ in terms of (n_total, c_total), or through the parameter map in terms of
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +105,8 @@ def loss_ne_ce(n_nonembed, c_nonembed, spec: LossSpec, embed_map: EmbedMap):
 
 def load_loss_spec(path) -> LossSpec:
     """Read a custom LossSpec from a JSON object file."""
+    import json
+
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):

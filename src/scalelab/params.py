@@ -12,8 +12,8 @@ derived in closed form from a fixed width/depth aspect ratio.
 
 from __future__ import annotations
 
-import csv
 import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -54,6 +54,17 @@ def _check_positive(name, value):
         ok = v.size == 0 or (v.min() > 0 and v.max() < math.inf)
     if not ok:
         raise ValueError(f"{name} must be finite and > 0")
+
+
+def _check_count(name, value, least):
+    """``value`` as an int, once it is an integer (an int or a NumPy integer) >= ``least``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"need {name} >= {least}")
+    return count
 
 
 def _check_third(embed_map: EmbedMap):
@@ -204,6 +215,9 @@ def fit_embed_map(splits: list[ParamSplit]) -> EmbedMapFit:
 def omega_from_shape(vocab: float, context_learned: float, aspect_ratio: float) -> float:
     """Closed-form omega = (v+h) * (A/12)**(1/3) for a fixed aspect ratio."""
     _check_positive("aspect_ratio", aspect_ratio)
+    for name, value in (("vocab", vocab), ("context_learned", context_learned)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0")
     _check_positive("vocab + context_learned", vocab + context_learned)
     return (vocab + context_learned) * (aspect_ratio / 12.0) ** THIRD
 
@@ -215,6 +229,8 @@ def load_model_configs(path) -> list[ParamSplit]:
     When the optional n_nonembed column is absent or empty it is computed
     from the shape via ``count_params``.
     """
+    import csv
+
     splits = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)

@@ -18,13 +18,18 @@ from scalelab import (
 
 @pytest.fixture(scope="session")
 def fresh_python():
-    """Runs ``python *args`` in a new interpreter that imports scalelab from this checkout."""
+    """Runs ``python *args`` in a new interpreter that imports scalelab from this checkout.
+
+    ``env`` maps variables of this process's environment to new values; None unsets one.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    base = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
-    def run(*args):
-        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+    def run(*args, env=None):
+        merged = {**base, **(env or {})}
+        merged = {k: v for k, v in merged.items() if v is not None}
+        return subprocess.run([sys.executable, *args], env=merged, capture_output=True,
                               text=True, timeout=300)
 
     return run

@@ -280,13 +280,24 @@ def test_exponent_curve_columns_equal_the_public_closed_forms(alpha, beta_above,
     np.testing.assert_array_equal(loss_opt, loss_ne_ce(n, c, spec, emap))
 
 
+def _outcome(call):
+    """What ``call()`` gives: its result's type and bits, or its ValueError's message."""
+    try:
+        value = call()
+    except ValueError as exc:
+        return str(exc)
+    return type(value), np.asarray(value, dtype=float).tobytes()
+
+
 @settings(deadline=None)
 @given(st.floats(0.05, 0.8), st.floats(0.05, 1.0), st.sampled_from([0.0, 1.0, DEFAULT_OMEGA, 1e6]),
        st.floats(-3.0, 15.0), st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
 @example(0.5, 1.05 - max(_min_beta(0.5), 0.05), 0.0, 0.5204, 0.0, 0)
+@example(0.5, 0.05078125, 0.0, 11.0, 10.0, 0)  # some optima's compute overflows
 def test_scalar_closed_forms_equal_the_array_element(alpha, beta_above, omega, log10_n, decades,
                                                      seed):
-    """A float, a NumPy scalar and a 0-d array give the bits of the same value inside an array."""
+    """A float, a NumPy scalar and a 0-d array give the bits of the same value inside an
+    array, or raise the same error as that value alone in an array."""
     spec = LossSpec(406.4, 410.7, alpha, max(_min_beta(alpha), 0.05) + beta_above, 1.693)
     emap = EmbedMap(omega)
     rng = np.random.default_rng(seed)
@@ -297,11 +308,34 @@ def test_scalar_closed_forms_equal_the_array_element(alpha, beta_above, omega, l
              lambda x: local_loss_exponent(x, spec, emap),
              lambda x: optimal_nt(x, spec)]
     for form in forms:
-        column = form(n)
+        column = _outcome(lambda: form(n))
         for i in (0, *rng.integers(0, n.size, 4)):
-            got = [form(float(n[i])), form(n[i]), form(np.asarray(n[i]))]
-            assert [type(v) for v in got] == [float, float, np.float64]
-            assert {np.float64(v).tobytes() for v in got} == {column[i].tobytes()}
+            alone = _outcome(lambda: form(n[i:i + 1]))
+            if isinstance(alone, str):
+                assert column == alone  # the column holds the failing value too
+                want = [alone] * 3
+            else:
+                if not isinstance(column, str):
+                    assert alone[1] == column[1][8 * i:8 * i + 8]
+                want = [(t, alone[1]) for t in (float, float, np.float64)]
+            assert [_outcome(lambda: form(x))
+                    for x in (float(n[i]), n[i], np.asarray(n[i]))] == want
+
+
+@pytest.mark.parametrize("n", [9.4e20, 1e-100, [1e3, 9.4e20]])
+@pytest.mark.parametrize("form", [ce_of_optimal_ne, local_loss_exponent])
+def test_optimum_out_of_double_range_names_the_input(form, n):
+    """The compute at these optima over- or underflows: no inf, 0 or warning, a named error."""
+    spec = LossSpec(406.4, 410.7, 0.5, 0.10078125, 1.693)
+    with pytest.raises(ValueError, match="^n_nonembed_opt takes c_nonembed out of the range"):
+        form(n, spec, IDENTITY)
+
+
+@pytest.mark.parametrize("bounds, name", [((1e3, 1e25), "n_max"), ((1e-300, 1.0), "n_min")])
+def test_exponent_curve_out_of_double_range_names_the_bound(bounds, name):
+    spec = LossSpec(406.4, 410.7, 0.5, 0.10078125, 1.693)
+    with pytest.raises(ValueError, match=f"^{name} takes c_nonembed out of the range"):
+        exponent_curve(spec, IDENTITY, *bounds)
 
 
 def test_exponent_curve_rejects_bad_range():

@@ -1,4 +1,7 @@
+import gc
 import json
+import os
+import sys
 
 import pytest
 
@@ -275,32 +278,37 @@ def test_no_command_imports_numpy_ma(tmp_path, fresh_python):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-# Runs one command in a fresh interpreter, then lists the scalelab modules it loaded.
+# Runs one command in a fresh interpreter, then lists the scalelab modules it loaded and
+# which of the file-format modules: neither is loaded by numpy or argparse.
 _ONE_COMMAND = """
 import sys
 from scalelab.cli import main
 
 assert main(sys.argv[1:]) == 0, sys.argv
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scalelab"))
+print(sorted(m for m in ("csv", "json") if m in sys.modules))
 """
 
 _PARSER_MODULES = ["scalelab", "scalelab.cli", "scalelab.fitting", "scalelab.frontier"]
 _SURFACE_MODULES = sorted(_PARSER_MODULES + ["scalelab.lossmodel", "scalelab.params"])
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["fit", "{frontier}", "--form", "plain"], _PARSER_MODULES),
-    (["fit", "{frontier}", "--form", "chinchilla"], _PARSER_MODULES),
-    (["fit-embed-map"], sorted(_PARSER_MODULES + ["scalelab.data", "scalelab.params"])),
-    (["simulate", "--sizes-count", "3"], _SURFACE_MODULES),
-    (["frontier", "--basis", "total"], _SURFACE_MODULES),
-    (["reproduce"], _SURFACE_MODULES),
-    (["reproduce", "--omega", "0"], sorted(_SURFACE_MODULES + ["scalelab.analytic"])),
-    (["exponent-curve"], sorted(_SURFACE_MODULES + ["scalelab.analytic"])),
+@pytest.mark.parametrize("argv, loaded, formats", [
+    (["fit", "{frontier}", "--form", "plain"], _PARSER_MODULES, ["csv", "json"]),
+    (["fit", "{frontier}", "--form", "chinchilla"], _PARSER_MODULES, ["csv", "json"]),
+    (["fit-embed-map"], sorted(_PARSER_MODULES + ["scalelab.data", "scalelab.params"]),
+     ["csv", "json"]),
+    (["simulate", "--sizes-count", "3"], _SURFACE_MODULES, []),
+    (["frontier", "--basis", "total"], _SURFACE_MODULES, []),
+    (["reproduce"], _SURFACE_MODULES, ["json"]),
+    (["reproduce", "--omega", "0"], sorted(_SURFACE_MODULES + ["scalelab.analytic"]), ["json"]),
+    (["exponent-curve"], sorted(_SURFACE_MODULES + ["scalelab.analytic"]), []),
 ], ids=["fit-plain", "fit-chinchilla", "fit-embed-map", "simulate", "frontier", "reproduce",
         "reproduce-omega-0", "exponent-curve"])
-def test_each_command_loads_only_the_modules_it_calls(tmp_path, fresh_python, argv, loaded):
-    """A command never imports analytic, lossmodel or params unless it calls them."""
+def test_each_command_loads_only_the_modules_it_calls(tmp_path, fresh_python, argv, loaded,
+                                                      formats):
+    """A command never imports analytic, lossmodel or params unless it calls them, nor json
+    or csv unless it reads or writes that format."""
     frontier = tmp_path / "frontier.csv"
     frontier.write_text("basis,c,loss_min,n_opt,d_opt,model_index\n"
                         "total,1e10,3.0,1e3,1e6,1\ntotal,1e11,2.5,1e4,1e6,2\n"
@@ -308,7 +316,7 @@ def test_each_command_loads_only_the_modules_it_calls(tmp_path, fresh_python, ar
     argv = [a.format(frontier=frontier) for a in argv] + ["--output", str(tmp_path / "out")]
     proc = fresh_python("-c", _ONE_COMMAND, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str(loaded)
+    assert proc.stdout.splitlines()[-2:] == [str(loaded), str(formats)]
 
 
 @pytest.mark.parametrize("command", ["fit-embed-map", "simulate", "frontier", "fit",
@@ -317,3 +325,58 @@ def test_every_command_prints_help(fresh_python, command):
     proc = fresh_python("-m", "scalelab", command, "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(f"usage: scalelab {command}")
+
+
+# Runs ``python -m scalelab ARGS`` as runpy does, and at exit prints what the process
+# holds then: whether the collector is frozen, OPENBLAS_NUM_THREADS and its thread count.
+_AT_EXIT = """
+import atexit, gc, os, runpy, sys
+
+def probe():
+    tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+    print(gc.get_freeze_count() > 0, os.environ.get("OPENBLAS_NUM_THREADS"), tasks)
+
+atexit.register(probe)
+runpy.run_module("scalelab", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_a_command_process_freezes_the_collector_and_runs_blas_on_one_thread(tmp_path,
+                                                                             fresh_python):
+    """Shutdown's collections skip what is alive, and OpenBLAS starts no worker thread."""
+    proc = fresh_python("-c", _AT_EXIT, "fit-embed-map", "--output", str(tmp_path / "e.json"),
+                        env={"OPENBLAS_NUM_THREADS": None})
+    assert proc.returncode == 0, proc.stderr
+    frozen, threads, tasks = proc.stdout.splitlines()[-1].split()
+    assert (frozen, threads) == ("True", "1")
+    if sys.platform == "linux":
+        assert tasks == "1"
+
+
+def test_a_command_process_keeps_the_users_blas_threads(tmp_path, fresh_python):
+    proc = fresh_python("-c", _AT_EXIT, "fit-embed-map", "--output", str(tmp_path / "e.json"),
+                        env={"OPENBLAS_NUM_THREADS": "2"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split()[:2] == ["True", "2"]
+
+
+def test_in_process_main_changes_no_process_setting(tmp_path, capsys):
+    frozen, environ = gc.get_freeze_count(), dict(os.environ)
+    assert main(["fit-embed-map", "--output", str(tmp_path / "e.json")]) == 0
+    assert gc.get_freeze_count() == frozen and dict(os.environ) == environ
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["fit-embed-map", "--output", "{tmp}/e.json"], 0, ""),
+    (["fit", "{tmp}/f.csv", "--form", "plain"], 1, "error: prefactor overflows\n"),
+    (["fit", "{tmp}/missing.csv"], 2, "error: "),
+    (["fit", "{tmp}/f.csv", "--form", "bogus"], 2, "usage: scalelab fit"),
+], ids=["ok", "arithmetic", "bad-input", "usage"])
+def test_python_m_scalelab_exit_status(tmp_path, fresh_python, argv, code, err):
+    (tmp_path / "f.csv").write_text("basis,c,loss_min,n_opt,d_opt,model_index\n"
+                                    "nonembed,1e5,3.0,100.0,10.0,1\n"
+                                    f"nonembed,{10.0**5.03125!r},2.0,1.0,10.0,2\n"
+                                    f"nonembed,{10.0**5.0625!r},1.0,0.01,10.0,3\n")
+    proc = fresh_python("-m", "scalelab", *(a.format(tmp=tmp_path) for a in argv))
+    assert proc.returncode == code
+    assert proc.stderr.startswith(err) and (err or proc.stderr == "")

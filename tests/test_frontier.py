@@ -18,6 +18,7 @@ from scalelab import (
     LossSpec,
     bracketing_token_schedule,
     ce_of_optimal_ne,
+    exponent_curve,
     extract_frontier,
     fit_loss_scaling,
     fit_param_scaling,
@@ -408,6 +409,39 @@ def test_extract_frontier_rejects_non_finite_samples(epoch_curves, bad):
 def test_size_grid_rejects_non_finite_range(name, bad):
     with pytest.raises(ValueError, match=name):
         size_grid(**{"n_min": 1e6, "n_max": 1e9, name: bad}, count=5)
+
+
+_SIZES = np.array([1e4, 1e5, 1e6])
+
+# Each entry point that takes a count, with the name of the count.
+_COUNTED = {
+    "simulate_curves": ("samples_per_curve", lambda k: simulate_curves(
+        _SIZES, EPOCH, DEFAULT_EMBED_MAP, samples_per_curve=k)),
+    "extract_frontier": ("n_bins", lambda k: extract_frontier(
+        simulate_curves(_SIZES, EPOCH, DEFAULT_EMBED_MAP, samples_per_curve=64), n_bins=k)),
+    "size_grid": ("count", lambda k: size_grid(1e6, 1e9, k)),
+    "exponent_curve": ("count", lambda k: exponent_curve(EPOCH, DEFAULT_EMBED_MAP, count=k)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 200.5, np.nan, 20.0, np.float64(20.0), "3"])
+@pytest.mark.parametrize("entry", sorted(_COUNTED))
+def test_counts_must_be_integers(entry, bad):
+    """A float count once built a misaligned table (2.5 samples per curve put curve 0's
+    last sample in curve 1's row) or failed inside NumPy without naming the argument."""
+    name, call = _COUNTED[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", sorted(_COUNTED))
+def test_counts_accept_numpy_integers(entry):
+    assert _COUNTED[entry][1](np.int64(20)) is not None
+
+
+def test_samples_per_curve_sets_the_table_layout():
+    curves = simulate_curves(_SIZES, EPOCH, DEFAULT_EMBED_MAP, samples_per_curve=np.int32(3))
+    assert curves.starts.tolist() == [0, 3, 6] and curves.loss.size == 9
 
 
 @pytest.mark.parametrize("margin", [np.nan, np.inf, 0.5, -3.0])

@@ -212,6 +212,16 @@ def test_omega_from_shape_rejects():
         omega_from_shape(0, 0, 40.0)
 
 
+@pytest.mark.parametrize("vocab, context, name", [
+    (-1.0, 2.0, "vocab"), (2.0, -1.0, "context_learned"), (np.nan, 2.0, "vocab"),
+    (2.0, np.inf, "context_learned"), (np.inf, -np.inf, "vocab"),
+])
+def test_omega_from_shape_rejects_a_bad_part(vocab, context, name):
+    """Each part is finite and >= 0, as in ModelShape, whatever their sum."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+        omega_from_shape(vocab, context, 1.0)
+
+
 def test_load_model_configs_explicit_and_computed(tmp_path):
     path = tmp_path / "configs.csv"
     path.write_text(
