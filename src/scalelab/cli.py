@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 from .frontier import DEFAULT_BINS, KAPLAN_GRID_POINTS, KAPLAN_SIZE_RANGE
 
 if TYPE_CHECKING:
+    from .frontier import Curves
     from .lossmodel import LossSpec
     from .params import EmbedMap
 
@@ -26,15 +27,16 @@ __all__ = ["main"]
 
 EXPONENT_CURVE_CSV_HEADER = "n_nonembed,c_nonembed,g,k,loss_opt"
 
-# Headline quantities checked by `reproduce`: (key, spec, target, tolerance).
-HEADLINE_TARGETS = [
-    ("param_exponent_nonembed", "epoch", 0.78, 0.02),
-    ("param_exponent_nonembed", "chinchilla", 0.74, 0.02),
-    ("loss_exponent_nonembed_kaplan_form", "epoch", -0.069, 0.005),
-    ("loss_exponent_nonembed_kaplan_form", "chinchilla", -0.066, 0.005),
-    ("gamma_total_chinchilla_form", "epoch", 0.178, 0.005),
-    ("gamma_total_chinchilla_form", "chinchilla", 0.155, 0.005),
-]
+# Headline quantities checked by `reproduce`: (spec, quantity) -> (target, tolerance).
+# A spec's entries are reported in this order.
+HEADLINE_TARGETS = {
+    ("epoch", "param_exponent_nonembed"): (0.78, 0.02),
+    ("chinchilla", "param_exponent_nonembed"): (0.74, 0.02),
+    ("epoch", "loss_exponent_nonembed_kaplan_form"): (-0.069, 0.005),
+    ("chinchilla", "loss_exponent_nonembed_kaplan_form"): (-0.066, 0.005),
+    ("epoch", "gamma_total_chinchilla_form"): (0.178, 0.005),
+    ("chinchilla", "gamma_total_chinchilla_form"): (0.155, 0.005),
+}
 
 
 def _emit(text: str, output: str | None, echo: bool = False) -> None:
@@ -51,12 +53,6 @@ def _embed_map_from_args(args) -> EmbedMap:
     from .params import DEFAULT_OMEGA, EmbedMap
 
     return EmbedMap(DEFAULT_OMEGA if args.omega is None else args.omega)
-
-
-def _sizes_from_args(args):
-    from .frontier import size_grid
-
-    return size_grid(args.sizes_min, args.sizes_max, args.sizes_count)
 
 
 def _json_report(payload) -> str:
@@ -80,29 +76,26 @@ def cmd_fit_embed_map(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    from .frontier import simulate_curves, write_curves_csv
+def _simulate(args) -> Curves:
+    """The curves of the size grid, spec and map that `simulate` and `frontier` share."""
+    from .frontier import simulate_curves, size_grid
     from .lossmodel import resolve_spec
 
-    curves = simulate_curves(_sizes_from_args(args), resolve_spec(args.spec or "epoch"),
-                             _embed_map_from_args(args))
-    write_curves_csv(curves, args.output or sys.stdout)
+    sizes = size_grid(args.sizes_min, args.sizes_max, args.sizes_count)
+    return simulate_curves(sizes, resolve_spec(args.spec or "epoch"), _embed_map_from_args(args))
+
+
+def cmd_simulate(args) -> int:
+    from .frontier import write_curves_csv
+
+    write_curves_csv(_simulate(args), args.output or sys.stdout)
     return 0
 
 
-def _build_frontier(args, basis: str):
-    from .frontier import extract_frontier, simulate_curves
-    from .lossmodel import resolve_spec
-
-    curves = simulate_curves(_sizes_from_args(args), resolve_spec(args.spec or "epoch"),
-                             _embed_map_from_args(args))
-    return extract_frontier(curves, n_bins=args.bins, basis=basis)
-
-
 def cmd_frontier(args) -> int:
-    from .frontier import write_frontier_csv
+    from .frontier import extract_frontier, write_frontier_csv
 
-    frontier = _build_frontier(args, args.basis)
+    frontier = extract_frontier(_simulate(args), n_bins=args.bins, basis=args.basis)
     write_frontier_csv(frontier, args.output or sys.stdout)
     return 0
 
@@ -115,7 +108,8 @@ def cmd_fit(args) -> int:
         fit = fit_param_scaling(frontier)
     else:
         fit = fit_loss_scaling(frontier, form=args.form)
-    _emit(_json_report(fit.to_report(args.form, frontier.basis)), args.output, echo=True)
+    report = {"form": args.form, "basis": frontier.basis, **vars(fit)}
+    _emit(_json_report(report), args.output, echo=True)
     return 0
 
 
@@ -174,47 +168,39 @@ def cmd_reproduce(args) -> int:
     from .lossmodel import SPEC_CATALOG, resolve_spec
     from .params import DEFAULT_EMBED_MAP
 
-    headline = args.spec is None and args.omega is None
-    entries = []
-    if headline:
-        for name in ("epoch", "chinchilla"):
-            measured = _pipeline_measurements(
-                SPEC_CATALOG[name], DEFAULT_EMBED_MAP, args.bins, DEFAULT_TOKENS_PER_PARAM,
-            )
-            for key, spec_name, target, tol in HEADLINE_TARGETS:
-                if spec_name != name:
-                    continue
-                observed = measured[key]
-                entries.append({
-                    "quantity": key,
-                    "spec": name,
-                    "observed": observed,
-                    "target": target,
-                    "tolerance": tol,
-                    "pass": abs(observed - target) <= tol,
-                })
+    # The headline runs report their targeted quantities; a run of a chosen
+    # spec or map reports every measurement, on a schedule that brackets it.
+    if args.spec is None and args.omega is None:
+        targets = HEADLINE_TARGETS
+        runs = [(name, SPEC_CATALOG[name], DEFAULT_EMBED_MAP, DEFAULT_TOKENS_PER_PARAM)
+                for name in ("epoch", "chinchilla")]
     else:
-        spec_name = args.spec or "epoch"
-        spec = resolve_spec(spec_name)
-        embed_map = _embed_map_from_args(args)
+        targets = {}
+        name = args.spec or "epoch"
+        spec, embed_map = resolve_spec(name), _embed_map_from_args(args)
         schedule = bracketing_token_schedule(kaplan_size_grid(), spec, embed_map)
+        runs = [(name, spec, embed_map, schedule)]
+
+    entries = []
+    for name, spec, embed_map, schedule in runs:
         measured = _pipeline_measurements(spec, embed_map, args.bins, schedule)
-        for key, observed in measured.items():
-            entries.append({
-                "quantity": key,
-                "spec": spec_name,
-                "observed": observed,
-                "target": None,
-                "tolerance": None,
-                "pass": None,
-            })
         if embed_map.omega == 0.0:
             print("omega = 0: nonembed basis identical to total; total-basis results only")
+        for key in [q for s, q in targets if s == name] or measured:
+            observed = measured[key]
+            target, tol = targets.get((name, key), (None, None))
+            entries.append({
+                "quantity": key,
+                "spec": name,
+                "observed": observed,
+                "target": target,
+                "tolerance": tol,
+                "pass": None if target is None else abs(observed - target) <= tol,
+            })
 
     _print_reproduce_table(entries)
     _emit(_json_report(entries), args.output)
-    failed = [e for e in entries if e["pass"] is False]
-    return 1 if failed else 0
+    return 1 if any(e["pass"] is False for e in entries) else 0
 
 
 def _add_map_options(parser) -> None:

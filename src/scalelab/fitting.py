@@ -48,17 +48,6 @@ class PowerLawFit:
         out = base + (self.offset or 0.0)
         return _match_scalar(out, x)
 
-    def to_report(self, form: str, basis: str) -> dict:
-        return {
-            "form": form,
-            "basis": basis,
-            "prefactor": self.prefactor,
-            "exponent": self.exponent,
-            "offset": self.offset,
-            "r_squared": self.r_squared,
-            "n_points": self.n_points,
-        }
-
 
 def _loglog_design(log_x: np.ndarray):
     """Column-scaled degree-1 least-squares design on ln x, built once per x.

@@ -54,6 +54,8 @@ KAPLAN_GRID_POINTS = 20
 # the envelope is truncated and the fitted exponents biased; 3e5 covers both
 # catalog specs with margin (max interior requirement is ~2.2e5).
 DEFAULT_TOKENS_PER_PARAM = (10.0, 3e5)
+# Factor by which `bracketing_token_schedule` widens the optimal ratios' range.
+TOKEN_MARGIN = 3.0
 DEFAULT_SAMPLES_PER_CURVE = 512
 DEFAULT_BINS = 200
 
@@ -205,20 +207,18 @@ class Frontier:
         return [FrontierPoint(*row) for row in zip(*columns)]
 
 
-def bracketing_token_schedule(
-    sizes, spec: LossSpec, embed_map: EmbedMap, margin: float = 3.0
-) -> tuple[float, float]:
+def bracketing_token_schedule(sizes, spec: LossSpec,
+                              embed_map: EmbedMap) -> tuple[float, float]:
     """Token-multiple range bracketing every grid model's optimal allocation.
 
-    Used when a custom spec or map makes the fixed default range unsuitable.
+    The optimal ratios' range widened by ``TOKEN_MARGIN`` at each end; used
+    when a custom spec or map makes the fixed default range unsuitable.
     """
     from .analytic import ce_of_optimal_ne
 
-    if not (np.isfinite(margin) and margin >= 1):
-        raise ValueError("margin must be finite and >= 1")
     sizes = np.asarray(sizes, dtype=float)
     ratios = ce_of_optimal_ne(sizes, spec, embed_map) / (6.0 * sizes**2)
-    return float(ratios.min() / margin), float(ratios.max() * margin)
+    return float(ratios.min() / TOKEN_MARGIN), float(ratios.max() * TOKEN_MARGIN)
 
 
 def simulate_curves(

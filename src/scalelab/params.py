@@ -56,6 +56,12 @@ def _check_positive(name, value):
         raise ValueError(f"{name} must be finite and > 0")
 
 
+def _check_nonnegative(name, value):
+    """Raise ValueError unless the scalar ``value`` is finite and >= 0."""
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0")
+
+
 def _check_count(name, value, least):
     """``value`` as an int, once it is an integer (an int or a NumPy integer) >= ``least``."""
     try:
@@ -86,14 +92,8 @@ class ModelShape:
     context_learned: int = 0
 
     def __post_init__(self):
-        for name in ("d_model", "n_layers", "vocab", "context_learned"):
-            value = getattr(self, name)
-            if value != int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.d_model < 1 or self.n_layers < 1:
-            raise ValueError("degenerate shape: d_model and n_layers must be >= 1")
-        if self.vocab < 0 or self.context_learned < 0:
-            raise ValueError("vocab and context_learned must be >= 0")
+        for name, least in (("d_model", 1), ("n_layers", 1), ("vocab", 0), ("context_learned", 0)):
+            _check_count(name, getattr(self, name), least)
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,8 @@ class ParamSplit:
     n_nonembed: float
 
     def __post_init__(self):
-        for name in ("n_embed", "n_nonembed"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0")
+        _check_nonnegative("n_embed", self.n_embed)
+        _check_nonnegative("n_nonembed", self.n_nonembed)
 
     @property
     def n_total(self) -> float:
@@ -126,8 +124,7 @@ class EmbedMap:
     delta: float = THIRD
 
     def __post_init__(self):
-        if not (np.isfinite(self.omega) and self.omega >= 0):
-            raise ValueError("omega must be finite and >= 0")
+        _check_nonnegative("omega", self.omega)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
 
@@ -215,9 +212,8 @@ def fit_embed_map(splits: list[ParamSplit]) -> EmbedMapFit:
 def omega_from_shape(vocab: float, context_learned: float, aspect_ratio: float) -> float:
     """Closed-form omega = (v+h) * (A/12)**(1/3) for a fixed aspect ratio."""
     _check_positive("aspect_ratio", aspect_ratio)
-    for name, value in (("vocab", vocab), ("context_learned", context_learned)):
-        if not (np.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and >= 0")
+    _check_nonnegative("vocab", vocab)
+    _check_nonnegative("context_learned", context_learned)
     _check_positive("vocab + context_learned", vocab + context_learned)
     return (vocab + context_learned) * (aspect_ratio / 12.0) ** THIRD
 

@@ -153,6 +153,29 @@ def test_reproduce_custom_symmetric_spec(tmp_path, capsys):
     assert all(e["pass"] is None for e in entries)
 
 
+def test_reproduce_named_spec_reports_every_measurement_without_targets(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    code, _, _ = _run(capsys, ["reproduce", "--spec", "epoch", "--output", str(report_path)])
+    assert code == 0
+    entries = json.loads(report_path.read_text())
+    assert [e["quantity"] for e in entries] == [
+        "param_exponent_total", "loss_exponent_total_kaplan_form", "gamma_total_chinchilla_form",
+        "offset_total_chinchilla_form", "param_exponent_nonembed",
+        "loss_exponent_nonembed_kaplan_form",
+    ]
+    for e in entries:
+        assert list(e) == ["quantity", "spec", "observed", "target", "tolerance", "pass"]
+        assert (e["spec"], e["target"], e["tolerance"], e["pass"]) == ("epoch", None, None, None)
+
+
+def test_reproduce_omega_zero_prints_its_note_before_the_table(capsys):
+    code, out, _ = _run(capsys, ["reproduce", "--omega", "0"])
+    assert code == 0
+    note, header = out.splitlines()[:2]
+    assert note.startswith("omega = 0: ")
+    assert header.split()[:2] == ["spec", "quantity"]
+
+
 def test_unknown_spec_file_errors(capsys):
     code, _, err = _run(capsys, ["frontier", "--spec", "/nonexistent/spec.json"])
     assert code != 0

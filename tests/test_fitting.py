@@ -118,20 +118,6 @@ def test_predict_includes_offset():
     assert fit.predict(float(x[0])) == pytest.approx(float(y[0]), rel=1e-6)
 
 
-def test_to_report_shape():
-    fit = fit_power_law([1.0, 10.0, 100.0], [2.0, 20.0, 200.0])
-    report = fit.to_report("plain", "nonembed")
-    assert report == {
-        "form": "plain",
-        "basis": "nonembed",
-        "prefactor": fit.prefactor,
-        "exponent": fit.exponent,
-        "offset": None,
-        "r_squared": fit.r_squared,
-        "n_points": 3,
-    }
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("fit", [fit_power_law, fit_power_law_with_offset])
 def test_fits_reject_non_finite(fit, bad):

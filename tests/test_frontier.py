@@ -444,10 +444,11 @@ def test_samples_per_curve_sets_the_table_layout():
     assert curves.starts.tolist() == [0, 3, 6] and curves.loss.size == 9
 
 
-@pytest.mark.parametrize("margin", [np.nan, np.inf, 0.5, -3.0])
-def test_bracketing_token_schedule_rejects_bad_margin(margin):
-    with pytest.raises(ValueError, match="margin"):
-        bracketing_token_schedule(kaplan_size_grid(), EPOCH, DEFAULT_EMBED_MAP, margin)
+def test_bracketing_token_schedule_widens_the_optimal_ratios_threefold():
+    sizes = kaplan_size_grid()
+    ratios = ce_of_optimal_ne(sizes, EPOCH, DEFAULT_EMBED_MAP) / (6.0 * sizes**2)
+    assert bracketing_token_schedule(sizes, EPOCH, DEFAULT_EMBED_MAP) == (
+        ratios.min() / 3.0, ratios.max() * 3.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

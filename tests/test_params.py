@@ -49,6 +49,12 @@ def test_degenerate_shape_rejected(kwargs):
         ModelShape(**kwargs)
 
 
+@pytest.mark.parametrize("d_model", [math.nan, math.inf, 512.5, 512.0])
+def test_shape_rejects_a_non_integer_count_by_name(d_model):
+    with pytest.raises(ValueError, match="^d_model must be an integer"):
+        ModelShape(d_model=d_model, n_layers=2)
+
+
 def test_param_split_rejects_negative():
     with pytest.raises(ValueError):
         ParamSplit(n_embed=-1, n_nonembed=10)
