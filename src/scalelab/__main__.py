@@ -7,6 +7,7 @@ neither setting.
 
 import gc
 import os
+import sys
 
 
 def run() -> int:
@@ -16,13 +17,21 @@ def run() -> int:
     on one thread instead of a spinning pool, unless the user set
     ``OPENBLAS_NUM_THREADS``; numpy reads it when the command first imports
     numpy.  The collector is frozen before exit, so the collections at
-    interpreter shutdown skip every object still alive.
+    interpreter shutdown skip every object still alive.  A reader that closes
+    standard output ends the command quietly with 141 (128 + SIGPIPE), as a
+    shell reports a process killed by SIGPIPE.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         from . import cli
 
-        return cli.main()
+        status = cli.main()
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter shutdown
+        return status
+    except BrokenPipeError:
+        # What is still buffered goes to devnull, so shutdown's flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     finally:
         gc.freeze()
 

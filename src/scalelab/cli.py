@@ -1,22 +1,22 @@
 """Command-line front end emitting figure-ready CSV data and fit reports.
 
-Every command is deterministic and writes to --output or standard output;
-reruns with the same flags produce byte-identical files.  Exit status: 0 on
-success, 2 for bad input (as for an argparse usage error), 1 for a failed
-`reproduce` tolerance or a numerical failure.
+Every command is deterministic and writes to --output or standard output
+through ``frontier._write``; reruns with the same flags produce byte-identical
+files.  Exit status: 0 on success, 2 for bad input (as for an argparse usage
+error), 1 for a failed `reproduce` tolerance or a numerical failure.  A closed
+standard output is left to ``scalelab.__main__.run``.
 
-The parser needs only the frontier constants; each command imports the
-modules it calls when it runs, so a process loads nothing else.
+The parser needs only the frontier constants and writer; each command imports
+the modules it calls when it runs, so a process loads nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .frontier import DEFAULT_BINS, KAPLAN_GRID_POINTS, KAPLAN_SIZE_RANGE
+from .frontier import DEFAULT_BINS, KAPLAN_GRID_POINTS, KAPLAN_SIZE_RANGE, _write
 
 if TYPE_CHECKING:
     from .frontier import Curves
@@ -39,13 +39,13 @@ HEADLINE_TARGETS = {
 }
 
 
-def _emit(text: str, output: str | None, echo: bool = False) -> None:
-    """Write to --output if given, else stdout; echo small reports to stdout too."""
-    if output:
-        Path(output).write_text(text)
-        if echo:
-            sys.stdout.write(text)
-    else:
+def _report(payload, output: str | None, echo: bool = False) -> None:
+    """Write the JSON report to --output if given, else stdout; echo small reports to stdout too."""
+    import json
+
+    text = json.dumps(payload, indent=2) + "\n"
+    _write(output or sys.stdout, text)
+    if output and echo:
         sys.stdout.write(text)
 
 
@@ -53,12 +53,6 @@ def _embed_map_from_args(args) -> EmbedMap:
     from .params import DEFAULT_OMEGA, EmbedMap
 
     return EmbedMap(DEFAULT_OMEGA if args.omega is None else args.omega)
-
-
-def _json_report(payload) -> str:
-    import json
-
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def cmd_fit_embed_map(args) -> int:
@@ -72,7 +66,7 @@ def cmd_fit_embed_map(args) -> int:
         "r_squared": fit.r_squared,
         "n_points": fit.n_points,
     }
-    _emit(_json_report(report), args.output, echo=True)
+    _report(report, args.output, echo=True)
     return 0
 
 
@@ -109,7 +103,7 @@ def cmd_fit(args) -> int:
     else:
         fit = fit_loss_scaling(frontier, form=args.form)
     report = {"form": args.form, "basis": frontier.basis, **vars(fit)}
-    _emit(_json_report(report), args.output, echo=True)
+    _report(report, args.output, echo=True)
     return 0
 
 
@@ -118,9 +112,9 @@ def cmd_exponent_curve(args) -> int:
     from .lossmodel import resolve_spec
 
     columns = exponent_curve(resolve_spec(args.spec or "epoch"), _embed_map_from_args(args))
-    lines = [EXPONENT_CURVE_CSV_HEADER]
-    lines += [",".join(f"{v:.17g}" for v in row) for row in zip(*(a.tolist() for a in columns))]
-    _emit("\n".join(lines) + "\n", args.output)
+    rows = zip(*(a.tolist() for a in columns))
+    _write(args.output or sys.stdout, EXPONENT_CURVE_CSV_HEADER + "\n",
+           (",".join(f"{v:.17g}" for v in row) + "\n" for row in rows))
     return 0
 
 
@@ -199,7 +193,7 @@ def cmd_reproduce(args) -> int:
             })
 
     _print_reproduce_table(entries)
-    _emit(_json_report(entries), args.output)
+    _report(entries, args.output)
     return 1 if any(e["pass"] is False for e in entries) else 0
 
 
@@ -269,6 +263,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # a closed reader, not bad input: run() ends the process
+        raise
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2

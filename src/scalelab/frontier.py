@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -461,46 +460,43 @@ def fit_loss_scaling(
     raise ValueError("form must be 'kaplan' or 'chinchilla'")
 
 
-def _open_out(path_or_buf):
-    if hasattr(path_or_buf, "write"):
-        return path_or_buf, False
-    return open(path_or_buf, "w", newline=""), True
+def _write(path_or_buf, head: str, lines=()) -> None:
+    """Write ``head``, then each string of ``lines``, to an open text buffer, or to the
+    file at a path, opened with ``newline=""`` so no newline is translated."""
+    if not hasattr(path_or_buf, "write"):
+        with open(path_or_buf, "w", newline="") as fh:
+            return _write(fh, head, lines)
+    path_or_buf.write(head)
+    path_or_buf.writelines(lines)
 
 
 def write_curves_csv(curves: Curves, path_or_buf) -> None:
-    """Curves CSV; full double precision so reruns are byte-identical."""
-    fh, should_close = _open_out(path_or_buf)
-    try:
-        fh.write(CURVES_CSV_HEADER + "\n")
-        for cv in curves:
-            head = f"{cv.model_index},{cv.n_nonembed:.17g},{cv.n_total:.17g},"
-            columns = (getattr(cv, name).tolist() for name in _SAMPLE_FIELDS)
-            fh.write("".join(f"{head}{d:.17g},{ct:.17g},{ce:.17g},{ls:.17g}\n"
-                             for d, ct, ce, ls in zip(*columns)))
-    finally:
-        if should_close:
-            fh.close()
+    """Curves CSV; full double precision so reruns are byte-identical.
+
+    Each curve's head is formatted once and its samples from the column slices
+    its ``starts`` bound, so no row record is built.
+    """
+    bounds = [*curves.starts.tolist(), curves.loss.size]
+    heads = (f"{k},{n_nonembed:.17g},{n_total:.17g}," for k, n_nonembed, n_total in
+             zip(*(getattr(curves, name).tolist() for name in _CURVE_FIELDS)))
+    samples = ((getattr(curves, name)[a:b].tolist() for name in _SAMPLE_FIELDS)
+               for a, b in zip(bounds, bounds[1:]))
+    _write(path_or_buf, CURVES_CSV_HEADER + "\n",
+           ("".join(f"{head}{d:.17g},{ct:.17g},{ce:.17g},{ls:.17g}\n"
+                    for d, ct, ce, ls in zip(*columns)) for head, columns in zip(heads, samples)))
 
 
 def write_frontier_csv(frontier: Frontier, path_or_buf) -> None:
-    fh, should_close = _open_out(path_or_buf)
-    try:
-        fh.write(FRONTIER_CSV_HEADER + "\n")
-        columns = (getattr(frontier, name).tolist() for name in _POINT_FIELDS)
-        for c, loss_min, n_opt, d_opt, model_index in zip(*columns):
-            fh.write(
-                f"{frontier.basis},{c:.17g},{loss_min:.17g},"
-                f"{n_opt:.17g},{d_opt:.17g},{model_index}\n"
-            )
-    finally:
-        if should_close:
-            fh.close()
+    columns = (getattr(frontier, name).tolist() for name in _POINT_FIELDS)
+    _write(path_or_buf, FRONTIER_CSV_HEADER + "\n",
+           (f"{frontier.basis},{c:.17g},{loss_min:.17g},{n_opt:.17g},{d_opt:.17g},{k}\n"
+            for c, loss_min, n_opt, d_opt, k in zip(*columns)))
 
 
 def read_frontier_csv(path) -> Frontier:
     import csv
 
-    with open(Path(path), newline="") as fh:
+    with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         expected = FRONTIER_CSV_HEADER.split(",")
         if reader.fieldnames != expected:

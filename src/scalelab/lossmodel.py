@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import _match_scalar
-from .params import (
-    EmbedMap,
-    _check_nonnegative,
-    _check_positive,
-    _check_third,
-    total_from_nonembed,
-)
+from .params import EmbedMap, _check_positive, _check_third, total_from_nonembed
 
 __all__ = [
     "LossSpec",
@@ -47,7 +41,7 @@ class LossSpec:
     def __post_init__(self):
         for name in ("n_c", "d_c", "alpha", "beta"):
             _check_positive(name, getattr(self, name))
-        _check_nonnegative("e_irr", self.e_irr)
+        _check_positive("e_irr", self.e_irr, zero_ok=True)
 
 
 # The two compiled-in constant sets: the original total-parameter fit and the

@@ -45,26 +45,25 @@ THIRD = 1.0 / 3.0
 DEFAULT_OMEGA = 47491.0
 
 
-def _check_positive(name, value):
-    """Raise ValueError unless every entry of ``value`` is finite and > 0."""
+def _check_positive(name, value, zero_ok=False):
+    """Raise ValueError unless every entry of ``value`` is finite and > 0 (>= 0 if ``zero_ok``)."""
     if isinstance(value, float):  # also np.float64; skips building a 0-d array
-        ok = math.isfinite(value) and value > 0
+        lo = hi = value
     else:  # NaN fails both comparisons; no full-size temporaries
         v = np.asarray(value, dtype=float)
-        ok = v.size == 0 or (v.min() > 0 and v.max() < math.inf)
-    if not ok:
-        raise ValueError(f"{name} must be finite and > 0")
-
-
-def _check_nonnegative(name, value):
-    """Raise ValueError unless the scalar ``value`` is finite and >= 0."""
-    if not (np.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0")
+        if v.size == 0:
+            return
+        lo, hi = v.min(), v.max()
+    if not ((lo >= 0 if zero_ok else lo > 0) and hi < math.inf):
+        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0")
 
 
 def _check_count(name, value, least):
-    """``value`` as an int, once it is an integer (an int or a NumPy integer) >= ``least``."""
+    """``value`` as an int, once it is an integer (an int or a NumPy integer, not a bool)
+    >= ``least``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -104,8 +103,8 @@ class ParamSplit:
     n_nonembed: float
 
     def __post_init__(self):
-        _check_nonnegative("n_embed", self.n_embed)
-        _check_nonnegative("n_nonembed", self.n_nonembed)
+        _check_positive("n_embed", self.n_embed, zero_ok=True)
+        _check_positive("n_nonembed", self.n_nonembed, zero_ok=True)
 
     @property
     def n_total(self) -> float:
@@ -124,7 +123,7 @@ class EmbedMap:
     delta: float = THIRD
 
     def __post_init__(self):
-        _check_nonnegative("omega", self.omega)
+        _check_positive("omega", self.omega, zero_ok=True)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
 
@@ -212,8 +211,8 @@ def fit_embed_map(splits: list[ParamSplit]) -> EmbedMapFit:
 def omega_from_shape(vocab: float, context_learned: float, aspect_ratio: float) -> float:
     """Closed-form omega = (v+h) * (A/12)**(1/3) for a fixed aspect ratio."""
     _check_positive("aspect_ratio", aspect_ratio)
-    _check_nonnegative("vocab", vocab)
-    _check_nonnegative("context_learned", context_learned)
+    _check_positive("vocab", vocab, zero_ok=True)
+    _check_positive("context_learned", context_learned, zero_ok=True)
     _check_positive("vocab + context_learned", vocab + context_learned)
     return (vocab + context_learned) * (aspect_ratio / 12.0) ** THIRD
 

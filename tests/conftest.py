@@ -17,17 +17,21 @@ from scalelab import (
 
 
 @pytest.fixture(scope="session")
-def fresh_python():
+def checkout_env():
+    """This process's environment, with scalelab imported from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.fixture(scope="session")
+def fresh_python(checkout_env):
     """Runs ``python *args`` in a new interpreter that imports scalelab from this checkout.
 
     ``env`` maps variables of this process's environment to new values; None unsets one.
     """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    base = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
     def run(*args, env=None):
-        merged = {**base, **(env or {})}
+        merged = {**checkout_env, **(env or {})}
         merged = {k: v for k, v in merged.items() if v is not None}
         return subprocess.run([sys.executable, *args], env=merged, capture_output=True,
                               text=True, timeout=300)

@@ -1,11 +1,13 @@
 import gc
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
 from scalelab import analytic
+from scalelab import frontier as frontier_module
 from scalelab.cli import main
 
 
@@ -403,3 +405,33 @@ def test_python_m_scalelab_exit_status(tmp_path, fresh_python, argv, code, err):
     proc = fresh_python("-m", "scalelab", *(a.format(tmp=tmp_path) for a in argv))
     assert proc.returncode == code
     assert proc.stderr.startswith(err) and (err or proc.stderr == "")
+
+
+def test_a_closed_pipe_ends_python_m_scalelab_quietly_with_141(checkout_env):
+    """A reader that stops early, as `scalelab simulate | head -n 1` does, is not bad input:
+    the command once printed "error: [Errno 32] Broken pipe" and exited 2."""
+    with subprocess.Popen([sys.executable, "-m", "scalelab", "simulate"], env=checkout_env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"model_index,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 141
+    assert err == b""
+
+
+def test_no_command_builds_a_row_record(tmp_path, monkeypatch):
+    """Every command reads and writes columns; TrainingCurve and FrontierPoint rows are
+    built only when a caller indexes or iterates a table or reads ``points``."""
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a command built a row record")
+
+    monkeypatch.setattr(frontier_module, "TrainingCurve", no_rows)
+    monkeypatch.setattr(frontier_module, "FrontierPoint", no_rows)
+    for argv in [
+        ["simulate", "--output", f"{tmp_path}/curves.csv"],
+        ["frontier", "--basis", "total", "--output", f"{tmp_path}/total.csv"],
+        ["fit", f"{tmp_path}/total.csv", "--form", "chinchilla"],
+        ["exponent-curve", "--output", f"{tmp_path}/curve.csv"],
+        ["reproduce"],
+    ]:
+        assert main(argv) == 0, argv

@@ -424,7 +424,7 @@ _COUNTED = {
 }
 
 
-@pytest.mark.parametrize("bad", [2.5, 200.5, np.nan, 20.0, np.float64(20.0), "3"])
+@pytest.mark.parametrize("bad", [2.5, 200.5, np.nan, 20.0, np.float64(20.0), "3", True, False])
 @pytest.mark.parametrize("entry", sorted(_COUNTED))
 def test_counts_must_be_integers(entry, bad):
     """A float count once built a misaligned table (2.5 samples per curve put curve 0's

@@ -9,6 +9,7 @@ from scalelab import (
     DEFAULT_EMBED_MAP,
     DEFAULT_OMEGA,
     EmbedMap,
+    LossSpec,
     ModelShape,
     ParamSplit,
     bundled_config_path,
@@ -49,7 +50,7 @@ def test_degenerate_shape_rejected(kwargs):
         ModelShape(**kwargs)
 
 
-@pytest.mark.parametrize("d_model", [math.nan, math.inf, 512.5, 512.0])
+@pytest.mark.parametrize("d_model", [math.nan, math.inf, 512.5, 512.0, True])
 def test_shape_rejects_a_non_integer_count_by_name(d_model):
     with pytest.raises(ValueError, match="^d_model must be an integer"):
         ModelShape(d_model=d_model, n_layers=2)
@@ -324,18 +325,33 @@ def test_param_split_rejects_non_finite(name, bad):
         ParamSplit(**{"n_embed": 1.0, "n_nonembed": 1.0, name: bad})
 
 
+@pytest.mark.parametrize("bad", [-2.0, *NON_FINITE])
+@pytest.mark.parametrize("name, build", [
+    ("omega", EmbedMap),
+    ("e_irr", lambda v: LossSpec(1.0, 1.0, 0.3, 0.3, v)),
+    ("n_embed", lambda v: ParamSplit(n_embed=v, n_nonembed=10.0)),
+], ids=["omega", "e_irr", "n_embed"])
+def test_nonnegative_fields_check_every_array_entry(name, build, bad):
+    """An array once raised NumPy's "truth value ... is ambiguous", naming no field."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+        build(np.array([1.0, bad]))
+
+
 @pytest.mark.parametrize("value", [1.0, 5e-324, 1e308, 0.0, -0.0, -1.0, *NON_FINITE])
 def test_check_positive_scalar_path_matches_array_path(value):
-    def accepts(v):
+    """Both bounds, > 0 and >= 0 (``zero_ok``), take the same path."""
+    def accepts(v, zero_ok):
         try:
-            _check_positive("arg", v)
+            _check_positive("arg", v, zero_ok)
         except ValueError as exc:
             assert "arg" in str(exc)
             return False
         return True
 
-    expected = math.isfinite(value) and value > 0
-    assert accepts(value) == accepts(np.float64(value)) == accepts(np.array([value])) == expected
+    for zero_ok in (False, True):
+        expected = math.isfinite(value) and (value >= 0 if zero_ok else value > 0)
+        assert (accepts(value, zero_ok) == accepts(np.float64(value), zero_ok)
+                == accepts(np.array([value]), zero_ok) == expected)
 
 
 _ENTRIES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -344,13 +360,14 @@ _ENTRIES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5
 
 @given(_ENTRIES.map(np.array)
        | st.lists(_ENTRIES, max_size=6).map(lambda v: np.array(v, dtype=float))
-       | st.lists(_ENTRIES, max_size=6).map(lambda v: np.array(v, dtype=float).reshape(-1, 1)))
-def test_check_positive_array_path_matches_elementwise_test(v):
-    """min > 0 and max < inf accept exactly the arrays whose every entry is finite and > 0,
-    0-d and empty arrays included."""
-    expected = bool((np.isfinite(v) & (v > 0)).all())
+       | st.lists(_ENTRIES, max_size=6).map(lambda v: np.array(v, dtype=float).reshape(-1, 1)),
+       st.booleans())
+def test_check_positive_array_path_matches_elementwise_test(v, zero_ok):
+    """min > 0 (>= 0 with ``zero_ok``) and max < inf accept exactly the arrays whose every
+    entry is finite and > 0 (>= 0), 0-d and empty arrays included."""
+    expected = bool((np.isfinite(v) & ((v >= 0) if zero_ok else (v > 0))).all())
     try:
-        _check_positive("arg", v)
+        _check_positive("arg", v, zero_ok)
     except ValueError as exc:
         assert "arg" in str(exc)
         assert not expected
