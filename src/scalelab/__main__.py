@@ -2,7 +2,7 @@
 
 Both run ``run()``, which sets what suits a process that runs one command and
 exits.  ``import scalelab`` and an in-process ``scalelab.cli.main()`` change
-neither setting.
+none of these settings.
 """
 
 import gc
@@ -13,14 +13,18 @@ import sys
 def run() -> int:
     """Run one command in this process, which exits after it; returns its exit status.
 
-    Every BLAS call here is an n-by-2 least-squares solve, so OpenBLAS starts
-    on one thread instead of a spinning pool, unless the user set
-    ``OPENBLAS_NUM_THREADS``; numpy reads it when the command first imports
-    numpy.  The collector is frozen before exit, so the collections at
-    interpreter shutdown skip every object still alive.  A reader that closes
-    standard output ends the command quietly with 141 (128 + SIGPIPE), as a
-    shell reports a process killed by SIGPIPE.
+    The cyclic collector is off from the start: the command leaves well under
+    a MiB of cyclic garbage, which is not worth the dozens of collections
+    that importing numpy and running the command would trigger.  It is frozen
+    before exit all the same, since interpreter shutdown collects even with
+    the collector off, and a frozen object is skipped.  Every BLAS call here
+    is an n-by-2 least-squares solve, so OpenBLAS starts on one thread
+    instead of a spinning pool, unless the user set ``OPENBLAS_NUM_THREADS``;
+    numpy reads it when the command first imports numpy.  A reader that
+    closes standard output ends the command quietly with 141 (128 + SIGPIPE),
+    as a shell reports a process killed by SIGPIPE.
     """
+    gc.disable()
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         from . import cli

@@ -211,56 +211,68 @@ def _add_grid_options(parser) -> None:
     parser.add_argument("--sizes-count", type=int, default=KAPLAN_GRID_POINTS)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_config_csv(parser) -> None:
+    parser.add_argument("config_csv", nargs="?", default=None,
+                        help="config CSV path (default: bundled suite)")
+
+
+def _add_basis(parser) -> None:
+    parser.add_argument("--basis", choices=("total", "nonembed"), default="nonembed")
+
+
+def _add_bins(parser) -> None:
+    parser.add_argument("--bins", type=int, default=DEFAULT_BINS)
+
+
+def _add_fit_options(parser) -> None:
+    parser.add_argument("frontier_csv")
+    parser.add_argument("--form", choices=("plain", "kaplan", "chinchilla"), default="plain")
+
+
+# Every command: its help line, its function, and what adds its arguments ahead of
+# --output, in order.  The full parser lists the commands in this order.
+_COMMANDS = {
+    "fit-embed-map": ("fit (omega, delta) from a model-config CSV", cmd_fit_embed_map,
+                      (_add_config_csv,)),
+    "simulate": ("emit synthetic training-curve CSV", cmd_simulate,
+                 (_add_map_options, _add_grid_options)),
+    "frontier": ("emit the compute-efficient frontier CSV", cmd_frontier,
+                 (_add_map_options, _add_grid_options, _add_basis, _add_bins)),
+    "fit": ("fit a power law to a frontier CSV", cmd_fit, (_add_fit_options,)),
+    "exponent-curve": ("emit the analytic local-exponent curve CSV", cmd_exponent_curve,
+                       (_add_map_options,)),
+    "reproduce": ("run the default pipeline and check the six headline exponents",
+                  cmd_reproduce, (_add_map_options, _add_bins)),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only ``command``'s subparser, or with every command's when
+    ``command`` names none; either parses that command's arguments alike."""
     parser = argparse.ArgumentParser(
         prog="scalelab",
         description="Compute-optimal scaling analysis over parametric loss surfaces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit-embed-map", help="fit (omega, delta) from a model-config CSV")
-    p.add_argument("config_csv", nargs="?", default=None,
-                   help="config CSV path (default: bundled suite)")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_fit_embed_map)
-
-    p = sub.add_parser("simulate", help="emit synthetic training-curve CSV")
-    _add_map_options(p)
-    _add_grid_options(p)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("frontier", help="emit the compute-efficient frontier CSV")
-    _add_map_options(p)
-    _add_grid_options(p)
-    p.add_argument("--basis", choices=("total", "nonembed"), default="nonembed")
-    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_frontier)
-
-    p = sub.add_parser("fit", help="fit a power law to a frontier CSV")
-    p.add_argument("frontier_csv")
-    p.add_argument("--form", choices=("plain", "kaplan", "chinchilla"), default="plain")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("exponent-curve", help="emit the analytic local-exponent curve CSV")
-    _add_map_options(p)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_exponent_curve)
-
-    p = sub.add_parser("reproduce",
-                       help="run the default pipeline and check the six headline exponents")
-    _add_map_options(p)
-    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_reproduce)
-
+    one = command in _COMMANDS
+    # A parser of one command still lists every command in the usage line of its only
+    # reachable top-level error, "unrecognized arguments".  The full parser keeps no
+    # metavar, since its errors name the command argument by it.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
+    for name in [command] if one else _COMMANDS:
+        help_text, func, add_options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for add in add_options:
+            add(p)
+        p.add_argument("--output", default=None)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A command's subparser is the only one its arguments reach, so only it is built.
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:  # a closed reader, not bad input: run() ends the process
@@ -268,4 +280,3 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2
-

@@ -40,8 +40,8 @@ class LossSpec:
 
     def __post_init__(self):
         for name in ("n_c", "d_c", "alpha", "beta"):
-            _check_positive(name, getattr(self, name))
-        _check_positive("e_irr", self.e_irr, zero_ok=True)
+            _check_positive(name, getattr(self, name), scalar=True)
+        _check_positive("e_irr", self.e_irr, zero_ok=True, scalar=True)
 
 
 # The two compiled-in constant sets: the original total-parameter fit and the

@@ -45,17 +45,18 @@ THIRD = 1.0 / 3.0
 DEFAULT_OMEGA = 47491.0
 
 
-def _check_positive(name, value, zero_ok=False):
-    """Raise ValueError unless every entry of ``value`` is finite and > 0 (>= 0 if ``zero_ok``)."""
+def _check_positive(name, value, zero_ok=False, scalar=False):
+    """Raise ValueError unless every entry of ``value`` is finite and > 0 (>= 0 if
+    ``zero_ok``), and, if ``scalar``, unless ``value`` is one number."""
     if isinstance(value, float):  # also np.float64; skips building a 0-d array
         lo = hi = value
     else:  # NaN fails both comparisons; no full-size temporaries
         v = np.asarray(value, dtype=float)
-        if v.size == 0:
-            return
-        lo, hi = v.min(), v.max()
+        lo, hi = (v.min(), v.max()) if v.size else (1.0, 1.0)  # no entry to fail
     if not ((lo >= 0 if zero_ok else lo > 0) and hi < math.inf):
         raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0")
+    if scalar and np.ndim(value):
+        raise ValueError(f"{name} must be a scalar, got an array of shape {np.shape(value)}")
 
 
 def _check_count(name, value, least):
@@ -123,8 +124,9 @@ class EmbedMap:
     delta: float = THIRD
 
     def __post_init__(self):
-        _check_positive("omega", self.omega, zero_ok=True)
-        if not 0.0 < self.delta < 1.0:
+        _check_positive("omega", self.omega, zero_ok=True, scalar=True)
+        _check_positive("delta", self.delta, scalar=True)
+        if not self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
 
 

@@ -38,13 +38,14 @@ def test_import_loads_no_submodule(fresh_python):
 
 @pytest.mark.parametrize("module", ["scalelab", "scalelab.__main__"])
 def test_import_loads_no_numpy_and_sets_nothing(fresh_python, module):
-    """Importing the entry module runs no command: OPENBLAS_NUM_THREADS is set only by
-    ``run()``, before numpy loads."""
+    """Importing the entry module runs no command: OPENBLAS_NUM_THREADS is set and the
+    collector switched off only by ``run()``, before numpy loads."""
     proc = fresh_python("-c", f"import gc, os, sys, {module}\n"
                         "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'),"
-                        " gc.get_freeze_count())", env={"OPENBLAS_NUM_THREADS": None})
+                        " gc.get_freeze_count(), gc.isenabled())",
+                        env={"OPENBLAS_NUM_THREADS": None})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "None", "0"]
+    assert proc.stdout.split() == ["False", "None", "0", "True"]
 
 
 def test_from_import_loads_only_the_defining_module(fresh_python):

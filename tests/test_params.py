@@ -337,6 +337,25 @@ def test_nonnegative_fields_check_every_array_entry(name, build, bad):
         build(np.array([1.0, bad]))
 
 
+_SPEC_FIELDS = ["n_c", "d_c", "alpha", "beta", "e_irr"]
+
+
+@pytest.mark.parametrize("name", ["omega", "delta", *_SPEC_FIELDS])
+def test_spec_and_map_constants_must_be_scalars(name):
+    """An array of valid entries once built an EmbedMap or LossSpec that failed later without
+    naming the field, and an array delta raised NumPy's "truth value ... is ambiguous"."""
+    def build(value):
+        if name in _SPEC_FIELDS:
+            return LossSpec(**{**dict.fromkeys(_SPEC_FIELDS, 0.5), name: value})
+        return EmbedMap(**{"omega": 1.0, name: value})
+
+    for bad in (np.array([0.25, 0.5]), [0.25], np.empty(0), np.full((1, 1), 0.25)):
+        with pytest.raises(ValueError, match=f"^{name} must be a scalar"):
+            build(bad)
+    for good in (0.25, np.float64(0.25), np.array(0.25)):
+        build(good)
+
+
 @pytest.mark.parametrize("value", [1.0, 5e-324, 1e308, 0.0, -0.0, -1.0, *NON_FINITE])
 def test_check_positive_scalar_path_matches_array_path(value):
     """Both bounds, > 0 and >= 0 (``zero_ok``), take the same path."""
