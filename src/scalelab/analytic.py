@@ -18,8 +18,9 @@ import math
 
 import numpy as np
 
+from .fitting import _check_positive, _unwrap, _vector
 from .lossmodel import LossSpec, _surface
-from .params import THIRD, EmbedMap, _check_positive, _check_third
+from .params import THIRD, EmbedMap, _check_third
 
 __all__ = [
     "optimal_nt",
@@ -35,20 +36,6 @@ __all__ = [
 
 EXPONENT_CURVE_RANGE = (1e2, 1e13)
 EXPONENT_CURVE_POINTS = 400
-
-
-def _vector(x) -> np.ndarray:
-    """``x`` as a float array of at least one dimension, so that a scalar gets the
-    array loops' bits: NumPy's scalar math on a 0-d array can differ by an ulp."""
-    v = np.asarray(x, dtype=float)
-    return v.reshape(1) if v.ndim == 0 else v
-
-
-def _unwrap(out: np.ndarray, x):
-    """``out``, computed on ``_vector(x)``, in the form of ``x``: a float for a scalar."""
-    if np.ndim(x):
-        return out
-    return float(out[0]) if np.isscalar(x) else out[0]
 
 
 def optimal_nt(c_total, spec: LossSpec):
@@ -132,7 +119,7 @@ def _optimum(n, spec: LossSpec, omega: float, names=("n_nonembed_opt",) * 2):
     _check_positive("d", d)
     bracket = (-spec.alpha * spec.n_c * (n + omega / 3.0 * cbrt) / n_total ** (spec.alpha + 1.0)
                + spec.beta * spec.d_c * d ** (-spec.beta) * (1.0 - 1.0 / g))
-    loss = _surface(n_total, np.asarray(d), spec)  # overwrites an array d
+    loss = _surface(n_total, d, spec)  # overwrites d
     return c, g, g / loss * bracket, loss
 
 

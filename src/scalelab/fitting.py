@@ -7,11 +7,15 @@ golden-section search minimizing the y-space residual.  The least-squares
 design depends only on x, so it is built once per fit, and the final fit
 reuses it.  One profile step costs one LAPACK solve against it plus in-place
 passes: the log of y - offset, and the squared residual built in one buffer.
+
+It also holds the package's argument checks, which name the bad argument or
+file field, and its scalar shaping, since every other module imports it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -28,9 +32,61 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _match_scalar(out, *inputs):
-    """``out`` as a Python float when every input is a scalar, else unchanged."""
-    return float(out) if all(map(np.isscalar, inputs)) else out
+def _check_positive(name, value, zero_ok=False, scalar=False):
+    """The smallest and largest entry of ``value`` ((1.0, 1.0) for no entry), once every
+    entry is finite and > 0 (>= 0 if ``zero_ok``, of any sign if ``zero_ok`` is None) and,
+    if ``scalar``, ``value`` is one number; else a ValueError naming ``name``."""
+    if isinstance(value, float):  # also np.float64; skips building a 0-d array
+        lo = hi = value
+    else:  # NaN fails both comparisons; no full-size temporaries
+        v = np.asarray(value, dtype=float)
+        lo, hi = (v.min(), v.max()) if v.size else (1.0, 1.0)  # no entry to fail
+    if not ((lo > -math.inf if zero_ok is None else lo >= 0 if zero_ok else lo > 0)
+            and hi < math.inf):
+        sign = "" if zero_ok is None else f" and {'>=' if zero_ok else '>'} 0"
+        raise ValueError(f"{name} must be finite{sign}")
+    if scalar and np.ndim(value):
+        raise ValueError(f"{name} must be a scalar, got an array of shape {np.shape(value)}")
+    return lo, hi
+
+
+def _check_count(name, value, least):
+    """``value`` as an int, once it is an integer (an int or a NumPy integer, not a bool)
+    >= ``least``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"need {name} >= {least}")
+    return count
+
+
+def _parse_field(row: dict, k: int, name: str, kind, source: str):
+    """``kind(row[name])``, or a ValueError naming the file ``source``, row ``k`` and column."""
+    text = row[name]
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{source} row {k} column {name!r} must be {noun}, got {text!r}") from None
+
+
+def _vector(x) -> np.ndarray:
+    """``x`` as a float array of at least one dimension, so that a scalar gets the
+    array loops' bits: NumPy's scalar math on a 0-d array can differ by an ulp."""
+    v = np.asarray(x, dtype=float)
+    return v.reshape(1) if v.ndim == 0 else v
+
+
+def _unwrap(out: np.ndarray, *inputs):
+    """``out``, computed on the ``_vector`` of each input, as is if an input has a dimension,
+    else its one entry: a float when every input is a number, not a 0-d array."""
+    if any(map(np.ndim, inputs)):
+        return out
+    return float(out[0]) if all(map(np.isscalar, inputs)) else out[0]
 
 
 @dataclass(frozen=True)
@@ -44,9 +100,7 @@ class PowerLawFit:
     n_points: int
 
     def predict(self, x):
-        base = self.prefactor * np.asarray(x, dtype=float) ** self.exponent
-        out = base + (self.offset or 0.0)
-        return _match_scalar(out, x)
+        return _unwrap(self.prefactor * _vector(x) ** self.exponent + (self.offset or 0.0), x)
 
 
 def _loglog_design(log_x: np.ndarray):
@@ -106,13 +160,9 @@ def _validated_xy(x, y, min_points: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x.size < min_points:
         raise ValueError(f"need >={min_points} points, got {x.size}")
-    # Reductions, not np.isfinite/np.all/np.unique: NaN fails every comparison,
-    # and np.unique imports numpy.ma on first use (~15 ms).
-    x_min, x_max = x.min(), x.max()
-    if not (x_min > 0 and x_max < math.inf):
-        raise ValueError("x values must be finite and > 0")
-    if not (y.min() > -math.inf and y.max() < math.inf):
-        raise ValueError("y values must be finite")
+    # Reductions, not np.unique, which imports numpy.ma on first use (~15 ms).
+    x_min, x_max = _check_positive("x values", x)
+    _check_positive("y values", y, zero_ok=None)
     if not x_min < x_max:
         raise ValueError("need >=2 distinct x values")
     return x, y
@@ -164,8 +214,7 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
 
     solve = None
     if fixed_offset is not None:
-        if not (math.isfinite(fixed_offset) and fixed_offset >= 0):
-            raise ValueError("fixed_offset must be finite and >= 0")
+        _check_positive("fixed_offset", fixed_offset, zero_ok=True)
         if not y.min() > fixed_offset:  # y - fixed_offset > 0, without overflow
             raise ValueError("y - fixed_offset must be > 0")
         offset = float(fixed_offset)
@@ -207,6 +256,4 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
 
 def sum_squared_error(fit: PowerLawFit, x, y) -> float:
     """y-space residual of a fit against data; used for form comparisons."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(np.sum((fit.predict(x) - y) ** 2))
+    return float(np.sum((fit.predict(x) - np.asarray(y, dtype=float)) ** 2))

@@ -14,7 +14,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fitting import PowerLawFit, fit_power_law, fit_power_law_with_offset
+from .fitting import (
+    PowerLawFit,
+    _check_count,
+    _check_positive,
+    _parse_field,
+    fit_power_law,
+    fit_power_law_with_offset,
+)
 
 # analytic, lossmodel and params load inside the functions that call them,
 # so commands that only read and fit a frontier never import them.
@@ -69,8 +76,6 @@ def kaplan_size_grid() -> np.ndarray:
 
 def size_grid(n_min: float, n_max: float, count: int) -> np.ndarray:
     """Log-spaced model size grid."""
-    from .params import _check_count, _check_positive
-
     _check_positive("n_min", n_min)
     _check_positive("n_max", n_max)
     if not n_min < n_max:
@@ -164,7 +169,6 @@ class FrontierPoint:
 
 
 _POINT_FIELDS = ("c", "loss_min", "n_opt", "d_opt", "model_index")
-_BASES = ("total", "nonembed")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -187,7 +191,7 @@ class Frontier:
 
     def __init__(self, basis, points=None, *, c=(), loss_min=(), n_opt=(), d_opt=(),
                  model_index=(), n_empty=None, n_dropped=None):
-        if basis not in _BASES:
+        if basis not in ("total", "nonembed"):
             raise ValueError(f"basis must be 'total' or 'nonembed', got {basis!r}")
         columns = (c, loss_min, n_opt, d_opt, model_index)
         if points is not None:
@@ -235,12 +239,13 @@ def simulate_curves(
     the checks here bound every sample, so none is repeated on the grid.
     """
     from .lossmodel import _surface
-    from .params import _check_count, _check_third, total_from_nonembed
+    from .params import _check_third, total_from_nonembed
 
     sizes = np.asarray(sizes, dtype=float)
     if sizes.ndim != 1 or sizes.size < 1:
         raise ValueError("sizes must be a non-empty 1-d sequence")
-    if not (sizes[0] > 0 and sizes[-1] < math.inf and (np.diff(sizes) > 0).all()):
+    _check_positive("sizes", sizes)
+    if not (np.diff(sizes) > 0).all():
         raise ValueError("sizes must be finite, positive and strictly increasing")
     lo, hi = tokens_per_param
     if not 0 < lo < hi < math.inf:
@@ -343,27 +348,20 @@ def extract_frontier(
     sample) order.  Bins whose winner has the table's smallest or largest
     ``model_index`` are discarded by default: at the extremes those models win
     only because nothing smaller or larger exists, which truncates the
-    envelope and biases fitted exponents.
+    envelope and biases fitted exponents.  The ``Frontier`` it returns checks ``basis``.
     """
-    from .params import _check_count
-
     if not isinstance(curves, Curves):
         raise TypeError(f"curves must be a Curves table, got {type(curves).__name__}")
     if len(curves) < 2:
         raise ValueError("need >=2 curves")
     n_bins = _check_count("n_bins", n_bins, 10)
-    if basis not in _BASES:
-        raise ValueError("basis must be 'total' or 'nonembed'")
 
     c_all = curves.c_nonembed if basis == "nonembed" else curves.c_total
     loss_all = curves.loss
     if loss_all.size == 0:
         raise ValueError("curves hold no samples")
-    c_lo, c_hi = c_all.min(), c_all.max()
-    if not 0 < c_lo <= c_hi < math.inf:
-        raise ValueError(f"c_{basis} must be finite and > 0")
-    if not -math.inf < loss_all.min() <= loss_all.max() < math.inf:
-        raise ValueError("loss must be finite")
+    c_lo, c_hi = _check_positive(f"c_{basis}", c_all)
+    _check_positive("loss", loss_all, zero_ok=None)
 
     edges = np.geomspace(c_lo, c_hi, n_bins + 1)
     # sqrt(e0*e1) with both edges scaled by a power of two near e0, which is
@@ -511,5 +509,6 @@ def read_frontier_csv(path) -> Frontier:
     if len(bases) > 1:
         raise ValueError("frontier CSV mixes bases")
     basis = bases.pop() if bases else "nonembed"
-    columns = {name: [float(row[name]) for row in rows] for name in _POINT_FIELDS[:4]}
-    return Frontier(basis, **columns, model_index=[int(row["model_index"]) for row in rows])
+    return Frontier(basis, **{name: [_parse_field(row, k, name, kind, "frontier CSV")
+                                     for k, row in enumerate(rows, 1)]
+                              for name, kind in zip(_POINT_FIELDS, (float,) * 4 + (int,))})

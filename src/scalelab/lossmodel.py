@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import _match_scalar
-from .params import EmbedMap, _check_positive, _check_third, total_from_nonembed
+from .fitting import _check_positive, _unwrap, _vector
+from .params import EmbedMap, _check_third, total_from_nonembed
 
 __all__ = [
     "LossSpec",
@@ -52,36 +52,37 @@ EPOCH = LossSpec(n_c=482.0, d_c=2085.43, alpha=0.3478, beta=0.3658, e_irr=1.817)
 SPEC_CATALOG = {"chinchilla": CHINCHILLA, "epoch": EPOCH}
 
 
-def _surface(n_total, d, spec: LossSpec):
+def _surface(n_total: np.ndarray, d: np.ndarray, spec: LossSpec) -> np.ndarray:
     """n_c/n_total**alpha + d_c/d**beta + e_irr, built in the float array ``d``, which
     holds the result unless ``n_total`` broadcasts it to a larger shape.
 
-    Checks nothing: callers pass finite, positive ``n_total`` and ``d``.
+    Checks nothing: callers pass finite, positive arrays of at least one dimension.
     """
     d **= spec.beta  # the operator, so the bits are those of d**beta
     np.divide(spec.d_c, d, out=d)
-    n_term = spec.n_c / np.asarray(n_total, dtype=float) ** spec.alpha
-    full = np.broadcast_shapes(d.shape, np.shape(n_term)) == d.shape
+    n_term = spec.n_c / n_total**spec.alpha
+    full = np.broadcast_shapes(d.shape, n_term.shape) == d.shape
     d = np.add(d, n_term, out=d if full else None)
     d += spec.e_irr
-    return d[()]
+    return d
 
 
 def loss_nd(n_total, d, spec: LossSpec):
     """Loss at total parameters ``n_total`` and tokens ``d`` (nats)."""
     _check_positive("n_total", n_total)
     _check_positive("d", d)
-    return _match_scalar(_surface(n_total, np.array(d, dtype=float), spec), n_total, d)
+    return _unwrap(_surface(_vector(n_total), _vector(d).copy(), spec), n_total, d)
 
 
 def loss_nt_ct(n_total, c_total, spec: LossSpec):
     """Loss at total parameters and total compute, via d = c/(6n)."""
     _check_positive("n_total", n_total)
     _check_positive("c_total", c_total)
+    n = _vector(n_total)
     with np.errstate(over="ignore"):  # an overflowing d fails the check below instead
-        d = np.asarray(c_total, dtype=float) / (6.0 * np.asarray(n_total, dtype=float))
+        d = _vector(c_total) / (6.0 * n)
     _check_positive("d", d)
-    return _match_scalar(_surface(n_total, np.asarray(d), spec), n_total, c_total)
+    return _unwrap(_surface(n, d, spec), n_total, c_total)
 
 
 def loss_ne_ce(n_nonembed, c_nonembed, spec: LossSpec, embed_map: EmbedMap):
@@ -92,14 +93,14 @@ def loss_ne_ce(n_nonembed, c_nonembed, spec: LossSpec, embed_map: EmbedMap):
     delta = 1/3 so results stay consistent with the closed forms.
     """
     _check_third(embed_map)
-    _check_positive("n_nonembed", n_nonembed)
+    n = _vector(n_nonembed)
+    n_total = total_from_nonembed(n, embed_map)  # checks n_nonembed
     _check_positive("c_nonembed", c_nonembed)
-    n_total = total_from_nonembed(n_nonembed, embed_map)
     _check_positive("n_total", n_total)
     with np.errstate(over="ignore"):
-        d = np.asarray(c_nonembed, dtype=float) / (6.0 * np.asarray(n_nonembed, dtype=float))
+        d = _vector(c_nonembed) / (6.0 * n)
     _check_positive("d", d)
-    return _match_scalar(_surface(n_total, np.asarray(d), spec), n_nonembed, c_nonembed)
+    return _unwrap(_surface(n_total, d, spec), n_nonembed, c_nonembed)
 
 
 def load_loss_spec(path) -> LossSpec:
@@ -114,10 +115,10 @@ def load_loss_spec(path) -> LossSpec:
     for key in ("n_c", "d_c", "alpha", "beta", "e_irr"):
         if key not in raw:
             raise ValueError(f"spec file missing key: {key!r}")
-        try:
-            values[key] = float(raw[key])
-        except (TypeError, ValueError):
-            raise ValueError(f"spec file key {key!r} must be a number, got {raw[key]!r}") from None
+        value = raw[key]
+        if type(value) not in (int, float):  # a JSON number: not a bool, a string or null
+            raise ValueError(f"spec file key {key!r} must be a number, got {value!r}")
+        values[key] = float(value)
     return LossSpec(**values)
 
 

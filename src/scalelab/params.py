@@ -12,15 +12,13 @@ derived in closed form from a fixed width/depth aspect ratio.
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .fitting import _loglog_ols, _match_scalar
+from .fitting import _check_count, _check_positive, _loglog_ols, _parse_field, _unwrap, _vector
 
 __all__ = [
     "DEFAULT_OMEGA",
@@ -43,34 +41,6 @@ THIRD = 1.0 / 3.0
 # Calibrated on the bundled model-configuration suite (see data/); downstream
 # analytic defaults use this omega together with delta = 1/3.
 DEFAULT_OMEGA = 47491.0
-
-
-def _check_positive(name, value, zero_ok=False, scalar=False):
-    """Raise ValueError unless every entry of ``value`` is finite and > 0 (>= 0 if
-    ``zero_ok``), and, if ``scalar``, unless ``value`` is one number."""
-    if isinstance(value, float):  # also np.float64; skips building a 0-d array
-        lo = hi = value
-    else:  # NaN fails both comparisons; no full-size temporaries
-        v = np.asarray(value, dtype=float)
-        lo, hi = (v.min(), v.max()) if v.size else (1.0, 1.0)  # no entry to fail
-    if not ((lo >= 0 if zero_ok else lo > 0) and hi < math.inf):
-        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0")
-    if scalar and np.ndim(value):
-        raise ValueError(f"{name} must be a scalar, got an array of shape {np.shape(value)}")
-
-
-def _check_count(name, value, least):
-    """``value`` as an int, once it is an integer (an int or a NumPy integer, not a bool)
-    >= ``least``."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if count < least:
-        raise ValueError(f"need {name} >= {least}")
-    return count
 
 
 def _check_third(embed_map: EmbedMap):
@@ -154,10 +124,10 @@ def total_from_nonembed(n_nonembed, embed_map: EmbedMap):
 
     Accepts scalars or arrays; all inputs must be finite and > 0.
     """
-    n = np.asarray(n_nonembed, dtype=float)
+    n = _vector(n_nonembed)
     _check_positive("n_nonembed", n)
-    out = n + embed_map.omega * n**embed_map.delta
-    return _match_scalar(out, n_nonembed)
+    with np.errstate(over="ignore"):  # an overflowing total is inf, which callers reject
+        return _unwrap(n + embed_map.omega * n**embed_map.delta, n_nonembed)
 
 
 def nonembed_from_total(n_total, embed_map: EmbedMap):
@@ -169,26 +139,23 @@ def nonembed_from_total(n_total, embed_map: EmbedMap):
     cancellation in u - v.  Accepts scalars or arrays; a float gives a float.
     """
     _check_third(embed_map)
-    # A float is worked in Python floats, whose arithmetic is cheaper than
-    # NumPy scalars'.  cbrt and hypot stay NumPy's (math.hypot rounds
-    # differently), so the bits equal the array path's.  [()] unwraps other
-    # 0-d input to an np.float64.
+    # A float is worked in Python floats, cheaper than NumPy's; cbrt and hypot stay
+    # NumPy's (math.hypot rounds differently), so the bits equal the array path's.
     scalar = isinstance(n_total, float)
-    n = float(n_total) if scalar else np.asarray(n_total, dtype=float)[()]
+    n = float(n_total) if scalar else _vector(n_total)
     _check_positive("n_total", n)
     omega = embed_map.omega
-    if omega == 0.0:
-        return n
-    half = n / 2.0
-    u = np.cbrt(half + np.hypot(half, (omega / 3.0) ** 1.5))
-    if scalar:
-        u = float(u)
-    v = omega / (3.0 * u)
-    t = n / (u * u + u * v + v * v)
-    x = t * t * t
-    if (x == 0.0) if scalar else (x == 0.0).any():
-        raise ArithmeticError("n_nonembed underflows to 0 for this n_total")
-    return x
+    if omega != 0.0:
+        half = n / 2.0
+        u = np.cbrt(half + np.hypot(half, (omega / 3.0) ** 1.5))
+        if scalar:
+            u = float(u)
+        v = omega / (3.0 * u)
+        t = n / (u * u + u * v + v * v)
+        n = t * t * t
+        if (n == 0.0) if scalar else (n == 0.0).any():
+            raise ArithmeticError("n_nonembed underflows to 0 for this n_total")
+    return n if scalar else _unwrap(n, n_total)
 
 
 def fit_embed_map(splits: list[ParamSplit]) -> EmbedMapFit:
@@ -203,8 +170,8 @@ def fit_embed_map(splits: list[ParamSplit]) -> EmbedMapFit:
     n_embed = np.array([s.n_embed for s in splits], dtype=float)
     n_nonembed = np.array([s.n_nonembed for s in splits], dtype=float)
     _check_positive("n_embed", n_embed)
-    _check_positive("n_nonembed", n_nonembed)
-    if not n_nonembed.min() < n_nonembed.max():
+    lo, hi = _check_positive("n_nonembed", n_nonembed)
+    if not lo < hi:
         raise ValueError("need >=2 distinct n_nonembed values")
     omega, delta, r_squared = _loglog_ols(n_nonembed, n_embed)
     return EmbedMapFit(EmbedMap(omega, delta), r_squared, len(splits))
@@ -242,16 +209,12 @@ def load_model_configs(path) -> list[ParamSplit]:
             short = [name for name in required if row[name] is None]
             if short:
                 raise ValueError(f"config CSV row {k} has no {', '.join(short)}")
-            shape = ModelShape(
-                d_model=int(row["d_model"]),
-                n_layers=int(row["n_layers"]),
-                vocab=int(row["vocab"]),
-                context_learned=int(row["context_learned"]),
-            )
-            counted = count_params(shape)
+            counted = count_params(ModelShape(*(_parse_field(row, k, name, int, "config CSV")
+                                                for name in required[1:])))
             explicit = row.get("n_nonembed")
             if explicit is not None and explicit.strip():
-                splits.append(ParamSplit(counted.n_embed, float(explicit)))
+                splits.append(ParamSplit(counted.n_embed,
+                                         _parse_field(row, k, "n_nonembed", float, "config CSV")))
             else:
                 splits.append(counted)
     if not splits:

@@ -13,6 +13,7 @@ from scalelab import (
     SPEC_CATALOG,
     EmbedMap,
     LossSpec,
+    PowerLawFit,
     bracketing_token_schedule,
     ce_of_optimal_ne,
     exponent_curve,
@@ -20,6 +21,7 @@ from scalelab import (
     local_loss_exponent,
     local_param_exponent,
     loss_compute_exponent_total,
+    loss_nd,
     loss_ne_ce,
     loss_nt_ct,
     optimal_nt,
@@ -320,6 +322,37 @@ def test_scalar_closed_forms_equal_the_array_element(alpha, beta_above, omega, l
                 want = [(t, alone[1]) for t in (float, float, np.float64)]
             assert [_outcome(lambda: form(x))
                     for x in (float(n[i]), n[i], np.asarray(n[i]))] == want
+
+
+@settings(deadline=None)
+@given(st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(0.0, 2.0),
+       st.sampled_from([0.0, 1.0, DEFAULT_OMEGA, 1e6]), st.floats(0.05, 0.95),
+       st.floats(-3.0, 3.0), st.floats(-1.0, 1.0), st.one_of(st.none(), st.floats(0.0, 5.0)),
+       st.integers(0, 2**32 - 1))
+def test_scalar_surface_forms_equal_the_array_element(alpha, beta, e_irr, omega, delta,
+                                                      log10_prefactor, exponent, offset, seed):
+    """The loss surface, the parameter map and a fit's prediction give a float, a NumPy
+    scalar and a 0-d array the bits of the same value inside an array: the loss from 1e-3
+    to 1e15 parameters and tokens, the map and the prediction from 1e-300 to 1e300."""
+    spec = LossSpec(406.4, 410.7, alpha, beta, 1.693 * e_irr)
+    rng = np.random.default_rng(seed)
+    n, d = 10.0 ** rng.uniform(-3.0, 15.0, (2, 37))
+    wide = 10.0 ** rng.uniform(-300.0, 300.0, 37)
+    c = 6.0 * n * d
+    fit = PowerLawFit(10.0**log10_prefactor, exponent, offset, 1.0, 3)
+    forms = [(lambda n, d: loss_nd(n, d, spec), (n, d)),
+             (lambda n, c: loss_nt_ct(n, c, spec), (n, c)),
+             (lambda n, c: loss_ne_ce(n, c, spec, EmbedMap(omega)), (n, c)),
+             (lambda n: total_from_nonembed(n, EmbedMap(omega, delta)), (wide,)),
+             (fit.predict, (wide,))]
+    for form, columns in forms:
+        whole = _outcome(lambda: form(*columns))
+        for i in (0, *rng.integers(0, n.size, 4)):
+            alone = _outcome(lambda: form(*(v[i:i + 1] for v in columns)))
+            assert alone[1] == whole[1][8 * i:8 * i + 8]
+            assert [_outcome(lambda: form(*map(kind, (v[i] for v in columns))))
+                    for kind in (float, np.float64, np.asarray)] == [
+                (float, alone[1]), (float, alone[1]), (np.float64, alone[1])]
 
 
 @pytest.mark.parametrize("n", [9.4e20, 1e-100, [1e3, 9.4e20]])

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -231,8 +232,19 @@ def test_bad_input_exits_2(capsys, argv):
     ("exponent-curve --spec", "[406.4, 410.7, 0.3392, 0.2849, 1.693]", "JSON object"),
     ("exponent-curve --spec", '{"n_c": 406.4, "d_c": null, "alpha": 0.3392, "beta": 0.2849, '
                               '"e_irr": 1.693}', "'d_c'"),
+    ("exponent-curve --spec", '{"n_c": "406.4", "d_c": 410.7, "alpha": 0.3392, "beta": 0.2849, '
+                              '"e_irr": 1.693}', "key 'n_c' must be a number, got '406.4'"),
+    ("exponent-curve --spec", '{"n_c": 406.4, "d_c": 410.7, "alpha": 0.3392, "beta": 0.2849, '
+                              '"e_irr": true}', "key 'e_irr' must be a number, got True"),
+    ("fit", "basis,c,loss_min,n_opt,d_opt,model_index\n"
+            "total,1e10,3.0,1e3,1e6,1\ntotal,1e11,abc,1e4,1e6,2\n",
+     "row 2 column 'loss_min' must be a number, got 'abc'"),
+    ("fit-embed-map", "name,d_model,n_layers,vocab,context_learned\n"
+                      "a,512,8,32000,0\nb,5.5,8,32000,0\n",
+     "row 2 column 'd_model' must be an integer, got '5.5'"),
 ], ids=["frontier-csv-short-row", "config-csv-short-row", "frontier-csv-long-row",
-        "config-csv-long-row", "spec-array", "spec-null"])
+        "config-csv-long-row", "spec-array", "spec-null", "spec-string", "spec-bool",
+        "frontier-csv-unparsable-field", "config-csv-unparsable-field"])
 def test_malformed_input_file_exits_2(tmp_path, capsys, command, text, named):
     path = tmp_path / "input"
     path.write_text(text)
@@ -277,6 +289,143 @@ def test_fit_prefactor_overflow_exits_1(tmp_path, capsys):
     code, out, err = _run(capsys, ["fit", str(path), "--form", "plain"])
     assert code == 1
     assert out == "" and err == "error: prefactor overflows\n"
+
+
+# The exit-status contract as a property over generated argv.  Each option value is
+# "ok", a "usage" error that argparse reports, or "bad" input that a check rejects with
+# one error line.  None is the flag without a value, and {name} a file of
+# _CONTRACT_FILES in the run's directory.
+_FLOAT_VALUES = [(None, "usage"), ("abc", "usage"), ("", "usage"), ("nan", "bad"),
+                 ("inf", "bad"), ("-inf", "bad"), ("-1.0", "bad"), ("1e308", "bad")]
+_INT_VALUES = [(None, "usage"), ("abc", "usage"), ("2.5", "usage"), ("-3", "bad"),
+               (str(10**20), "bad")]
+_CONTRACT_OPTIONS = {
+    "--spec": [("epoch", "ok"), ("chinchilla", "ok"), ("{spec}", "ok"), (None, "usage"),
+               *[(f"{{{name}}}", "bad") for name in ("spec-string", "spec-bool",
+                                                     "spec-truncated", "spec-non-utf8",
+                                                     "spec-array", "absent")]],
+    "--omega": [("0", "ok"), ("1000.5", "ok"), *_FLOAT_VALUES],
+    "--sizes-min": [("1000.5", "ok"), *_FLOAT_VALUES],
+    "--sizes-max": [("1e7", "ok"), *_FLOAT_VALUES],
+    "--sizes-count": [("3", "ok"), *_INT_VALUES],
+    "--basis": [("total", "ok"), (None, "usage"), ("flops", "usage")],
+    "--bins": [("15", "ok"), *_INT_VALUES],
+    "--form": [("plain", "ok"), ("kaplan", "ok"), ("chinchilla", "ok"), (None, "usage"),
+               ("log", "usage")],
+}
+_FRONTIER_TEXT = ("basis,c,loss_min,n_opt,d_opt,model_index\ntotal,1e10,3.0,1e3,1e6,1\n"
+                  "total,1e11,2.5,1e4,1e6,2\ntotal,1e12,2.2,1e5,1e6,3\ntotal,1e13,2.0,1e6,1e6,4\n")
+_CONFIG_TEXT = ("name,d_model,n_layers,vocab,context_learned\n"
+                "a,256,1,32000,0\nb,512,2,32000,0\nc,1024,4,32000,0\n")
+_SPEC = {"n_c": 400.0, "d_c": 400.0, "alpha": 0.3, "beta": 0.3, "e_irr": 0.0}
+_CONTRACT_FILES = {
+    "spec": json.dumps(_SPEC).encode(),
+    "spec-string": json.dumps({**_SPEC, "n_c": "400"}).encode(),
+    "spec-bool": json.dumps({**_SPEC, "e_irr": False}).encode(),
+    "spec-truncated": json.dumps(_SPEC)[:30].encode(),
+    "spec-non-utf8": b"\xff" + json.dumps(_SPEC).encode(),
+    "spec-array": json.dumps(list(_SPEC.values())).encode(),
+    "frontier": _FRONTIER_TEXT.encode(),
+    "frontier-truncated": _FRONTIER_TEXT[:-12].encode(),
+    "frontier-long-row": _FRONTIER_TEXT.replace(",2\n", ",2,9\n").encode(),
+    "frontier-wrong-header": _FRONTIER_TEXT.replace("loss_min", "loss").encode(),
+    "frontier-non-utf8": b"\xff" + _FRONTIER_TEXT.encode(),
+    "frontier-unparsable": _FRONTIER_TEXT.replace("2.5", "abc").encode(),
+    # n_opt falls 100x every 1/32 decade of compute, so a plain fit's prefactor overflows
+    "frontier-steep": ("basis,c,loss_min,n_opt,d_opt,model_index\nnonembed,1e5,3.0,100.0,10.0,1\n"
+                       f"nonembed,{10.0**5.03125!r},2.0,1.0,10.0,2\n"
+                       f"nonembed,{10.0**5.0625!r},1.0,0.01,10.0,3\n").encode(),
+    "config": _CONFIG_TEXT.encode(),
+    "config-truncated": _CONFIG_TEXT[:-8].encode(),
+    "config-long-row": _CONFIG_TEXT.replace(",0\n", ",0,9\n", 1).encode(),
+    "config-wrong-header": _CONFIG_TEXT.replace("vocab", "vocabulary").encode(),
+    "config-non-utf8": b"\xff" + _CONFIG_TEXT.encode(),
+    "config-unparsable": _CONFIG_TEXT.replace("512", "5.5").encode(),
+}
+_CSV_CASES = ["truncated", "long-row", "wrong-header", "non-utf8", "unparsable"]
+# Per command: its positional argument's values (None leaves it out) and its options.
+_CONTRACT_COMMANDS = {
+    "fit-embed-map": ([(None, "ok"), ("{config}", "ok"), ("{absent}", "bad"),
+                       *[(f"{{config-{case}}}", "bad") for case in _CSV_CASES]], []),
+    "simulate": ([], ["--spec", "--omega", "--sizes-min", "--sizes-max", "--sizes-count"]),
+    "frontier": ([], ["--spec", "--omega", "--sizes-min", "--sizes-max", "--sizes-count",
+                      "--basis", "--bins"]),
+    "fit": ([(None, "usage"), ("{frontier}", "ok"), ("{frontier-steep}", "ok"),
+             ("{absent}", "bad"), *[(f"{{frontier-{case}}}", "bad") for case in _CSV_CASES]],
+            ["--form"]),
+    "exponent-curve": ([], ["--spec", "--omega"]),
+    "reproduce": ([], ["--spec", "--omega", "--bins"]),
+}
+
+
+@st.composite
+def _contract_argv(draw):
+    """(command, [(flag or "" for the positional, value, kind)]): each option is left out
+    half the time, and a sixth of the time has a value that argparse or a check rejects."""
+    command = draw(st.sampled_from(list(_CONTRACT_COMMANDS)))
+    positional, flags = _CONTRACT_COMMANDS[command]
+    chosen = [("", *draw(st.sampled_from(positional)))] if positional else []
+    for flag in flags:
+        want = draw(st.sampled_from(["left out"] * 3 + ["ok"] * 2 + ["not ok"]))
+        values = [v for v in _CONTRACT_OPTIONS[flag] if (v[1] == "ok") == (want == "ok")]
+        if want != "left out":
+            chosen.append((flag, *draw(st.sampled_from(values))))
+    return command, chosen
+
+
+def _expected_status(command, chosen):
+    """README's exit status for a generated run, and whether it writes --output."""
+    kinds = {kind for _, _, kind in chosen}
+    values = {flag: value for flag, value, _ in chosen}
+    if kinds - {"ok"}:
+        return 2, False
+    if values.get("") == "{frontier-steep}" and values.get("--form", "plain") == "plain":
+        return 1, False  # ArithmeticError: the prefactor overflows
+    if command == "reproduce" and "--bins" in values and not {"--spec", "--omega"} & set(values):
+        return 1, True  # 15 bins miss a headline tolerance
+    return 0, True
+
+
+@settings(deadline=None, max_examples=80)
+@given(_contract_argv())
+@example(("simulate", [("--omega", "1e308", "bad")]))
+@example(("fit", [("", "{frontier-unparsable}", "bad")]))
+@example(("reproduce", [("--bins", "15", "ok")]))
+def test_every_run_keeps_the_exit_status_contract(case):
+    """Every run exits with README's status for its case, prints no traceback, writes one
+    `error:` line for a failure outside argparse's usage errors, and leaves no --output
+    file behind when it fails."""
+    command, chosen = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in _CONTRACT_FILES.items():
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(content)
+        paths = {name: os.path.join(tmp, name) for name in [*_CONTRACT_FILES, "absent"]}
+        output = os.path.join(tmp, "output")
+        argv = [command, f"--output={output}"]
+        for flag, value, _ in chosen:
+            if value is not None:
+                value = value.format(**paths)
+                argv.append(f"{flag}={value}" if flag else value)
+            elif flag:
+                argv.append(flag)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # an argparse usage error
+                code = exc.code
+        written = os.path.exists(output)
+    err = err.getvalue()
+    status, writes = _expected_status(command, chosen)
+    assert (code, written) == (status, writes), (argv, err)
+    assert "Traceback" not in err
+    if "usage" in {kind for _, _, kind in chosen}:
+        assert err.splitlines()[-1].startswith(f"scalelab {command}: error:"), err
+    elif code == 0 or writes:
+        assert err == ""
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 # Runs every command in one fresh interpreter, then lists what got imported.

@@ -20,7 +20,7 @@ from scalelab import (
     omega_from_shape,
     total_from_nonembed,
 )
-from scalelab.params import _check_positive
+from scalelab.fitting import _check_positive
 
 THIRD = 1.0 / 3.0
 
