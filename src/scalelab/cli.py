@@ -3,8 +3,8 @@
 Every command is deterministic and writes to --output or standard output
 through ``frontier._write``; reruns with the same flags produce byte-identical
 files.  Exit status: 0 on success, 2 for bad input (as for an argparse usage
-error), 1 for a failed `reproduce` tolerance or a numerical failure.  A closed
-standard output is left to ``scalelab.__main__.run``.
+error) or a grid too large for memory, 1 for a failed `reproduce` tolerance or a
+numerical failure.  A closed standard output is left to ``scalelab.__main__.run``.
 
 The parser needs only the frontier constants and writer; each command imports
 the modules it calls when it runs, so a process loads nothing else.
@@ -16,7 +16,13 @@ import argparse
 import sys
 from typing import TYPE_CHECKING
 
-from .frontier import DEFAULT_BINS, KAPLAN_GRID_POINTS, KAPLAN_SIZE_RANGE, _write
+from .frontier import (
+    DEFAULT_BINS,
+    DEFAULT_SAMPLES_PER_CURVE,
+    KAPLAN_GRID_POINTS,
+    KAPLAN_SIZE_RANGE,
+    _write,
+)
 
 if TYPE_CHECKING:
     from .frontier import Curves
@@ -269,14 +275,28 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# The options that size a command's arrays, and the bytes one unit of each takes: a
+# model's row of samples, or a bin.
+_SIZING = {"sizes_count": 8 * DEFAULT_SAMPLES_PER_CURVE, "bins": 8}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # A command's subparser is the only one its arguments reach, so only it is built.
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    sizing = {name: getattr(args, name) for name in _SIZING if hasattr(args, name)}
     try:
+        # NumPy refuses an array beyond the address space with a ValueError that names
+        # no option; a count that asks for one fails as one that memory cannot hold.
+        if any((count + 1) * _SIZING[name] > sys.maxsize for name, count in sizing.items()):
+            raise MemoryError
         return args.func(args)
     except BrokenPipeError:  # a closed reader, not bad input: run() ends the process
         raise
+    except MemoryError:
+        options = " and ".join(f"--{name.replace('_', '-')} {n}" for name, n in sizing.items())
+        print(f"error: not enough memory{' for ' + options if options else ''}", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2

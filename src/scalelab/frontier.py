@@ -233,12 +233,15 @@ def simulate_curves(
 ) -> Curves:
     """Evaluate the loss surface along each model's token schedule.
 
-    Every sample is computed at once on C-ordered (models, samples) arrays,
-    whose flattened rows are the table's sample columns; these four columns
-    are the only full-size arrays it makes.  The loss is the surface itself:
+    ``_sample_rows`` fills four C-ordered (models, samples) arrays, whose
+    flattened rows are the table's sample columns and the only full-size arrays
+    it makes.  It fills them in blocks of whole rows of about ``_BIN_BLOCK``
+    samples; with more than one block, a thread per CPU this process may run on
+    takes them one at a time.  A sample's bits do not depend on the block or
+    worker count, and a block's exception, NumPy's under the caller's
+    ``np.errstate`` included, is raised here.  The loss is the surface itself:
     the checks here bound every sample, so none is repeated on the grid.
     """
-    from .lossmodel import _surface
     from .params import _check_third, total_from_nonembed
 
     sizes = np.asarray(sizes, dtype=float)
@@ -258,33 +261,78 @@ def simulate_curves(
     if not (6.0 * n0 * (float(lo) * n0) > 0 and 6.0 * t1 * (float(hi) * n1) < math.inf):
         raise ValueError("tokens_per_param takes compute out of the range of doubles")
 
-    tokens = _token_grid(lo * sizes, hi * sizes, samples_per_curve)
-    c_nonembed = 6.0 * sizes[:, None] * tokens
-    c_total = 6.0 * n_total[:, None] * tokens
+    m, s = sizes.size, samples_per_curve
+    columns = [np.empty((m, s)) for _ in _SAMPLE_FIELDS]
+    # As in linspace, every row takes the zero-step branch once any row needs it.
+    zero_step = bool(((np.log10(hi * sizes) - np.log10(lo * sizes)) / (s - 1) == 0).any())
+    args = (sizes, n_total, tokens_per_param, zero_step, spec, columns)
+    rows = max(1, _BIN_BLOCK // s)
+    blocks = [slice(a, a + rows) for a in range(0, m, rows)]
+    workers = min(len(blocks), _usable_cpus())
+    if workers < 2:
+        _sample_rows(slice(None), *args)
+    else:
+        import contextvars
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers)
+        try:
+            # Each block runs in a copy of the caller's context, which holds np.errstate.
+            for done in [pool.submit(contextvars.copy_context().run, _sample_rows, block, *args)
+                         for block in blocks]:
+                done.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return Curves(np.arange(m), sizes, n_total, *(a.ravel() for a in columns),
+                  np.arange(m) * s)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    import os
+
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _sample_rows(rows, sizes, n_total, tokens_per_param, zero_step, spec, columns):
+    """Fill the model rows ``rows`` of the (models, samples) ``columns`` (tokens,
+    c_total, c_nonembed, loss), from a ``slice`` of ``sizes`` and ``n_total``."""
+    from .lossmodel import _surface
+
+    tokens, c_total, c_nonembed, loss = (a[rows] for a in columns)
+    n, n_t = sizes[rows], n_total[rows, None]
+    lo, hi = tokens_per_param
+    _token_grid(lo * n, hi * n, tokens, zero_step)
+    six_n = 6.0 * n[:, None]
+    np.multiply(six_n, tokens, out=c_nonembed)
+    np.multiply(6.0 * n_t, tokens, out=c_total)
     # d = c_nonembed / (6 n_nonembed), as loss_ne_ce computes it; _surface
     # turns it into the loss in place.
-    loss = _surface(n_total[:, None], c_nonembed / (6.0 * sizes[:, None]), spec)
-    return Curves(np.arange(sizes.size), sizes, n_total, tokens.ravel(), c_total.ravel(),
-                  c_nonembed.ravel(), loss.ravel(), np.arange(sizes.size) * samples_per_curve)
+    np.divide(c_nonembed, six_n, out=loss)
+    _surface(n_t, loss, spec)
 
 
-def _token_grid(start, stop, num):
-    """``np.geomspace(start, stop, num, axis=1)`` bit for bit, built C-ordered in place;
-    as in linspace, every row takes the zero-step branch once any row needs it."""
+def _token_grid(start, stop, out, zero_step):
+    """Write ``np.geomspace(start, stop, num, axis=1)`` bit for bit into the C-ordered
+    (rows, num) ``out``.  ``zero_step`` says whether any row of the whole grid has a
+    zero log step: linspace then takes its zero-step branch for every row."""
+    num = out.shape[1]
     log_start, log_stop = np.log10(start), np.log10(stop)
     delta = log_stop - log_start
-    step = delta / (num - 1)
     j = np.arange(num, dtype=float)
-    y = (j / (num - 1)) * delta[:, None] if (step == 0).any() else j * step[:, None]
-    y += log_start[:, None]
-    y[:, -1] = log_stop
-    np.power(10.0, y, out=y)
-    y[:, 0], y[:, -1] = start, stop
-    return y
+    if zero_step:
+        np.multiply(j / (num - 1), delta[:, None], out=out)
+    else:
+        np.multiply(j, (delta / (num - 1))[:, None], out=out)
+    out += log_start[:, None]
+    out[:, -1] = log_stop
+    np.power(10.0, out, out=out)
+    out[:, 0], out[:, -1] = start, stop
 
 
 # Samples per block: the block size np.histogram uses for uniform bins, so
-# extract_frontier's scratch stays at about 1 MiB for any sample count.
+# extract_frontier's scratch stays at about 1 MiB for any sample count;
+# simulate_curves fills its rows in blocks of about as many samples.
 _BIN_BLOCK = 65536
 
 

@@ -118,7 +118,10 @@ def load_loss_spec(path) -> LossSpec:
         value = raw[key]
         if type(value) not in (int, float):  # a JSON number: not a bool, a string or null
             raise ValueError(f"spec file key {key!r} must be a number, got {value!r}")
-        values[key] = float(value)
+        try:
+            values[key] = float(value)
+        except OverflowError:  # an integer beyond the range of doubles
+            raise ValueError(f"spec file key {key!r} is too large for a double") from None
     return LossSpec(**values)
 
 

@@ -242,15 +242,45 @@ def test_bad_input_exits_2(capsys, argv):
     ("fit-embed-map", "name,d_model,n_layers,vocab,context_learned\n"
                       "a,512,8,32000,0\nb,5.5,8,32000,0\n",
      "row 2 column 'd_model' must be an integer, got '5.5'"),
+    ("exponent-curve --spec", '{"n_c": 1' + "0" * 400 + ', "d_c": 410.7, "alpha": 0.3392, '
+                              '"beta": 0.2849, "e_irr": 1.693}', "key 'n_c' is too large"),
 ], ids=["frontier-csv-short-row", "config-csv-short-row", "frontier-csv-long-row",
         "config-csv-long-row", "spec-array", "spec-null", "spec-string", "spec-bool",
-        "frontier-csv-unparsable-field", "config-csv-unparsable-field"])
+        "frontier-csv-unparsable-field", "config-csv-unparsable-field", "spec-huge-integer"])
 def test_malformed_input_file_exits_2(tmp_path, capsys, command, text, named):
     path = tmp_path / "input"
     path.write_text(text)
     code, out, err = _run(capsys, [*command.split(), str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize("command, named", [
+    ("simulate", "--sizes-count 20"),
+    ("frontier", "--sizes-count 20 and --bins 200"),
+    ("reproduce", "--bins 200"),
+])
+def test_memory_error_exits_2_naming_the_grid_options(capsys, monkeypatch, command, named):
+    def unable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.9 GiB for an array with shape (2000000000,)")
+
+    monkeypatch.setattr(frontier_module, "simulate_curves", unable)
+    code, out, err = _run(capsys, [command])
+    assert (code, out) == (2, "")
+    assert err == f"error: not enough memory for {named}\n"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["simulate", "--sizes-count", str(10**20)], f"--sizes-count {10**20}"),
+    (["frontier", "--bins", str(10**20)], f"--bins {10**20}"),
+    (["reproduce", "--bins", str(10**20)], f"--bins {10**20}"),
+])
+def test_count_beyond_the_address_space_exits_2_naming_it(capsys, argv, named):
+    """NumPy refuses such a count before allocating anything."""
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not enough memory") and err.count("\n") == 1
     assert named in err
 
 
@@ -391,6 +421,8 @@ def _expected_status(command, chosen):
 @example(("simulate", [("--omega", "1e308", "bad")]))
 @example(("fit", [("", "{frontier-unparsable}", "bad")]))
 @example(("reproduce", [("--bins", "15", "ok")]))
+@example(("simulate", [("--sizes-count", str(10**20), "bad")]))
+@example(("frontier", [("--sizes-count", "3", "ok"), ("--bins", str(10**20), "bad")]))
 def test_every_run_keeps_the_exit_status_contract(case):
     """Every run exits with README's status for its case, prints no traceback, writes one
     `error:` line for a failure outside argparse's usage errors, and leaves no --output
@@ -426,6 +458,10 @@ def test_every_run_keeps_the_exit_status_contract(case):
         assert err == ""
     else:
         assert err.startswith("error:") and err.count("\n") == 1, err
+        # A count beyond the address space is refused ahead of every other check.
+        for flag, value, _ in chosen:
+            if flag in ("--sizes-count", "--bins") and value == str(10**20):
+                assert f"{flag} {value}" in err, err
 
 
 # Runs every command in one fresh interpreter, then lists what got imported.

@@ -1,10 +1,11 @@
 import dataclasses
 import io
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalelab import (
@@ -32,6 +33,7 @@ from scalelab import (
     write_frontier_csv,
 )
 from scalelab import frontier as frontier_module
+from scalelab import lossmodel
 from scalelab.analytic import _min_beta
 
 IDENTITY = EmbedMap(0.0)
@@ -353,9 +355,94 @@ def token_grid_ends(draw):
 @settings(max_examples=200, deadline=None)
 @given(token_grid_ends(), st.integers(2, 1000))
 def test_token_grid_matches_geomspace(ends, num):
-    grid = frontier_module._token_grid(*ends, num)
-    assert grid.flags.c_contiguous
-    np.testing.assert_array_equal(grid, np.geomspace(*ends, num, axis=1), strict=True)
+    """Row by row, with the zero-step decision made once over every row, as linspace does."""
+    start, stop = ends
+    zero_step = bool(((np.log10(stop) - np.log10(start)) / (num - 1) == 0).any())
+    grid = np.empty((start.size, num))
+    for k in range(start.size):
+        frontier_module._token_grid(start[k:k + 1], stop[k:k + 1], grid[k:k + 1], zero_step)
+    np.testing.assert_array_equal(grid, np.geomspace(start, stop, num, axis=1), strict=True)
+
+
+def _whole_array_curves(sizes, spec, embed_map, tokens_per_param, samples):
+    """The sample columns as one broadcast expression each over the whole grid."""
+    lo, hi = tokens_per_param
+    n_total = total_from_nonembed(sizes, embed_map)
+    tokens = np.geomspace(lo * sizes, hi * sizes, samples, axis=1)
+    c_nonembed = 6.0 * sizes[:, None] * tokens
+    c_total = 6.0 * n_total[:, None] * tokens
+    d = c_nonembed / (6.0 * sizes[:, None])
+    loss = spec.d_c / d**spec.beta + spec.n_c / n_total[:, None] ** spec.alpha + spec.e_irr
+    return tokens, c_total, c_nonembed, loss
+
+
+@st.composite
+def row_block_grids(draw):
+    """(sizes, tokens_per_param, samples, spec name, workers): 1-600 increasing sizes
+    from 1e-2 to at most 1e66, 2-1500 samples, and a token window that is one ulp wide
+    a tenth of the time, where a row's log step can be 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    models = draw(st.integers(1, 600))
+    sizes = 10.0 ** (rng.uniform(-2.0, 6.0) + np.cumsum(rng.uniform(1e-3, 0.1, models)))
+    lo = 10.0 ** rng.uniform(-2.0, 3.0)
+    hi = np.nextafter(lo, np.inf) if rng.random() < 0.1 else lo * 10.0 ** rng.uniform(1e-3, 6.0)
+    return (sizes, (lo, float(hi)), draw(st.integers(2, 1500)),
+            draw(st.sampled_from(sorted(SPEC_CATALOG))), draw(st.sampled_from([1, 2, 3])))
+
+
+def _zero_step_grid():
+    """Three models whose token window is one ulp wide: at least one row's log step is 0."""
+    sizes, window = np.array([1e3, 1e4, 1e5]), (10.0, float(np.nextafter(10.0, np.inf)))
+    assert (np.log10(window[1] * sizes) == np.log10(window[0] * sizes)).any()
+    return sizes, window
+
+
+@settings(max_examples=40, deadline=None)
+@given(row_block_grids())
+@example((np.geomspace(1e3, 1e9, 3), (10.0, 3e5), frontier_module._BIN_BLOCK + 1, "epoch", 2))
+@example((np.geomspace(1e3, 1e9, frontier_module._BIN_BLOCK // 512 + 1), (10.0, 3e5), 512,
+          "chinchilla", 2))
+@example((*_zero_step_grid(), 70000, "epoch", 3))
+def test_row_block_simulation_matches_the_whole_array_reference(case):
+    """simulate_curves equals the whole-array formulas bit for bit on 1, 2 or 3 workers:
+    with rows longer than a block, a block holding one row, and a zero log step."""
+    sizes, window, samples, spec_name, workers = case
+    spec = SPEC_CATALOG[spec_name]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontier_module, "_usable_cpus", lambda: workers)
+        curves = simulate_curves(sizes, spec, DEFAULT_EMBED_MAP, window, samples)
+    want = _whole_array_curves(sizes, spec, DEFAULT_EMBED_MAP, window, samples)
+    for name, column in zip(("tokens", "c_total", "c_nonembed", "loss"), want):
+        np.testing.assert_array_equal(getattr(curves, name), column.ravel(), strict=True,
+                                      err_msg=name)
+
+
+def test_row_block_failure_is_the_callers(monkeypatch):
+    """A block that raises stops the call with its exception, and no worker outlives it."""
+    real, calls = lossmodel._surface, []
+
+    def fail_second(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("second block")
+        return real(*args)
+
+    monkeypatch.setattr(lossmodel, "_surface", fail_second)
+    monkeypatch.setattr(frontier_module, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="second block"):
+        simulate_curves(size_grid(1e3, 1e9, 300), EPOCH, DEFAULT_EMBED_MAP)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("models, workers", [(300, 2), (300, 1), (3, 2)])
+def test_row_block_overflow_raises_under_the_callers_errstate(monkeypatch, models, workers):
+    """d**beta overflows at beta = 3 and 1e200 tokens per parameter, inside the compute
+    guard; np.errstate(over="raise") reaches every block on every worker."""
+    steep = LossSpec(n_c=406.4, d_c=410.7, alpha=0.3392, beta=3.0, e_irr=1.693)
+    monkeypatch.setattr(frontier_module, "_usable_cpus", lambda: workers)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        simulate_curves(size_grid(1e3, 1e4, models), steep, DEFAULT_EMBED_MAP, (10.0, 1e200))
 
 
 def test_frontier_points_round_trip_the_columns(epoch_frontier_total):
