@@ -18,21 +18,12 @@ import math
 
 import numpy as np
 
+from . import _SUBMODULES
 from .fitting import _check_positive, _unwrap, _vector
 from .lossmodel import LossSpec, _surface
 from .params import THIRD, EmbedMap, _check_third
 
-__all__ = [
-    "optimal_nt",
-    "ce_of_optimal_ne",
-    "local_param_exponent",
-    "local_loss_exponent",
-    "loss_compute_exponent_total",
-    "transition_point",
-    "param_exponent_small_scale_limit",
-    "param_exponent_large_scale_limit",
-    "exponent_curve",
-]
+__all__ = list(_SUBMODULES["analytic"])
 
 EXPONENT_CURVE_RANGE = (1e2, 1e13)
 EXPONENT_CURVE_POINTS = 400

@@ -66,12 +66,7 @@ def cmd_fit_embed_map(args) -> int:
 
     path = bundled_config_path() if args.config_csv is None else args.config_csv
     fit = fit_embed_map(load_model_configs(path))
-    report = {
-        "omega": fit.embed_map.omega,
-        "delta": fit.embed_map.delta,
-        "r_squared": fit.r_squared,
-        "n_points": fit.n_points,
-    }
+    report = {**vars(fit.embed_map), "r_squared": fit.r_squared, "n_points": fit.n_points}
     _report(report, args.output, echo=True)
     return 0
 

@@ -21,12 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "PowerLawFit",
-    "fit_power_law",
-    "fit_power_law_with_offset",
-    "sum_squared_error",
-]
+from . import _SUBMODULES
+
+__all__ = list(_SUBMODULES["fitting"])
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _SUBMODULES
 from .fitting import (
     PowerLawFit,
     _check_count,
@@ -29,27 +30,7 @@ if TYPE_CHECKING:
     from .lossmodel import LossSpec
     from .params import EmbedMap
 
-__all__ = [
-    "KAPLAN_SIZE_RANGE",
-    "KAPLAN_GRID_POINTS",
-    "DEFAULT_TOKENS_PER_PARAM",
-    "DEFAULT_SAMPLES_PER_CURVE",
-    "DEFAULT_BINS",
-    "TrainingCurve",
-    "Curves",
-    "FrontierPoint",
-    "Frontier",
-    "kaplan_size_grid",
-    "size_grid",
-    "bracketing_token_schedule",
-    "simulate_curves",
-    "extract_frontier",
-    "fit_param_scaling",
-    "fit_loss_scaling",
-    "write_curves_csv",
-    "write_frontier_csv",
-    "read_frontier_csv",
-]
+__all__ = list(_SUBMODULES["frontier"])
 
 KAPLAN_SIZE_RANGE = (7.9e2, 1.58e9)
 KAPLAN_GRID_POINTS = 20
@@ -263,9 +244,7 @@ def simulate_curves(
 
     m, s = sizes.size, samples_per_curve
     columns = [np.empty((m, s)) for _ in _SAMPLE_FIELDS]
-    # As in linspace, every row takes the zero-step branch once any row needs it.
-    zero_step = bool(((np.log10(hi * sizes) - np.log10(lo * sizes)) / (s - 1) == 0).any())
-    args = (sizes, n_total, tokens_per_param, zero_step, spec, columns)
+    args = (sizes, n_total, tokens_per_param, spec, columns)
     rows = max(1, _BIN_BLOCK // s)
     blocks = [slice(a, a + rows) for a in range(0, m, rows)]
     workers = min(len(blocks), _usable_cpus())
@@ -275,14 +254,10 @@ def simulate_curves(
         import contextvars
         from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(workers)
-        try:
-            # Each block runs in a copy of the caller's context, which holds np.errstate.
-            for done in [pool.submit(contextvars.copy_context().run, _sample_rows, block, *args)
-                         for block in blocks]:
-                done.result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+        # Each block runs in its own copy of the caller's context, which holds np.errstate.
+        contexts = [contextvars.copy_context() for _ in blocks]
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(lambda ctx, block: ctx.run(_sample_rows, block, *args), contexts, blocks))
     return Curves(np.arange(m), sizes, n_total, *(a.ravel() for a in columns),
                   np.arange(m) * s)
 
@@ -294,7 +269,7 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _sample_rows(rows, sizes, n_total, tokens_per_param, zero_step, spec, columns):
+def _sample_rows(rows, sizes, n_total, tokens_per_param, spec, columns):
     """Fill the model rows ``rows`` of the (models, samples) ``columns`` (tokens,
     c_total, c_nonembed, loss), from a ``slice`` of ``sizes`` and ``n_total``."""
     from .lossmodel import _surface
@@ -302,7 +277,7 @@ def _sample_rows(rows, sizes, n_total, tokens_per_param, zero_step, spec, column
     tokens, c_total, c_nonembed, loss = (a[rows] for a in columns)
     n, n_t = sizes[rows], n_total[rows, None]
     lo, hi = tokens_per_param
-    _token_grid(lo * n, hi * n, tokens, zero_step)
+    _token_grid(lo * n, hi * n, tokens)
     six_n = 6.0 * n[:, None]
     np.multiply(six_n, tokens, out=c_nonembed)
     np.multiply(6.0 * n_t, tokens, out=c_total)
@@ -312,18 +287,14 @@ def _sample_rows(rows, sizes, n_total, tokens_per_param, zero_step, spec, column
     _surface(n_t, loss, spec)
 
 
-def _token_grid(start, stop, out, zero_step):
-    """Write ``np.geomspace(start, stop, num, axis=1)`` bit for bit into the C-ordered
-    (rows, num) ``out``.  ``zero_step`` says whether any row of the whole grid has a
-    zero log step: linspace then takes its zero-step branch for every row."""
+def _token_grid(start, stop, out):
+    """Write each row's ``np.geomspace(start[k], stop[k], num)`` bit for bit into the
+    C-ordered (rows, num) ``out``."""
     num = out.shape[1]
     log_start, log_stop = np.log10(start), np.log10(stop)
     delta = log_stop - log_start
     j = np.arange(num, dtype=float)
-    if zero_step:
-        np.multiply(j / (num - 1), delta[:, None], out=out)
-    else:
-        np.multiply(j, (delta / (num - 1))[:, None], out=out)
+    np.multiply(j, (delta / (num - 1))[:, None], out=out)
     out += log_start[:, None]
     out[:, -1] = log_stop
     np.power(10.0, out, out=out)

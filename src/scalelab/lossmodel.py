@@ -12,20 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _SUBMODULES
 from .fitting import _check_positive, _unwrap, _vector
 from .params import EmbedMap, _check_third, total_from_nonembed
 
-__all__ = [
-    "LossSpec",
-    "CHINCHILLA",
-    "EPOCH",
-    "SPEC_CATALOG",
-    "loss_nd",
-    "loss_nt_ct",
-    "loss_ne_ce",
-    "load_loss_spec",
-    "resolve_spec",
-]
+__all__ = list(_SUBMODULES["lossmodel"])
 
 
 @dataclass(frozen=True)

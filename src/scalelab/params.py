@@ -18,23 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _SUBMODULES
 from .fitting import _check_count, _check_positive, _loglog_ols, _parse_field, _unwrap, _vector
 
-__all__ = [
-    "DEFAULT_OMEGA",
-    "DEFAULT_EMBED_MAP",
-    "ModelShape",
-    "ParamSplit",
-    "EmbedMap",
-    "EmbedMapFit",
-    "count_params",
-    "total_from_nonembed",
-    "nonembed_from_total",
-    "fit_embed_map",
-    "omega_from_shape",
-    "load_model_configs",
-    "bundled_config_path",
-]
+__all__ = list(_SUBMODULES["params"])
 
 THIRD = 1.0 / 3.0
 

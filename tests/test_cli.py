@@ -667,12 +667,14 @@ _FIRST = st.sampled_from([*cli._COMMANDS, "-h", "--help", "bogus", "", "Simulate
 @example(["simulate"], [["extra"]])
 @example(["fit"], [])
 @example(["bogus"], [])
+@example(["simulate"], [["--omega", "nan"]])
 def test_a_commands_own_parser_parses_as_the_full_parser(first, rest):
     """``main`` parses with the subparser of the command its first argument names; the
-    full parser gives the same Namespace, or the same exit status and output."""
+    full parser gives the same Namespace, or the same exit status and output.  The results
+    are compared by ``repr``, as ``Namespace(omega=nan)`` equals no Namespace."""
     argv = first + [token for arg in rest for token in arg]
     alone = cli._build_parser(argv[0] if argv else None)
-    assert _parse(alone, argv) == _parse(cli._build_parser(), argv)
+    assert repr(_parse(alone, argv)) == repr(_parse(cli._build_parser(), argv))
 
 
 @pytest.mark.parametrize("argv, code, err", [

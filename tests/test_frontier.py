@@ -355,20 +355,20 @@ def token_grid_ends(draw):
 @settings(max_examples=200, deadline=None)
 @given(token_grid_ends(), st.integers(2, 1000))
 def test_token_grid_matches_geomspace(ends, num):
-    """Row by row, with the zero-step decision made once over every row, as linspace does."""
+    """Each row is the geomspace of its own ends, whatever the other rows' log steps."""
     start, stop = ends
-    zero_step = bool(((np.log10(stop) - np.log10(start)) / (num - 1) == 0).any())
     grid = np.empty((start.size, num))
-    for k in range(start.size):
-        frontier_module._token_grid(start[k:k + 1], stop[k:k + 1], grid[k:k + 1], zero_step)
-    np.testing.assert_array_equal(grid, np.geomspace(start, stop, num, axis=1), strict=True)
+    frontier_module._token_grid(start, stop, grid)
+    want = np.array([np.geomspace(start[k], stop[k], num) for k in range(start.size)])
+    np.testing.assert_array_equal(grid, want, strict=True)
 
 
 def _whole_array_curves(sizes, spec, embed_map, tokens_per_param, samples):
-    """The sample columns as one broadcast expression each over the whole grid."""
+    """The sample columns as one broadcast expression each over the whole grid, from
+    each model's own token geomspace."""
     lo, hi = tokens_per_param
     n_total = total_from_nonembed(sizes, embed_map)
-    tokens = np.geomspace(lo * sizes, hi * sizes, samples, axis=1)
+    tokens = np.array([np.geomspace(lo * n, hi * n, samples) for n in sizes])
     c_nonembed = 6.0 * sizes[:, None] * tokens
     c_total = 6.0 * n_total[:, None] * tokens
     d = c_nonembed / (6.0 * sizes[:, None])
@@ -415,6 +415,47 @@ def test_row_block_simulation_matches_the_whole_array_reference(case):
     for name, column in zip(("tokens", "c_total", "c_nonembed", "loss"), want):
         np.testing.assert_array_equal(getattr(curves, name), column.ravel(), strict=True,
                                       err_msg=name)
+
+
+@st.composite
+def model_grids(draw):
+    """(sizes, tokens_per_param, samples, spec name): 1-40 increasing sizes from 1e-2 to at
+    most 1e10, 2-600 samples, and a token window that is one ulp wide a third of the time."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    models = draw(st.integers(1, 40))
+    sizes = 10.0 ** (rng.uniform(-2.0, 6.0) + np.cumsum(rng.uniform(1e-3, 0.1, models)))
+    lo = 10.0 ** rng.uniform(-2.0, 3.0)
+    hi = np.nextafter(lo, np.inf) if rng.random() < 1 / 3 else lo * 10.0 ** rng.uniform(1e-3, 6.0)
+    return (sizes, (lo, float(hi)), draw(st.integers(2, 600)),
+            draw(st.sampled_from(sorted(SPEC_CATALOG))))
+
+
+def _mixed_step_grid(sizes, lo):
+    """Models under the one-ulp window from ``lo``, where some rows' log step can be 0 and
+    others' not; which ones, depends on the host's log10 kernel."""
+    return np.array(sizes), (lo, float(np.nextafter(lo, np.inf)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_grids())
+@example((*_zero_step_grid(), 512, "epoch"))
+@example((*_mixed_step_grid([1.0, 1e3], 1.0), 512, "chinchilla"))
+# Under AVX-512 kernels, taking linspace's zero-step branch for every row once any row
+# needs it, as a whole-grid geomspace does, moves one of row 0's tokens here.
+@example((*_mixed_step_grid([20.0, 899.0], 2.0), 207, "epoch"))
+def test_each_curve_is_its_model_simulated_alone(case):
+    """A curve's samples are the bits its model gets when simulated alone: no row depends
+    on another, also where some rows have a zero log step and others do not."""
+    sizes, window, samples, spec_name = case
+    spec = SPEC_CATALOG[spec_name]
+    curves = simulate_curves(sizes, spec, DEFAULT_EMBED_MAP, window, samples)
+    for k in range(sizes.size):
+        alone = simulate_curves(sizes[k:k + 1], spec, DEFAULT_EMBED_MAP, window, samples)
+        for name in ("n_nonembed", "n_total"):
+            assert getattr(curves, name)[k] == getattr(alone, name)[0], name
+        for name in ("tokens", "c_total", "c_nonembed", "loss"):
+            np.testing.assert_array_equal(getattr(curves, name).reshape(sizes.size, samples)[k],
+                                          getattr(alone, name), strict=True, err_msg=name)
 
 
 def test_row_block_failure_is_the_callers(monkeypatch):
