@@ -61,6 +61,17 @@ def _check_count(name, value, least):
     return count
 
 
+def _check_integers(name, value):
+    """``value`` as an int array, once every entry is an integer that fits one; else a
+    ValueError naming ``name``."""
+    v = np.asarray(value)
+    if v.dtype.kind not in "biu":  # NaN and inf fail the bound
+        f = v.astype(float)
+        if not ((np.trunc(f) == f) & (abs(f) < 2.0**63)).all():
+            raise ValueError(f"{name} must hold finite integers")
+    return v.astype(int, copy=False)
+
+
 def _parse_field(row: dict, k: int, name: str, kind, source: str):
     """``kind(row[name])``, or a ValueError naming the file ``source``, row ``k`` and column."""
     text = row[name]

@@ -18,6 +18,7 @@ from . import _SUBMODULES
 from .fitting import (
     PowerLawFit,
     _check_count,
+    _check_integers,
     _check_positive,
     _parse_field,
     fit_power_law,
@@ -104,8 +105,9 @@ class Curves:
     def __init__(self, model_index, n_nonembed, n_total, tokens, c_total, c_nonembed, loss,
                  starts):
         # Views, so freezing them leaves the caller's arrays writeable.
-        per_curve = [np.asarray(v, dtype=t).view() for v, t in
-                     zip((model_index, n_nonembed, n_total, starts), (int, float, float, int))]
+        per_curve = [_check_integers("model_index", model_index).view(),
+                     *(np.asarray(v, dtype=float).view() for v in (n_nonembed, n_total)),
+                     _check_integers("starts", starts).view()]
         samples = [np.asarray(v, dtype=float).view() for v in (tokens, c_total, c_nonembed, loss)]
         if per_curve[0].ndim != 1 or any(a.shape != per_curve[0].shape for a in per_curve):
             raise ValueError("per-curve columns and starts must be 1-d and of equal length")
@@ -152,6 +154,11 @@ class FrontierPoint:
 _POINT_FIELDS = ("c", "loss_min", "n_opt", "d_opt", "model_index")
 
 
+def _check_basis(basis):
+    if basis not in ("total", "nonembed"):
+        raise ValueError(f"basis must be 'total' or 'nonembed', got {basis!r}")
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class Frontier:
     """The frontier as read-only columns, one entry per kept bin in increasing compute.
@@ -172,8 +179,7 @@ class Frontier:
 
     def __init__(self, basis, points=None, *, c=(), loss_min=(), n_opt=(), d_opt=(),
                  model_index=(), n_empty=None, n_dropped=None):
-        if basis not in ("total", "nonembed"):
-            raise ValueError(f"basis must be 'total' or 'nonembed', got {basis!r}")
+        _check_basis(basis)
         columns = (c, loss_min, n_opt, d_opt, model_index)
         if points is not None:
             columns = [[getattr(p, name) for p in points] for name in _POINT_FIELDS]
@@ -308,42 +314,43 @@ _BIN_BLOCK = 65536
 
 
 def _block_scratch(size):
-    """Buffers for blocks of up to ``size`` samples: bins, floats and two masks."""
-    return (np.empty(size, dtype=np.intp), np.empty(size), np.empty(size, dtype=bool),
-            np.empty(size, dtype=bool))
+    """Buffers for blocks of up to ``size`` samples: bins, floats and one mask."""
+    return np.empty(size, dtype=np.intp), np.empty(size), np.empty(size, dtype=bool)
 
 
 def _geometric_bin_of(c, edges, scratch):
     """Bin of each sample of the block ``c``, equal to
     ``np.searchsorted(edges[1:-1], c, side="right")``, as a view of ``scratch[0]``.
 
-    ``edges`` are geometric, so a sample's bin is estimated from its logarithm
-    in O(1), checked against the edges, and searched for only where the check
-    fails; the result never depends on the accuracy of ``np.log``.  ``scratch``
-    is a ``_block_scratch`` of at least ``c.size`` samples; the call overwrites
-    all of its buffers.
+    ``edges`` are geometric, so the bin is the integer part of the sample's position
+    ``(ln c - ln e0) * n / (ln e_n - ln e0)``.  Rounding in ``np.log``, ``math.log``, the
+    edges and that map moves a position by far less than ``eps``, so only positions within
+    ``eps`` of an integer are searched for, and binning is exact within that budget.
+    ``scratch`` is a ``_block_scratch`` of at least ``c.size`` samples; the call
+    overwrites all of its buffers.
     """
     n = edges.size - 1
-    log_lo = math.log(edges[0])
-    span = math.log(edges[-1]) - log_lo
-    # A collapsed range estimates bin 0 everywhere and the check resolves it.
-    scale = n / span if span > 0 else 0.0
-    k, f, missed, above = (a[:c.size] for a in scratch)
+    log_lo, log_hi = math.log(edges[0]), math.log(edges[-1])
+    # A collapsed range puts every sample at position 0, inside the band.
+    scale = n / (log_hi - log_lo) if log_hi > log_lo else 0.0
+    # About 4096 times the rounding above; a subnormal edge is rounded to a
+    # multiple of 2**-1074, a relative error of up to 2**-1075 / e0.
+    eps = 2.0**-40 * (scale * (max(1.0, 2.0**-1022 / edges[0]) + max(-log_lo, log_hi)) + n)
+    k, f, missed = (a[:c.size] for a in scratch)
     np.log(c, out=f)
     f -= log_lo
     f *= scale
-    np.clip(f, 0, n - 1, out=f)
+    # Capped at n - 1/2, the largest compute lies mid-bin, outside the band; a
+    # negative position truncates toward 0 and so lies inside it.
+    np.minimum(f, n - 0.5, out=f)
     np.copyto(k, f, casting="unsafe")
-    # mode="clip" writes straight into f; the default mode buffers the output.
-    np.take(edges, k, out=f, mode="clip")
-    np.greater(f, c, out=missed)
-    # The last bin's upper edge is the largest edge, so samples on it are searched.
-    np.take(edges[1:], k, out=f, mode="clip")
-    np.greater_equal(c, f, out=above)
-    missed |= above
-    miss = np.flatnonzero(missed)
-    if miss.size:
-        k[miss] = np.searchsorted(edges[1:-1], c[miss], side="right")
+    # Distance from mid-bin: 1/2 less the distance from the nearest edge.
+    f -= k
+    f -= 0.5
+    np.absolute(f, out=f)
+    # A band of 1/2 or more searches every sample.
+    miss = np.flatnonzero(np.greater_equal(f, 0.5 - eps, out=missed))
+    k[miss] = np.searchsorted(edges[1:-1], c[miss], side="right")
     return k
 
 
@@ -359,23 +366,24 @@ def extract_frontier(
     with finite losses and finite positive compute, checked by the minima and
     maxima the edges need.  The ``n_bins`` bins are geometric between the
     smallest and largest compute; a sample's bin is the number of interior
-    edges at or below its compute, estimated from its logarithm and checked
-    against the edges, with a binary search only for samples the estimate
-    misses.  Samples go through in blocks of ``_BIN_BLOCK``, so no scratch
-    array grows with the sample count.
+    edges at or below its compute, the integer part of its position among the
+    edges, with a binary search only for positions within rounding of an edge.
+    Samples go through in blocks of ``_BIN_BLOCK``, so no scratch array grows
+    with the sample count.
     A bin's winner is its first minimum-loss sample in pooled (curve, then
     sample) order.  Bins whose winner has the table's smallest or largest
     ``model_index`` are discarded by default: at the extremes those models win
     only because nothing smaller or larger exists, which truncates the
-    envelope and biases fitted exponents.  The ``Frontier`` it returns checks ``basis``.
+    envelope and biases fitted exponents.  ``basis`` is checked before any pass.
     """
     if not isinstance(curves, Curves):
         raise TypeError(f"curves must be a Curves table, got {type(curves).__name__}")
     if len(curves) < 2:
         raise ValueError("need >=2 curves")
     n_bins = _check_count("n_bins", n_bins, 10)
+    _check_basis(basis)
 
-    c_all = curves.c_nonembed if basis == "nonembed" else curves.c_total
+    c_all, n_of = getattr(curves, f"c_{basis}"), getattr(curves, f"n_{basis}")
     loss_all = curves.loss
     if loss_all.size == 0:
         raise ValueError("curves hold no samples")
@@ -431,17 +439,9 @@ def extract_frontier(
     if not keep.any():
         raise ValueError("no frontier points survive the boundary guard")
     filled, curve = filled[keep], curve[keep]
-    n_of = curves.n_nonembed if basis == "nonembed" else curves.n_total
-    return Frontier(
-        basis,
-        c=centers[filled],
-        loss_min=best[filled],
-        n_opt=n_of[curve],
-        d_opt=curves.tokens[first[filled]],
-        model_index=winner[keep],
-        n_empty=n_empty,
-        n_dropped=keep.size - filled.size,
-    )
+    return Frontier(basis, c=centers[filled], loss_min=best[filled], n_opt=n_of[curve],
+                    d_opt=curves.tokens[first[filled]], model_index=winner[keep],
+                    n_empty=n_empty, n_dropped=keep.size - filled.size)
 
 
 def fit_param_scaling(frontier: Frontier) -> PowerLawFit:

@@ -615,6 +615,20 @@ def test_frontier_rejects_unknown_basis(tmp_path, epoch_frontier_total):
         read_frontier_csv(path)
 
 
+def test_extract_frontier_rejects_an_unknown_basis_before_any_pass(epoch_curves, monkeypatch):
+    """A misspelt basis is named as such, not binned through another basis's compute."""
+    def no_pass(*args):
+        raise AssertionError("binned before the basis was checked")
+
+    monkeypatch.setattr(frontier_module, "_geometric_bin_of", no_pass)
+    c = epoch_curves.c_total.copy()
+    c[5] = np.inf
+    for table in (epoch_curves, dataclasses.replace(epoch_curves, c_total=c)):
+        for basis in ("Total", "c_total", "", None):
+            with pytest.raises(ValueError, match="basis must be 'total' or 'nonembed'"):
+                extract_frontier(table, basis=basis)
+
+
 def test_curves_sequence_contract(epoch_curves):
     curves = epoch_curves
     assert isinstance(curves, Curves) and len(curves) == 20
@@ -656,6 +670,29 @@ def test_curves_columns_are_read_only_and_checked(epoch_curves):
     for starts in ([1, 2], [2, 1], [0, 4]):
         with pytest.raises(ValueError, match="starts"):
             Curves([0, 1], [1.0, 2.0], [2.0, 3.0], loss, loss, loss, loss, starts=starts)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("model_index", [0.5, 1.7]), ("model_index", [0, np.nan]), ("model_index", [np.inf, 1]),
+    ("model_index", [0, 1e300]), ("starts", [0, 1.9]), ("starts", [0, np.nan]),
+    ("starts", [0, np.inf]), ("starts", np.array([0.0, 2.5])),
+])
+def test_curves_reject_non_integral_indices(name, bad):
+    """A fractional or non-finite index is an error naming its column, not truncated
+    onto another curve or sample."""
+    loss = np.ones(3)
+    columns = {"model_index": [0, 1], "starts": [0, 2], name: bad}
+    with pytest.raises(ValueError, match=f"{name} must hold finite integers"):
+        Curves(columns["model_index"], [1.0, 2.0], [2.0, 3.0], loss, loss, loss, loss,
+               starts=columns["starts"])
+
+
+def test_curves_take_integral_floats_as_integers():
+    loss = np.ones(3)
+    table = Curves(np.array([3.0, -1.0]), [1.0, 2.0], [2.0, 3.0], loss, loss, loss, loss,
+                   starts=[0.0, 2.0])
+    assert table.model_index.tolist() == [3, -1] and table.starts.tolist() == [0, 2]
+    assert table.model_index.dtype == table.starts.dtype == int
 
 
 def test_simulate_curves_columns_are_c_contiguous(epoch_curves):
@@ -733,8 +770,33 @@ def _bin_by_blocks(c, edges, block):
                            .copy() for a in range(0, c.size, block)])
 
 
+def _few_ulps_case():
+    """2**20 bins over five adjacent doubles: the rounding budget exceeds a bin, so the
+    band is 1/2 or more and every sample is searched."""
+    c = 3.0 + np.arange(5.0) * np.spacing(3.0)
+    return c[::-1], np.geomspace(c[0], c[-1], 2**20 + 1)
+
+
+def _full_range_case(lo):
+    """10**6 bins from ``lo`` to the largest double: 20,000 edges, each with its
+    neighbours one ulp either side, and 20,000 samples between them."""
+    rng = np.random.default_rng(3)
+    hi = np.finfo(float).max
+    with np.errstate(over="ignore"):  # the last power overflows, and geomspace replaces it
+        edges = np.geomspace(lo, hi, 10**6 + 1)
+    some = rng.choice(edges, 20000)
+    inside = np.exp(rng.uniform(np.log(lo), np.log(hi), 20000))
+    c = np.concatenate([[lo, hi], some, np.nextafter(some, 0.0), np.nextafter(some, np.inf),
+                        inside])
+    return rng.permutation(np.clip(c, lo, hi)), edges
+
+
 @settings(max_examples=300, deadline=None)
 @given(binning_cases(5000))
+@example(_few_ulps_case())
+@example(_full_range_case(np.finfo(float).tiny))
+@example(_full_range_case(np.finfo(float).smallest_subnormal))
+@example(_full_range_case(1e-310))
 def test_geometric_bin_of_matches_searchsorted(case):
     c, edges = case
     want = np.searchsorted(edges[1:-1], c, side="right")
@@ -759,6 +821,27 @@ def test_geometric_bin_of_spans_real_blocks():
     edges = np.geomspace(c.min(), c.max(), n_bins + 1)
     np.testing.assert_array_equal(_bin_by_blocks(c, edges, frontier_module._BIN_BLOCK),
                                   np.searchsorted(edges[1:-1], c, side="right"))
+
+
+@pytest.mark.parametrize("spec", sorted(SPEC_CATALOG))
+def test_binary_search_sees_almost_no_simulated_sample(spec, monkeypatch):
+    """At 2000 x 512 samples and 2000 bins, fewer than 0.1% of the samples lie within the
+    rounding band of an edge and reach the binary search."""
+    curves = simulate_curves(size_grid(*frontier_module.KAPLAN_SIZE_RANGE, 2000),
+                             SPEC_CATALOG[spec], DEFAULT_EMBED_MAP)
+    searched, search = [], np.searchsorted
+
+    def counting(a, v, *args, **kwargs):
+        if np.asarray(a).dtype == float:  # the edges, not the curve starts
+            searched.append(np.size(v))
+        return search(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    for basis in ("nonembed", "total"):
+        searched.clear()
+        extract_frontier(curves, n_bins=2000, basis=basis)
+        # The smallest compute sits on the lowest edge, inside the band.
+        assert 0 < sum(searched) < 1e-3 * curves.loss.size, (basis, sum(searched))
 
 
 @pytest.mark.parametrize("block", [1, 3, 64])
@@ -802,7 +885,7 @@ def _extraction_peak(curves, basis):
 
 def test_extract_frontier_memory_stays_flat_at_stress_scale():
     """Extraction streams the samples through fixed block scratch: 1,024,000 samples
-    allocate about 1.4 MiB, no more than 256,000 do."""
+    allocate about 1.3 MiB, no more than 256,000 do."""
     curves = simulate_curves(size_grid(1e3, 1e9, 2000), EPOCH, DEFAULT_EMBED_MAP)
     smaller = simulate_curves(size_grid(1e3, 1e9, 500), EPOCH, DEFAULT_EMBED_MAP)
     assert curves.loss.size == 2000 * 512
