@@ -183,6 +183,7 @@ class Frontier:
         columns = (c, loss_min, n_opt, d_opt, model_index)
         if points is not None:
             columns = [[getattr(p, name) for p in points] for name in _POINT_FIELDS]
+        columns = (*columns[:4], _check_integers("model_index", columns[4]))
         arrays = dict(zip(_POINT_FIELDS, map(np.array, columns, (float,) * 4 + (int,))))
         if {a.shape for a in arrays.values()} != {(len(columns[0]),)}:
             raise ValueError("frontier columns must be 1-d and of equal length")
@@ -390,41 +391,32 @@ def extract_frontier(
     c_lo, c_hi = _check_positive(f"c_{basis}", c_all)
     _check_positive("loss", loss_all, zero_ok=None)
 
-    edges = np.geomspace(c_lo, c_hi, n_bins + 1)
-    # sqrt(e0*e1) with both edges scaled by a power of two near e0, which is
-    # exact: the same bits wherever e0*e1 is a normal double, and no overflow
-    # or underflow outside that range.
-    e0, e1 = edges[:-1], edges[1:]
-    s = np.ldexp(1.0, np.frexp(e0)[1])
-    centers = s * np.sqrt((e0 / s) * (e1 / s))
+    # The last edge is 10**log10(c_hi) before geomspace puts c_hi there; it may overflow.
+    with np.errstate(over="ignore"):
+        edges = np.geomspace(c_lo, c_hi, n_bins + 1)
 
-    # One pass over blocks, each binned into the same scratch: the block's
-    # per-bin minimum and the first pooled index attaining it, found while the
-    # block is in cache, replace the running ones only where that minimum is
-    # strictly lower.  Ties keep the earlier block, so a bin's winner is its
-    # first minimum-loss sample in pooled order; a bin without samples keeps
-    # the index size.  Only the bins a block touches are merged and reset, so
-    # a block costs O(block) whatever n_bins is.
+    # One pass over blocks, each binned into the same scratch.  A block lowers
+    # ``best``, each bin's running minimum, in place; a held winner (``first``, or
+    # size for no sample) that no longer attains it was beaten and is reset, and the
+    # block's earliest tie with ``best`` is kept if earlier.  So a bin's winner is its
+    # first minimum-loss sample in pooled order, a zero tie included, as ``!=`` holds
+    # -0.0 equal to 0.0.  A block updates only the bins it touches: O(block) work.
     size = loss_all.size
     scratch = _block_scratch(min(size, _BIN_BLOCK))
-    best, block_min = np.full(n_bins, np.inf), np.full(n_bins, np.inf)
-    first, block_first = np.full(n_bins, size), np.full(n_bins, size)
+    best, first = np.full(n_bins, np.inf), np.full(n_bins, size)
     for a in range(0, size, _BIN_BLOCK):
         loss = loss_all[a:a + _BIN_BLOCK]
         k = _geometric_bin_of(c_all[a:a + _BIN_BLOCK], edges, scratch)
-        np.minimum.at(block_min, k, loss)
+        np.minimum.at(best, k, loss)
         at_min, is_tie = scratch[1][:k.size], scratch[2][:k.size]
-        np.take(block_min, k, out=at_min, mode="clip")
+        np.take(best, k, out=at_min, mode="clip")
         np.equal(loss, at_min, out=is_tie)
         ties = np.flatnonzero(is_tie)
         touched = k[ties]  # each bin the block touched, at least once
+        # Clipping an empty bin's size to a sample only resets it to size again.
+        first[touched[np.take(loss_all, first[touched], mode="clip") != best[touched]]] = size
         ties += a
-        np.minimum.at(block_first, touched, ties)
-        won = touched[block_min[touched] < best[touched]]
-        best[won] = block_min[won]
-        first[won] = block_first[won]
-        block_min[touched] = np.inf
-        block_first[touched] = size
+        np.minimum.at(first, touched, ties)
 
     filled = np.flatnonzero(first < size)
     n_empty = n_bins - filled.size
@@ -439,8 +431,14 @@ def extract_frontier(
     if not keep.any():
         raise ValueError("no frontier points survive the boundary guard")
     filled, curve = filled[keep], curve[keep]
-    return Frontier(basis, c=centers[filled], loss_min=best[filled], n_opt=n_of[curve],
-                    d_opt=curves.tokens[first[filled]], model_index=winner[keep],
+    won = first[filled]
+    # sqrt(e0*e1) with both edges scaled by a power of two near e0, which is
+    # exact: the same bits wherever e0*e1 is a normal double, and no overflow
+    # or underflow outside that range.
+    e0, e1 = edges[filled], edges[filled + 1]
+    s = np.ldexp(1.0, np.frexp(e0)[1])
+    return Frontier(basis, c=s * np.sqrt((e0 / s) * (e1 / s)), loss_min=loss_all[won],
+                    n_opt=n_of[curve], d_opt=curves.tokens[won], model_index=winner[keep],
                     n_empty=n_empty, n_dropped=keep.size - filled.size)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 import threading
 import tracemalloc
 
@@ -284,10 +285,11 @@ def _assert_points_match(frontier, points, bounds):
 @st.composite
 def curve_sets(draw):
     """Hand-built tables of curves of unequal length, some empty, labelled by a shuffled
-    range that need not start at 0, whose losses take few values, so bins tie."""
+    range that need not start at 0, whose losses take few values, both signed zeros among
+    them, so bins tie."""
     lengths = draw(st.lists(st.integers(0, 40), min_size=2, max_size=6).filter(any))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    levels = rng.uniform(0.5, 5.0, draw(st.integers(1, 3)))
+    levels = [*rng.uniform(0.5, 5.0, draw(st.integers(1, 3))), 0.0, -0.0]
     model_index = rng.permutation(len(lengths)) + draw(st.sampled_from([0, 3]))
     samples = sum(lengths)
 
@@ -300,18 +302,53 @@ def curve_sets(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(curve_sets(), st.integers(10, 24), st.sampled_from(["nonembed", "total"]), st.booleans())
-def test_extract_frontier_matches_masked_argmin(curves, n_bins, basis, drop_edge_models):
+@given(curve_sets(), st.integers(10, 24), st.sampled_from(["nonembed", "total"]), st.booleans(),
+       st.sampled_from([1, 3, 64, 65536]))
+def test_extract_frontier_matches_masked_argmin(curves, n_bins, basis, drop_edge_models, block):
+    """Any block size, so that ties and signed zeros also meet across blocks."""
     points, bounds, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis,
                                                                  drop_edge_models)
-    if n_empty > 0.5 * n_bins or not points:
-        error = "too sparse" if n_empty > 0.5 * n_bins else "no frontier points"
-        with pytest.raises(ValueError, match=error):
-            extract_frontier(curves, n_bins, basis, drop_edge_models)
-        return
-    frontier = extract_frontier(curves, n_bins, basis, drop_edge_models)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontier_module, "_BIN_BLOCK", block)
+        if n_empty > 0.5 * n_bins or not points:
+            error = "too sparse" if n_empty > 0.5 * n_bins else "no frontier points"
+            with pytest.raises(ValueError, match=error):
+                extract_frontier(curves, n_bins, basis, drop_edge_models)
+            return
+        frontier = extract_frontier(curves, n_bins, basis, drop_edge_models)
     _assert_points_match(frontier, points, bounds)
+    assert [math.copysign(1, p.loss_min) for p in frontier.points] == [
+        math.copysign(1, p.loss_min) for p in points]
     assert (frontier.n_empty, frontier.n_dropped) == (n_empty, n_dropped)
+
+
+def test_loss_min_is_the_winners_own_loss():
+    """A bin holding 0.0 from model 0 and then -0.0 from model 1 goes to model 0, and
+    reports model 0's own +0.0."""
+    c = np.tile(np.geomspace(1.0, 1e4, 20), 2)
+    loss = np.concatenate([np.linspace(3.0, 1.0, 20), np.linspace(3.5, 1.5, 20)])
+    loss[[7, 27]] = 0.0, -0.0
+    tokens = np.arange(1.0, 41.0)  # names each sample's pooled index
+    curves = Curves([0, 1], [1.0, 2.0], [2.0, 3.0], tokens, c, c, loss, starts=[0, 20])
+    for basis in ("nonembed", "total"):
+        front = extract_frontier(curves, 10, basis, drop_edge_models=False)
+        won = front.d_opt.astype(int) - 1
+        assert front.loss_min.tobytes() == curves.loss[won].tobytes()
+        assert front.model_index[3] == 0 and front.loss_min[3].tobytes() == b"\0" * 8
+
+
+def test_extract_frontier_edges_do_not_overflow():
+    """Compute up to the largest double: the last edge is computed as 10**log10(c_hi),
+    which rounds past it, but neither an overflow warning nor, under
+    ``np.errstate(over="raise")``, an error escapes, and every centre is finite."""
+    c = 10.0 ** np.linspace(0.0, 308.0, 40)
+    c[-1] = np.finfo(float).max
+    loss = np.random.default_rng(3).uniform(1.0, 2.0, 40)
+    curves = Curves(range(4), np.ones(4), np.ones(4), c, c, c, loss, starts=[0, 10, 20, 30])
+    for over in ("warn", "raise"):
+        with np.errstate(over=over):
+            front = extract_frontier(curves, 10, "total", drop_edge_models=False)
+        assert front.c.size == 10 and np.isfinite(front.c).all()
 
 
 @settings(deadline=None)
@@ -502,6 +539,25 @@ def test_frontier_points_round_trip_the_columns(epoch_frontier_total):
     with pytest.raises(ValueError, match="equal length"):
         Frontier("total", c=[1.0, 2.0], loss_min=[1.0], n_opt=[1.0], d_opt=[1.0],
                  model_index=[1])
+
+
+@pytest.mark.parametrize("bad", [[0.5, 1.9], [0, np.nan], [np.inf, 1]])
+def test_frontier_rejects_non_integral_model_index(bad):
+    """On both the column and the record path, as ``Curves`` rejects them."""
+    columns = dict(c=[1.0, 2.0], loss_min=[1.0, 1.0], n_opt=[1.0, 1.0], d_opt=[1.0, 1.0])
+    with pytest.raises(ValueError, match="model_index must hold finite integers"):
+        Frontier("total", **columns, model_index=bad)
+    points = [FrontierPoint(*row) for row in zip(*columns.values(), bad)]
+    with pytest.raises(ValueError, match="model_index must hold finite integers"):
+        Frontier("total", points)
+
+
+def test_frontier_takes_integral_floats_as_model_index():
+    columns = dict(c=[1.0, 2.0], loss_min=[1.0, 1.0], n_opt=[1.0, 1.0], d_opt=[1.0, 1.0])
+    front = Frontier("total", **columns, model_index=[3.0, -1.0])
+    assert front.model_index.tolist() == [3, -1] and front.model_index.dtype == int
+    points = [FrontierPoint(*row) for row in zip(*columns.values(), [3.0, -1.0])]
+    assert Frontier("total", points).model_index.tolist() == [3, -1]
 
 
 def test_frontier_counts_empty_and_dropped_bins(epoch_curves, epoch_frontier_nonembed,
