@@ -30,13 +30,17 @@ _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def _check_positive(name, value, zero_ok=False, scalar=False):
-    """The smallest and largest entry of ``value`` ((1.0, 1.0) for no entry), once every
-    entry is finite and > 0 (>= 0 if ``zero_ok``, of any sign if ``zero_ok`` is None) and,
-    if ``scalar``, ``value`` is one number; else a ValueError naming ``name``."""
+    """The smallest and largest entry of ``value`` ((1.0, 1.0) for no entry), once it is
+    no boolean, every entry is finite and > 0 (>= 0 if ``zero_ok``, of any sign if
+    ``zero_ok`` is None) and, if ``scalar``, ``value`` is one number; else a ValueError
+    naming ``name``."""
     if isinstance(value, float):  # also np.float64; skips building a 0-d array
         lo = hi = value
     else:  # NaN fails both comparisons; no full-size temporaries
-        v = np.asarray(value, dtype=float)
+        v = np.asarray(value)
+        if v.dtype.kind == "b":  # by dtype alone: True would pass as 1.0
+            raise ValueError(f"{name} must be a number, got a boolean")
+        v = v.astype(float, copy=False)
         lo, hi = (v.min(), v.max()) if v.size else (1.0, 1.0)  # no entry to fail
     if not ((lo > -math.inf if zero_ok is None else lo >= 0 if zero_ok else lo > 0)
             and hi < math.inf):
@@ -62,12 +66,12 @@ def _check_count(name, value, least):
 
 
 def _check_integers(name, value):
-    """``value`` as an int array, once every entry is an integer that fits one; else a
-    ValueError naming ``name``."""
+    """``value`` as an int array, once every entry is an integer, not a boolean, that fits
+    one; else a ValueError naming ``name``."""
     v = np.asarray(value)
-    if v.dtype.kind not in "biu":  # NaN and inf fail the bound
+    if v.dtype.kind not in "iu":  # a boolean fails the kind, NaN and inf the bound
         f = v.astype(float)
-        if not ((np.trunc(f) == f) & (abs(f) < 2.0**63)).all():
+        if v.dtype.kind == "b" or not ((np.trunc(f) == f) & (abs(f) < 2.0**63)).all():
             raise ValueError(f"{name} must hold finite integers")
     return v.astype(int, copy=False)
 
@@ -229,8 +233,9 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
     else:
         if (y[1:] >= y[:-1]).any():
             raise ValueError(
-                "y must be strictly decreasing in x to profile an offset "
-                "(non-power-law data)"
+                "y must be strictly decreasing in x to profile an offset; on a binned frontier, "
+                "the compute bins are finer than the token schedule's sample spacing: use "
+                "fewer bins"
             )
         y_min = float(y.min())
         if y_min <= 0:

@@ -379,7 +379,7 @@ def extract_frontier(
     """
     if not isinstance(curves, Curves):
         raise TypeError(f"curves must be a Curves table, got {type(curves).__name__}")
-    if len(curves) < 2:
+    if curves.model_index.size < 2:
         raise ValueError("need >=2 curves")
     n_bins = _check_count("n_bins", n_bins, 10)
     _check_basis(basis)
@@ -395,16 +395,16 @@ def extract_frontier(
     with np.errstate(over="ignore"):
         edges = np.geomspace(c_lo, c_hi, n_bins + 1)
 
-    # One pass over blocks, each binned into the same scratch.  A block lowers
-    # ``best``, each bin's running minimum, in place; a held winner (``first``, or
-    # size for no sample) that no longer attains it was beaten and is reset, and the
-    # block's earliest tie with ``best`` is kept if earlier.  So a bin's winner is its
-    # first minimum-loss sample in pooled order, a zero tie included, as ``!=`` holds
-    # -0.0 equal to 0.0.  A block updates only the bins it touches: O(block) work.
+    # One pass over blocks, last to first, each binned into the same scratch.  A
+    # block lowers ``best``, each bin's running minimum, in place, and its samples
+    # that equal it (a zero tie included, as ``==`` holds -0.0 equal to 0.0) are the
+    # earliest in pooled order to attain it.  So the smallest such index replaces the
+    # bin's held winner (``first``, or size for no sample), which lies in a later
+    # block.  A block updates only the bins it touches: O(block) work.
     size = loss_all.size
     scratch = _block_scratch(min(size, _BIN_BLOCK))
     best, first = np.full(n_bins, np.inf), np.full(n_bins, size)
-    for a in range(0, size, _BIN_BLOCK):
+    for a in reversed(range(0, size, _BIN_BLOCK)):
         loss = loss_all[a:a + _BIN_BLOCK]
         k = _geometric_bin_of(c_all[a:a + _BIN_BLOCK], edges, scratch)
         np.minimum.at(best, k, loss)
@@ -412,11 +412,7 @@ def extract_frontier(
         np.take(best, k, out=at_min, mode="clip")
         np.equal(loss, at_min, out=is_tie)
         ties = np.flatnonzero(is_tie)
-        touched = k[ties]  # each bin the block touched, at least once
-        # Clipping an empty bin's size to a sample only resets it to size again.
-        first[touched[np.take(loss_all, first[touched], mode="clip") != best[touched]]] = size
-        ties += a
-        np.minimum.at(first, touched, ties)
+        np.minimum.at(first, k[ties], ties + a)
 
     filled = np.flatnonzero(first < size)
     n_empty = n_bins - filled.size
@@ -454,23 +450,16 @@ def fit_loss_scaling(
 ) -> PowerLawFit:
     """Compute-loss fit along the frontier: offset-free or with offset.
 
-    Profiling the offset needs ``loss_min`` to fall strictly with compute.  A
-    binned frontier does so while its bins are coarser than the spacing of the
-    token schedules: a finer bin can miss every sample of the locally best
-    model, and its minimum can then exceed the previous bin's.
+    Profiling the offset needs ``loss_min`` to fall strictly with compute, which
+    ``fit_power_law_with_offset`` checks.  A binned frontier does so while its bins
+    are coarser than the spacing of the token schedules: a finer bin can miss every
+    sample of the locally best model, and its minimum can then exceed the previous bin's.
     """
     if frontier.c.size < 3:
         raise ValueError("need >=3 frontier points")
     if form == "kaplan":
         return fit_power_law(frontier.c, frontier.loss_min)
     if form == "chinchilla":
-        by_c = frontier.loss_min[np.argsort(frontier.c)]
-        if fixed_offset is None and (np.diff(by_c) >= 0).any():
-            raise ValueError(
-                "frontier loss_min does not fall strictly with compute, so no offset can "
-                "be profiled: the compute bins are finer than the token schedule's "
-                "sample spacing; use fewer bins"
-            )
         return fit_power_law_with_offset(frontier.c, frontier.loss_min, fixed_offset)
     raise ValueError("form must be 'kaplan' or 'chinchilla'")
 

@@ -111,8 +111,8 @@ def total_from_nonembed(n_nonembed, embed_map: EmbedMap):
 
     Accepts scalars or arrays; all inputs must be finite and > 0.
     """
+    _check_positive("n_nonembed", n_nonembed)
     n = _vector(n_nonembed)
-    _check_positive("n_nonembed", n)
     with np.errstate(over="ignore"):  # an overflowing total is inf, which callers reject
         return _unwrap(n + embed_map.omega * n**embed_map.delta, n_nonembed)
 
@@ -129,8 +129,8 @@ def nonembed_from_total(n_total, embed_map: EmbedMap):
     # A float is worked in Python floats, cheaper than NumPy's; cbrt and hypot stay
     # NumPy's (math.hypot rounds differently), so the bits equal the array path's.
     scalar = isinstance(n_total, float)
+    _check_positive("n_total", n_total)
     n = float(n_total) if scalar else _vector(n_total)
-    _check_positive("n_total", n)
     omega = embed_map.omega
     if omega != 0.0:
         half = n / 2.0

@@ -291,6 +291,20 @@ def test_offset_fit_error_names_bins_finer_than_the_schedule(capsys):
     assert "use fewer bins" in err
 
 
+@pytest.mark.parametrize("row, message", [
+    ("total,0,2.5,1e4,1e6,2", "x values must be finite and > 0"),
+    ("total,nan,2.5,1e4,1e6,2", "x values must be finite and > 0"),
+    ("total,-1e11,2.5,1e4,1e6,2", "x values must be finite and > 0"),
+    ("total,1e11,inf,1e4,1e6,2", "y values must be finite"),
+])
+def test_fit_chinchilla_names_a_bad_value_not_the_bins(tmp_path, capsys, row, message):
+    path = tmp_path / "frontier.csv"
+    path.write_text("basis,c,loss_min,n_opt,d_opt,model_index\ntotal,1e10,3.0,1e3,1e6,1\n"
+                    f"{row}\ntotal,1e12,2.3,1e5,1e6,3\ntotal,1e13,2.2,1e6,1e6,4\n")
+    for form in ("kaplan", "chinchilla"):
+        assert _run(capsys, ["fit", str(path), "--form", form]) == (2, "", f"error: {message}\n")
+
+
 def test_reproduce_tolerance_failure_exits_1(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code, out, err = _run(capsys, ["reproduce", "--bins", "15", "--output", str(report_path)])

@@ -7,9 +7,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scalelab import (
+    DEFAULT_EMBED_MAP,
+    EPOCH,
+    Curves,
+    EmbedMap,
+    Frontier,
+    LossSpec,
     fit_power_law,
     fit_power_law_with_offset,
+    loss_ne_ce,
+    nonembed_from_total,
+    size_grid,
     sum_squared_error,
+    total_from_nonembed,
 )
 from scalelab import fitting
 from scalelab.fitting import _loglog_design, _loglog_ols, _validated_xy
@@ -353,8 +363,9 @@ def _checks_as_first_written(x, y, offset_fit, fixed_offset=None):
             raise ValueError("y - fixed_offset must be > 0")
         return
     if np.any(np.diff(y) >= 0):
-        raise ValueError("y must be strictly decreasing in x to profile an offset "
-                         "(non-power-law data)")
+        raise ValueError("y must be strictly decreasing in x to profile an offset; on a "
+                         "binned frontier, the compute bins are finer than the token "
+                         "schedule's sample spacing: use fewer bins")
     if float(y.min()) <= 0:
         raise ValueError("min(y) must be > 0 when fitting a positive offset")
 
@@ -402,3 +413,28 @@ def test_input_checks_match_their_first_form(xy, fixed_offset):
     for fit, args, offset_fit in cases:
         assert _outcome(fit, *args) == _outcome(_checks_as_first_written, *args[:2],
                                                 offset_fit, *args[2:])
+
+
+_ONE_SAMPLE_EACH = ([1.0, 2.0], [1.0, 2.0], *[[1.0, 1.0]] * 4)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("n_c", lambda: LossSpec(True, 410.7, 0.3392, 0.2849, 1.693)),
+    ("e_irr", lambda: LossSpec(406.4, 410.7, 0.3392, 0.2849, np.bool_(False))),
+    ("omega", lambda: EmbedMap(True)),
+    ("fixed_offset", lambda: fit_power_law_with_offset([1.0, 2.0, 4.0], [3.0, 2.0, 1.5],
+                                                       fixed_offset=True)),
+    ("n_min", lambda: size_grid(True, 10.0, 3)),
+    ("n_nonembed", lambda: total_from_nonembed([True], DEFAULT_EMBED_MAP)),
+    ("n_total", lambda: nonembed_from_total(np.array([True, True]), DEFAULT_EMBED_MAP)),
+    ("n_nonembed", lambda: loss_ne_ce(np.bool_(True), 1e10, EPOCH, DEFAULT_EMBED_MAP)),
+    ("arg", lambda: fitting._check_positive("arg", np.array([], dtype=bool))),
+    ("model_index", lambda: Curves([True, False], *_ONE_SAMPLE_EACH, starts=[0, 1])),
+    ("starts", lambda: Curves([0, 1], *_ONE_SAMPLE_EACH, starts=[False, True])),
+    ("model_index", lambda: Frontier("total", c=[1.0], loss_min=[1.0], n_opt=[1.0],
+                                     d_opt=[1.0], model_index=[True])),
+])
+def test_a_boolean_is_neither_a_number_nor_an_index(name, call):
+    """True once passed as 1 and False as 0, by value or as a bool array's dtype."""
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call()

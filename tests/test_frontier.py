@@ -1,6 +1,5 @@
 import dataclasses
 import io
-import math
 import threading
 import tracemalloc
 
@@ -38,6 +37,7 @@ from scalelab import lossmodel
 from scalelab.analytic import _min_beta
 
 IDENTITY = EmbedMap(0.0)
+POINT_COLUMNS = ("c", "loss_min", "n_opt", "d_opt", "model_index")
 
 
 def _invert_ce(c, spec, emap, lo=1e-6, hi=1e18):
@@ -62,40 +62,50 @@ def test_kaplan_size_grid_contract():
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
 
 
+def _curve_slices(curves):
+    """Each curve's slice of the sample columns, from its start to the next curve's."""
+    bounds = [*curves.starts.tolist(), curves.loss.size]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def test_curve_invariants(epoch_curves):
-    assert len(epoch_curves) == 20
-    for cv in epoch_curves:
-        assert np.all(np.diff(cv.loss) < 0)
-        assert np.all(np.diff(cv.c_total) > 0)
-        assert np.all(np.diff(cv.c_nonembed) > 0)
-        np.testing.assert_allclose(
-            cv.c_total / cv.c_nonembed, cv.n_total / cv.n_nonembed, rtol=1e-12)
+    curves = epoch_curves
+    assert curves.model_index.size == 20
+    for k, rows in enumerate(_curve_slices(curves)):
+        assert np.all(np.diff(curves.loss[rows]) < 0)
+        assert np.all(np.diff(curves.c_total[rows]) > 0)
+        assert np.all(np.diff(curves.c_nonembed[rows]) > 0)
+        np.testing.assert_allclose(curves.c_total[rows] / curves.c_nonembed[rows],
+                                   curves.n_total[k] / curves.n_nonembed[k], rtol=1e-12)
 
 
 def test_larger_models_have_lower_asymptotic_loss(epoch_curves):
     floors = [
-        loss_ne_ce(cv.n_nonembed, 6.0 * cv.n_nonembed * 1e30, EPOCH, DEFAULT_EMBED_MAP)
-        for cv in epoch_curves
+        loss_ne_ce(n, 6.0 * n * 1e30, EPOCH, DEFAULT_EMBED_MAP)
+        for n in epoch_curves.n_nonembed.tolist()
     ]
     assert np.all(np.diff(floors) < 0)
 
 
 def test_frontier_points_hug_analytic_envelope(epoch_frontier_nonembed):
-    for p in epoch_frontier_nonembed.points[::7]:
-        c_won = 6.0 * p.n_opt * p.d_opt
+    front = epoch_frontier_nonembed
+    for n_opt, d_opt, loss_min in zip(front.n_opt[::7].tolist(), front.d_opt[::7].tolist(),
+                                      front.loss_min[::7].tolist()):
+        c_won = 6.0 * n_opt * d_opt
         n_star = _invert_ce(c_won, EPOCH, DEFAULT_EMBED_MAP)
         envelope = loss_ne_ce(n_star, c_won, EPOCH, DEFAULT_EMBED_MAP)
-        assert p.loss_min >= envelope - 1e-9
-        assert p.loss_min <= 1.01 * envelope
+        assert loss_min >= envelope - 1e-9
+        assert loss_min <= 1.01 * envelope
 
 
 def test_frontier_tracks_analytic_optimum_within_grid_spacing(epoch_frontier_nonembed):
     grid = kaplan_size_grid()
     step = np.log(grid[1] / grid[0])
     worst = 0.0
-    for p in epoch_frontier_nonembed.points:
-        n_star = _invert_ce(p.c, EPOCH, DEFAULT_EMBED_MAP)
-        worst = max(worst, abs(np.log(p.n_opt / n_star)))
+    front = epoch_frontier_nonembed
+    for c, n_opt in zip(front.c.tolist(), front.n_opt.tolist()):
+        n_star = _invert_ce(c, EPOCH, DEFAULT_EMBED_MAP)
+        worst = max(worst, abs(np.log(n_opt / n_star)))
     assert worst <= step
 
 
@@ -127,9 +137,26 @@ def test_offset_fit_names_bins_finer_than_the_schedule():
     assert fit_loss_scaling(flat, form="kaplan").exponent < 0
 
 
+@pytest.mark.parametrize("column, bad, message", [
+    ("c", 0.0, "x values must be finite and > 0"),
+    ("c", np.nan, "x values must be finite and > 0"),
+    ("c", -1e11, "x values must be finite and > 0"),
+    ("loss_min", np.inf, "y values must be finite"),
+])
+def test_offset_fit_names_a_bad_value_not_the_bins(column, bad, message):
+    """The offset fit checks values before the falling loss, as the plain fits do."""
+    columns = dict(c=[1e10, 1e11, 1e12, 1e13], loss_min=[3.0, 2.5, 2.3, 2.2])
+    columns[column][1] = bad
+    front = Frontier("total", **columns, n_opt=[1e3, 1e4, 1e5, 1e6], d_opt=[1e6] * 4,
+                     model_index=[1, 2, 3, 4])
+    for form in ("kaplan", "chinchilla"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_loss_scaling(front, form=form)
+
+
 def test_frontier_bases_select_same_models(epoch_frontier_nonembed, epoch_frontier_total):
-    ne_winners = {p.model_index for p in epoch_frontier_nonembed.points}
-    t_winners = {p.model_index for p in epoch_frontier_total.points}
+    ne_winners = set(epoch_frontier_nonembed.model_index.tolist())
+    t_winners = set(epoch_frontier_total.model_index.tolist())
     assert ne_winners == t_winners
 
 
@@ -152,11 +179,11 @@ def test_two_model_toy_switches_at_curve_crossing():
             hi = mid
     crossing = np.sqrt(lo * hi)
 
-    c0 = [p.c for p in frontier.points if p.model_index == 0]
-    c1 = [p.c for p in frontier.points if p.model_index == 1]
-    assert c0 and c1
+    c0 = frontier.c[frontier.model_index == 0]
+    c1 = frontier.c[frontier.model_index == 1]
+    assert c0.size and c1.size
     assert max(c0) < min(c1)
-    pooled = np.concatenate([cv.c_nonembed for cv in curves])
+    pooled = curves.c_nonembed
     bin_ratio = (pooled.max() / pooled.min()) ** (1.0 / n_bins)
     assert max(c0) <= crossing * bin_ratio
     assert min(c1) >= crossing / bin_ratio
@@ -171,9 +198,10 @@ def test_omega_zero_total_basis_recovers_global_exponent():
 
 
 def test_extract_frontier_preconditions(epoch_curves):
-    first = epoch_curves[0]
-    one = Curves([0], [first.n_nonembed], [first.n_total], first.tokens, first.c_total,
-                 first.c_nonembed, first.loss, starts=[0])
+    first = _curve_slices(epoch_curves)[0]
+    one = Curves([0], epoch_curves.n_nonembed[:1], epoch_curves.n_total[:1],
+                 *(getattr(epoch_curves, name)[first]
+                   for name in ("tokens", "c_total", "c_nonembed", "loss")), starts=[0])
     with pytest.raises(ValueError):
         extract_frontier(one)
     with pytest.raises(TypeError, match="curves"):
@@ -214,7 +242,8 @@ def test_csv_output_deterministic_and_round_trips(tmp_path, epoch_frontier_nonem
     write_frontier_csv(epoch_frontier_nonembed, path)
     again = read_frontier_csv(path)
     assert again.basis == epoch_frontier_nonembed.basis
-    assert again.points == epoch_frontier_nonembed.points
+    for name in POINT_COLUMNS:
+        assert np.array_equal(getattr(again, name), getattr(epoch_frontier_nonembed, name))
 
     small = simulate_curves(np.array([1e4, 1e6]), EPOCH, DEFAULT_EMBED_MAP,
                             samples_per_curve=4)
@@ -227,59 +256,59 @@ def test_csv_output_deterministic_and_round_trips(tmp_path, epoch_frontier_nonem
 
 def test_pipeline_rerun_identical(epoch_curves):
     rerun = simulate_curves(kaplan_size_grid(), EPOCH, DEFAULT_EMBED_MAP)
-    for a, b in zip(epoch_curves, rerun):
-        assert np.array_equal(a.loss, b.loss)
-        assert np.array_equal(a.c_nonembed, b.c_nonembed)
+    assert np.array_equal(epoch_curves.starts, rerun.starts)
+    assert np.array_equal(epoch_curves.loss, rerun.loss)
+    assert np.array_equal(epoch_curves.c_nonembed, rerun.c_nonembed)
     f1 = extract_frontier(epoch_curves, basis="nonembed")
     f2 = extract_frontier(rerun, basis="nonembed")
-    assert f1.points == f2.points
+    for name in POINT_COLUMNS:
+        assert np.array_equal(getattr(f1, name), getattr(f2, name))
 
 
 def _masked_argmin_frontier(curves, n_bins, basis, drop_edge_models):
     """Reference: each bin's winner by a boolean mask and argmin over all pooled samples.
 
-    Returns the points, each point's bin edges, n_empty and n_dropped.  A point's
-    c is sqrt(lo*hi) where that product is a normal double, else NaN.
+    Returns the frontier's columns by name, each kept bin's lower and upper edges, n_empty
+    and n_dropped.  A kept bin's c is sqrt(lo*hi) where that product is a normal double,
+    else NaN.
     """
-    ne = basis == "nonembed"
-    c_all = np.concatenate([cv.c_nonembed if ne else cv.c_total for cv in curves])
-    n_all = np.concatenate([np.full(cv.loss.size, cv.n_nonembed if ne else cv.n_total)
-                            for cv in curves])
-    loss_all = np.concatenate([cv.loss for cv in curves])
-    d_all = np.concatenate([cv.tokens for cv in curves])
-    index_all = np.concatenate([np.full(cv.loss.size, cv.model_index) for cv in curves])
-    labels = [cv.model_index for cv in curves]
+    c_all = getattr(curves, f"c_{basis}")
+    lengths = np.diff(np.append(curves.starts, curves.loss.size))
+    n_all = np.repeat(getattr(curves, f"n_{basis}"), lengths)
+    index_all = np.repeat(curves.model_index, lengths)
+    labels = curves.model_index.tolist()
     edges = np.geomspace(c_all.min(), c_all.max(), n_bins + 1)
     with np.errstate(over="ignore", under="ignore"):
         product = edges[:-1] * edges[1:]
     normal = (product >= np.finfo(float).tiny) & (product < np.inf)
     centers = np.where(normal, np.sqrt(np.where(normal, product, 1.0)), np.nan)
     bin_of = np.clip(np.searchsorted(edges, c_all, side="right") - 1, 0, n_bins - 1)
-    points, bounds, n_empty, n_dropped = [], [], 0, 0
+    kept, won, n_empty, n_dropped = [], [], 0, 0
     for b in range(n_bins):
         mask = bin_of == b
         if not mask.any():
             n_empty += 1
             continue
-        j = np.argmin(loss_all[mask])
-        winner = int(index_all[mask][j])
-        if drop_edge_models and winner in (min(labels), max(labels)):
+        j = np.flatnonzero(mask)[np.argmin(curves.loss[mask])]
+        if drop_edge_models and index_all[j] in (min(labels), max(labels)):
             n_dropped += 1
             continue
-        points.append(FrontierPoint(float(centers[b]), float(loss_all[mask][j]),
-                                    float(n_all[mask][j]), float(d_all[mask][j]), winner))
-        bounds.append((edges[b], edges[b + 1]))
-    return points, bounds, n_empty, n_dropped
+        kept.append(b)
+        won.append(j)
+    kept, won = np.array(kept, dtype=int), np.array(won, dtype=int)
+    columns = dict(c=centers[kept], loss_min=curves.loss[won], n_opt=n_all[won],
+                   d_opt=curves.tokens[won], model_index=index_all[won])
+    return columns, edges[kept], edges[kept + 1], n_empty, n_dropped
 
 
-def _assert_points_match(frontier, points, bounds):
-    """Field for field; where the reference c is NaN, c need only lie within its bin."""
-    assert len(frontier.points) == len(points)
-    for got, want, (lo, hi) in zip(frontier.points, points, bounds):
-        if np.isnan(want.c):
-            assert lo <= got.c <= hi
-            want = dataclasses.replace(want, c=got.c)
-        assert got == want
+def _assert_columns_match(frontier, want, lo, hi):
+    """Column for column; where the reference c is NaN, c need only lie within its bin."""
+    assert frontier.c.shape == want["c"].shape
+    unknown = np.isnan(want["c"])
+    assert ((lo <= frontier.c) & (frontier.c <= hi))[unknown].all()
+    for name in POINT_COLUMNS:
+        expected = np.where(unknown, frontier.c, want["c"]) if name == "c" else want[name]
+        assert np.array_equal(getattr(frontier, name), expected), name
 
 
 @st.composite
@@ -306,19 +335,18 @@ def curve_sets(draw):
        st.sampled_from([1, 3, 64, 65536]))
 def test_extract_frontier_matches_masked_argmin(curves, n_bins, basis, drop_edge_models, block):
     """Any block size, so that ties and signed zeros also meet across blocks."""
-    points, bounds, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis,
-                                                                 drop_edge_models)
+    want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis,
+                                                               drop_edge_models)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frontier_module, "_BIN_BLOCK", block)
-        if n_empty > 0.5 * n_bins or not points:
+        if n_empty > 0.5 * n_bins or not want["c"].size:
             error = "too sparse" if n_empty > 0.5 * n_bins else "no frontier points"
             with pytest.raises(ValueError, match=error):
                 extract_frontier(curves, n_bins, basis, drop_edge_models)
             return
         frontier = extract_frontier(curves, n_bins, basis, drop_edge_models)
-    _assert_points_match(frontier, points, bounds)
-    assert [math.copysign(1, p.loss_min) for p in frontier.points] == [
-        math.copysign(1, p.loss_min) for p in points]
+    _assert_columns_match(frontier, want, lo, hi)
+    assert np.array_equal(np.signbit(frontier.loss_min), np.signbit(want["loss_min"]))
     assert (frontier.n_empty, frontier.n_dropped) == (n_empty, n_dropped)
 
 
@@ -361,16 +389,17 @@ def test_simulate_curves_matches_per_model_evaluation(log_first, log_steps, omeg
     emap, spec = EmbedMap(omega), SPEC_CATALOG[spec_name]
     lo, hi = 10.0**log_lo, 10.0 ** (log_lo + log_span)
     curves = simulate_curves(sizes, spec, emap, (lo, hi), samples)
-    assert len(curves) == sizes.size
-    for index, (n, cv) in enumerate(zip(sizes, curves)):
+    assert curves.model_index.size == sizes.size
+    for index, (n, rows) in enumerate(zip(sizes, _curve_slices(curves))):
         tokens = np.geomspace(lo * n, hi * n, samples)
         n_total = total_from_nonembed(float(n), emap)
         c_nonembed = 6.0 * n * tokens
-        assert (cv.model_index, cv.n_nonembed, cv.n_total) == (index, float(n), n_total)
-        np.testing.assert_array_equal(cv.tokens, tokens)
-        np.testing.assert_array_equal(cv.c_nonembed, c_nonembed)
-        np.testing.assert_array_equal(cv.c_total, 6.0 * n_total * tokens)
-        np.testing.assert_array_equal(cv.loss, loss_ne_ce(n, c_nonembed, spec, emap))
+        assert (curves.model_index[index], curves.n_nonembed[index],
+                curves.n_total[index]) == (index, float(n), n_total)
+        np.testing.assert_array_equal(curves.tokens[rows], tokens)
+        np.testing.assert_array_equal(curves.c_nonembed[rows], c_nonembed)
+        np.testing.assert_array_equal(curves.c_total[rows], 6.0 * n_total * tokens)
+        np.testing.assert_array_equal(curves.loss[rows], loss_ne_ce(n, c_nonembed, spec, emap))
 
 
 @st.composite
@@ -792,10 +821,9 @@ def test_extract_frontier_bins_samples_on_and_beside_edges(seed, n_bins, c_range
     curves = Curves(range(4), [1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0], c, c, c, loss,
                     starts=[0, *cuts])
     for basis in ("nonembed", "total"):
-        points, bounds, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis,
-                                                                     False)
+        want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis, False)
         frontier = extract_frontier(curves, n_bins, basis, drop_edge_models=False)
-        _assert_points_match(frontier, points, bounds)
+        _assert_columns_match(frontier, want, lo, hi)
         assert (frontier.n_empty, frontier.n_dropped) == (n_empty, n_dropped)
 
 
@@ -985,15 +1013,14 @@ def test_pipeline_sweep(omega, log_lo, log_span, count, samples, n_bins, spec):
     sizes = size_grid(10.0**log_lo, 10.0 ** min(log_lo + log_span, 23.0), count)
     curves = simulate_curves(sizes, spec, EmbedMap(omega), samples_per_curve=samples)
     for basis in ("nonembed", "total"):
-        points, bounds, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis,
-                                                                     True)
-        if n_empty > 0.5 * n_bins or not points:
+        want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis, True)
+        if n_empty > 0.5 * n_bins or not want["c"].size:
             error = "too sparse" if n_empty > 0.5 * n_bins else "no frontier points"
             with pytest.raises(ValueError, match=error):
                 extract_frontier(curves, n_bins, basis)
             continue
         front = extract_frontier(curves, n_bins, basis)
-        _assert_points_match(front, points, bounds)
+        _assert_columns_match(front, want, lo, hi)
         assert (front.n_empty, front.n_dropped) == (n_empty, n_dropped)
         for fit in (lambda: fit_param_scaling(front), lambda: fit_loss_scaling(front),
                     lambda: fit_loss_scaling(front, "chinchilla")):
