@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +30,13 @@ _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
 def _check_positive(name, value, zero_ok=False, scalar=False):
     """The smallest and largest entry of ``value`` ((1.0, 1.0) for no entry), once it is
-    no boolean, every entry is finite and > 0 (>= 0 if ``zero_ok``, of any sign if
+    no boolean or string, every entry is finite and > 0 (>= 0 if ``zero_ok``, of any sign if
     ``zero_ok`` is None) and, if ``scalar``, ``value`` is one number; else a ValueError
     naming ``name``."""
     if isinstance(value, float):  # also np.float64; skips building a 0-d array
         lo = hi = value
     else:  # NaN fails both comparisons; no full-size temporaries
-        v = np.asarray(value)
-        if v.dtype.kind == "b":  # by dtype alone: True would pass as 1.0
-            raise ValueError(f"{name} must be a number, got a boolean")
-        v = v.astype(float, copy=False)
+        v = _float_array(name, value)
         lo, hi = (v.min(), v.max()) if v.size else (1.0, 1.0)  # no entry to fail
     if not ((lo > -math.inf if zero_ok is None else lo >= 0 if zero_ok else lo > 0)
             and hi < math.inf):
@@ -49,6 +45,15 @@ def _check_positive(name, value, zero_ok=False, scalar=False):
     if scalar and np.ndim(value):
         raise ValueError(f"{name} must be a scalar, got an array of shape {np.shape(value)}")
     return lo, hi
+
+
+def _float_array(name, value) -> np.ndarray:
+    """``value`` as a float array, once it holds no booleans or strings; else a ValueError."""
+    v = np.asarray(value)
+    if v.dtype.kind in "bSU":  # True would pass as 1.0, "5" as 5.0; [True, 2.0] is floats
+        what = "a boolean" if v.dtype.kind == "b" else "a string"
+        raise ValueError(f"{name} must be a number, got {what}")
+    return v.astype(float, copy=False)
 
 
 def _check_count(name, value, least):
@@ -66,12 +71,12 @@ def _check_count(name, value, least):
 
 
 def _check_integers(name, value):
-    """``value`` as an int array, once every entry is an integer, not a boolean, that fits
-    one; else a ValueError naming ``name``."""
+    """``value`` as an int array, once every entry is an integer, not a boolean or a
+    string, that fits one; else a ValueError naming ``name``."""
     v = np.asarray(value)
-    if v.dtype.kind not in "iu":  # a boolean fails the kind, NaN and inf the bound
-        f = v.astype(float)
-        if v.dtype.kind == "b" or not ((np.trunc(f) == f) & (abs(f) < 2.0**63)).all():
+    if v.dtype.kind not in "iu":  # NaN and inf fail the bound
+        f = _float_array(name, v)
+        if not ((np.trunc(f) == f) & (abs(f) < 2.0**63)).all():
             raise ValueError(f"{name} must hold finite integers")
     return v.astype(int, copy=False)
 
@@ -131,9 +136,8 @@ def _loglog_design(log_x: np.ndarray):
 
     def solve(log_y: np.ndarray) -> tuple[float, float]:
         coef, _, rank, _ = np.linalg.lstsq(lhs, log_y, rcond)
-        if rank < 2:
-            warnings.warn("log-log fit is poorly conditioned", np.exceptions.RankWarning,
-                          stacklevel=2)
+        if rank < 2:  # where np.polyfit warns, the fit is refused
+            raise ArithmeticError("log-log fit is rank-deficient: the x values are too close")
         exponent, intercept = coef.tolist()
         return exponent / scale_exponent, intercept / scale_intercept
 
@@ -166,35 +170,32 @@ def _loglog_ols(x: np.ndarray, y: np.ndarray, solve=None) -> tuple[float, float,
 
 
 def _validated_xy(x, y, min_points: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x), np.asarray(y)  # checked as given, so a boolean or string is named
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x.size < min_points:
         raise ValueError(f"need >={min_points} points, got {x.size}")
     # Reductions, not np.unique, which imports numpy.ma on first use (~15 ms).
     x_min, x_max = _check_positive("x values", x)
-    _check_positive("y values", y, zero_ok=None)
+    _check_positive("y values", y)
     if not x_min < x_max:
         raise ValueError("need >=2 distinct x values")
-    return x, y
+    return x.astype(float, copy=False), y.astype(float, copy=False)
 
 
 def fit_power_law(x, y) -> PowerLawFit:
     """Plain log-log least squares; requires strictly positive data."""
     x, y = _validated_xy(x, y, min_points=2)
-    if not y.min() > 0:
-        raise ValueError("y values must be > 0")
     prefactor, exponent, r_squared = _loglog_ols(x, y)
     return PowerLawFit(prefactor, exponent, None, r_squared, int(x.size))
 
 
-def _golden_section(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
+def _golden_section(f, lo: float, hi: float, tol: float) -> float:
     h = hi - lo
     c = lo + _INV_PHI_SQ * h
     d = lo + _INV_PHI * h
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(200):
         if h <= tol:
             break
         if fc < fd:
@@ -224,7 +225,7 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
     order = np.argsort(x)
     x, y = x[order], y[order]
 
-    solve = None
+    solve = _loglog_design(np.log(x))
     if fixed_offset is not None:
         _check_positive("fixed_offset", fixed_offset, zero_ok=True)
         if not y.min() > fixed_offset:  # y - fixed_offset > 0, without overflow
@@ -238,9 +239,6 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
                 "fewer bins"
             )
         y_min = float(y.min())
-        if y_min <= 0:
-            raise ValueError("min(y) must be > 0 when fitting a positive offset")
-        solve = _loglog_design(np.log(x))
 
         def y_space_sse(offset: float) -> float:
             log_y = y - offset

@@ -20,6 +20,7 @@ from .fitting import (
     _check_count,
     _check_integers,
     _check_positive,
+    _float_array,
     _parse_field,
     fit_power_law,
     fit_power_law_with_offset,
@@ -105,10 +106,11 @@ class Curves:
     def __init__(self, model_index, n_nonembed, n_total, tokens, c_total, c_nonembed, loss,
                  starts):
         # Views, so freezing them leaves the caller's arrays writeable.
-        per_curve = [_check_integers("model_index", model_index).view(),
-                     *(np.asarray(v, dtype=float).view() for v in (n_nonembed, n_total)),
-                     _check_integers("starts", starts).view()]
-        samples = [np.asarray(v, dtype=float).view() for v in (tokens, c_total, c_nonembed, loss)]
+        per_curve = [a.view() for a in (
+            _check_integers("model_index", model_index), _float_array("n_nonembed", n_nonembed),
+            _float_array("n_total", n_total), _check_integers("starts", starts))]
+        samples = [_float_array(name, v).view()
+                   for name, v in zip(_SAMPLE_FIELDS, (tokens, c_total, c_nonembed, loss))]
         if per_curve[0].ndim != 1 or any(a.shape != per_curve[0].shape for a in per_curve):
             raise ValueError("per-curve columns and starts must be 1-d and of equal length")
         if any(a.shape != (samples[0].size,) for a in samples):
@@ -183,8 +185,8 @@ class Frontier:
         columns = (c, loss_min, n_opt, d_opt, model_index)
         if points is not None:
             columns = [[getattr(p, name) for p in points] for name in _POINT_FIELDS]
-        columns = (*columns[:4], _check_integers("model_index", columns[4]))
-        arrays = dict(zip(_POINT_FIELDS, map(np.array, columns, (float,) * 4 + (int,))))
+        arrays = {name: np.array(check(name, v)) for name, check, v in
+                  zip(_POINT_FIELDS, (_float_array,) * 4 + (_check_integers,), columns)}
         if {a.shape for a in arrays.values()} != {(len(columns[0]),)}:
             raise ValueError("frontier columns must be 1-d and of equal length")
         for a in arrays.values():
@@ -232,7 +234,7 @@ def simulate_curves(
     """
     from .params import _check_third, total_from_nonembed
 
-    sizes = np.asarray(sizes, dtype=float)
+    sizes = _float_array("sizes", sizes)
     if sizes.ndim != 1 or sizes.size < 1:
         raise ValueError("sizes must be a non-empty 1-d sequence")
     _check_positive("sizes", sizes)
@@ -303,7 +305,6 @@ def _token_grid(start, stop, out):
     j = np.arange(num, dtype=float)
     np.multiply(j, (delta / (num - 1))[:, None], out=out)
     out += log_start[:, None]
-    out[:, -1] = log_stop
     np.power(10.0, out, out=out)
     out[:, 0], out[:, -1] = start, stop
 

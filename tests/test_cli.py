@@ -295,7 +295,7 @@ def test_offset_fit_error_names_bins_finer_than_the_schedule(capsys):
     ("total,0,2.5,1e4,1e6,2", "x values must be finite and > 0"),
     ("total,nan,2.5,1e4,1e6,2", "x values must be finite and > 0"),
     ("total,-1e11,2.5,1e4,1e6,2", "x values must be finite and > 0"),
-    ("total,1e11,inf,1e4,1e6,2", "y values must be finite"),
+    ("total,1e11,inf,1e4,1e6,2", "y values must be finite and > 0"),
 ])
 def test_fit_chinchilla_names_a_bad_value_not_the_bins(tmp_path, capsys, row, message):
     path = tmp_path / "frontier.csv"
@@ -303,6 +303,22 @@ def test_fit_chinchilla_names_a_bad_value_not_the_bins(tmp_path, capsys, row, me
                     f"{row}\ntotal,1e12,2.3,1e5,1e6,3\ntotal,1e13,2.2,1e6,1e6,4\n")
     for form in ("kaplan", "chinchilla"):
         assert _run(capsys, ["fit", str(path), "--form", form]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("form", ["plain", "kaplan", "chinchilla"])
+def test_fit_refuses_a_rank_deficient_frontier(tmp_path, fresh_python, form):
+    """Compute one ulp apart fits no slope: one error line and exit 1, not a fit of R² 0
+    under a warning for each profile step."""
+    path, report = tmp_path / "frontier.csv", tmp_path / "fit.json"
+    path.write_text("basis,c,loss_min,n_opt,d_opt,model_index\ntotal,1e10,3.0,1e3,1e6,1\n"
+                    "total,10000000000.000002,2.5,1e4,1e6,2\n"
+                    "total,10000000000.000004,2.2,1e5,1e6,3\n")
+    proc = fresh_python("-m", "scalelab", "fit", str(path), "--form", form,
+                        "--output", str(report))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: log-log fit is rank-deficient")
+    assert proc.stderr.count("\n") == 1
+    assert not report.exists()
 
 
 def test_reproduce_tolerance_failure_exits_1(tmp_path, capsys):

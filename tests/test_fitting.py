@@ -13,10 +13,14 @@ from scalelab import (
     EmbedMap,
     Frontier,
     LossSpec,
+    ParamSplit,
+    fit_embed_map,
     fit_power_law,
     fit_power_law_with_offset,
+    loss_nd,
     loss_ne_ce,
     nonembed_from_total,
+    simulate_curves,
     size_grid,
     sum_squared_error,
     total_from_nonembed,
@@ -181,7 +185,7 @@ LOG10_XY = st.lists(st.tuples(st.floats(-13.0, 26.0), st.floats(-6.0, 6.0)),
 
 @settings(deadline=None)
 @given(LOG10_XY)
-@example([(10.0, 0.0), (10.0 + 1e-14, 1.0)])  # rank-deficient: both warn
+@example([(10.0, 0.0), (10.0 + 1e-14, 1.0)])  # rank-deficient: polyfit warns, solve refuses
 @example([(10.0, 0.0), (10.0001, 1.0), (10.0002, 0.5)])  # ill-conditioned
 @example([(5.0, 2.0), (5.03125, 0.0)])  # intercept 741.4: exp overflows
 def test_loglog_ols_matches_polyfit_bit_for_bit(points):
@@ -189,6 +193,10 @@ def test_loglog_ols_matches_polyfit_bit_for_bit(points):
     assume(np.unique(x).size >= 2)
     log_x, log_y = np.log(x), np.log(y)
     want, want_warned = _with_warnings(np.polyfit, log_x, log_y, 1)
+    if np.exceptions.RankWarning in want_warned:
+        with pytest.raises(ArithmeticError, match="rank-deficient"):
+            _with_warnings(_loglog_design(log_x), log_y)
+        return
     got, got_warned = _with_warnings(_loglog_design(log_x), log_y)
     np.testing.assert_array_equal(got, want)
     assert got_warned == want_warned
@@ -200,6 +208,25 @@ def test_loglog_ols_matches_polyfit_bit_for_bit(points):
         return
     (prefactor, exponent, _), _ = _with_warnings(_loglog_ols, x, y)
     assert (prefactor, exponent) == (want_prefactor, float(want[0]))
+
+
+# Three distinct x values, each one ulp above the last: ln x cannot carry a slope.
+ONE_ULP_APART = [1e10, 10000000000.000002, 10000000000.000004]
+
+
+@pytest.mark.parametrize("fit", [
+    lambda x: fit_power_law(x, [3.0, 2.5, 2.2]),
+    lambda x: fit_power_law_with_offset(x, [3.0, 2.5, 2.2]),
+    lambda x: fit_power_law_with_offset(x, [3.0, 2.5, 2.2], fixed_offset=0.0),
+    lambda x: fit_embed_map([ParamSplit(e, n) for e, n in zip([1e3, 2e3, 4e3], x)]),
+], ids=["plain", "offset-search", "fixed-offset", "embed-map"])
+def test_a_rank_deficient_fit_is_refused_without_a_warning(fit):
+    """Where np.polyfit would warn and return a slope of R² 0, the fit raises instead."""
+    assert np.nextafter(ONE_ULP_APART[:2], np.inf).tolist() == ONE_ULP_APART[1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="rank-deficient"):
+            fit(ONE_ULP_APART)
 
 
 def test_fit_power_law_reports_prefactor_overflow():
@@ -347,13 +374,11 @@ def _checks_as_first_written(x, y, offset_fit, fixed_offset=None):
         raise ValueError(f"need >={min_points} points, got {x.size}")
     if not np.all(np.isfinite(x) & (x > 0)):
         raise ValueError("x values must be finite and > 0")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y values must be finite")
+    if not np.all(np.isfinite(y) & (y > 0)):
+        raise ValueError("y values must be finite and > 0")
     if np.unique(x).size < 2:
         raise ValueError("need >=2 distinct x values")
     if not offset_fit:
-        if np.any(y <= 0):
-            raise ValueError("y values must be > 0")
         return
     y = y[np.argsort(x)]
     if fixed_offset is not None:
@@ -366,8 +391,6 @@ def _checks_as_first_written(x, y, offset_fit, fixed_offset=None):
         raise ValueError("y must be strictly decreasing in x to profile an offset; on a "
                          "binned frontier, the compute bins are finer than the token "
                          "schedule's sample spacing: use fewer bins")
-    if float(y.min()) <= 0:
-        raise ValueError("min(y) must be > 0 when fitting a positive offset")
 
 
 def _outcome(f, *args):
@@ -433,8 +456,31 @@ _ONE_SAMPLE_EACH = ([1.0, 2.0], [1.0, 2.0], *[[1.0, 1.0]] * 4)
     ("starts", lambda: Curves([0, 1], *_ONE_SAMPLE_EACH, starts=[False, True])),
     ("model_index", lambda: Frontier("total", c=[1.0], loss_min=[1.0], n_opt=[1.0],
                                      d_opt=[1.0], model_index=[True])),
+    ("sizes", lambda: simulate_curves(np.array([True]), EPOCH, DEFAULT_EMBED_MAP)),
+    ("c", lambda: Frontier("total", c=[True], loss_min=[1.0], n_opt=[1.0], d_opt=[1.0],
+                           model_index=[0])),
+    ("loss", lambda: Curves([0, 1], *_ONE_SAMPLE_EACH[:5], [True, False], starts=[0, 1])),
 ])
 def test_a_boolean_is_neither_a_number_nor_an_index(name, call):
     """True once passed as 1 and False as 0, by value or as a bool array's dtype."""
     with pytest.raises(ValueError, match=f"^{name} must"):
+        call()
+
+
+@pytest.mark.parametrize("name, call", [
+    ("n_c", lambda: LossSpec("406.4", 410.7, 0.3392, 0.2849, 1.693)),
+    ("omega", lambda: EmbedMap("5")),
+    ("omega", lambda: EmbedMap(np.bytes_(b"5"))),
+    ("n_total", lambda: loss_nd("1e9", 1e10, EPOCH)),
+    ("sizes", lambda: simulate_curves(["1e4", "1e5"], EPOCH, DEFAULT_EMBED_MAP)),
+    ("model_index", lambda: Curves(["0", "1"], *_ONE_SAMPLE_EACH, starts=["0", "1"])),
+    ("starts", lambda: Curves([0, 1], *_ONE_SAMPLE_EACH, starts=["0", "1"])),
+    ("c", lambda: Frontier("total", c=["1e10"], loss_min=[1.0], n_opt=[1.0], d_opt=[1.0],
+                           model_index=[0])),
+    ("x values", lambda: fit_power_law(["1", "2"], [1.0, 2.0])),
+    ("y values", lambda: fit_power_law_with_offset([1.0, 2.0, 4.0], ["3", "2", "1.5"])),
+])
+def test_a_string_is_no_number(name, call):
+    """NumPy parses a numeric string into a float, so "5" once passed as 5.0."""
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got a string$"):
         call()

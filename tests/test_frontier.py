@@ -141,7 +141,7 @@ def test_offset_fit_names_bins_finer_than_the_schedule():
     ("c", 0.0, "x values must be finite and > 0"),
     ("c", np.nan, "x values must be finite and > 0"),
     ("c", -1e11, "x values must be finite and > 0"),
-    ("loss_min", np.inf, "y values must be finite"),
+    ("loss_min", np.inf, "y values must be finite and > 0"),
 ])
 def test_offset_fit_names_a_bad_value_not_the_bins(column, bad, message):
     """The offset fit checks values before the falling loss, as the plain fits do."""
