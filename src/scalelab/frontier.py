@@ -85,13 +85,13 @@ _SAMPLE_FIELDS = ("tokens", "c_total", "c_nonembed", "loss")
 
 @dataclass(frozen=True, init=False, eq=False)
 class Curves:
-    """Training curves as one read-only columnar table.
+    """Training curves as one read-only rectangular table.
 
     ``model_index``, ``n_nonembed`` and ``n_total`` hold one entry per curve;
-    ``tokens``, ``c_total``, ``c_nonembed`` and ``loss`` hold every sample in
-    curve-then-sample order, curve ``k``'s from ``starts[k]`` up to the next
-    curve's start.  ``len`` counts curves; an integer index or iteration yields
-    one ``TrainingCurve`` per curve, whose arrays are views of the sample columns.
+    ``tokens``, ``c_total``, ``c_nonembed`` and ``loss`` are (curves, samples)
+    arrays whose row ``k`` holds curve ``k``'s samples, so every curve has the same
+    number of samples, possibly none.  ``len`` counts curves; an integer index or
+    iteration yields one ``TrainingCurve`` per curve, whose arrays are those rows.
     """
 
     model_index: np.ndarray
@@ -101,45 +101,35 @@ class Curves:
     c_total: np.ndarray
     c_nonembed: np.ndarray
     loss: np.ndarray
-    starts: np.ndarray
 
-    def __init__(self, model_index, n_nonembed, n_total, tokens, c_total, c_nonembed, loss,
-                 starts):
+    def __init__(self, model_index, n_nonembed, n_total, tokens, c_total, c_nonembed, loss):
         # Views, so freezing them leaves the caller's arrays writeable.
         per_curve = [a.view() for a in (
             _check_integers("model_index", model_index), _float_array("n_nonembed", n_nonembed),
-            _float_array("n_total", n_total), _check_integers("starts", starts))]
+            _float_array("n_total", n_total))]
         samples = [_float_array(name, v).view()
                    for name, v in zip(_SAMPLE_FIELDS, (tokens, c_total, c_nonembed, loss))]
         if per_curve[0].ndim != 1 or any(a.shape != per_curve[0].shape for a in per_curve):
-            raise ValueError("per-curve columns and starts must be 1-d and of equal length")
-        if any(a.shape != (samples[0].size,) for a in samples):
-            raise ValueError("sample columns must be 1-d and of equal length")
-        bounds = np.append(per_curve[3], samples[0].size)
-        if bounds[0] != 0 or np.any(np.diff(bounds) < 0):
-            raise ValueError("starts must rise from 0 to at most the sample count")
+            raise ValueError("per-curve columns must be 1-d and of equal length")
+        shape = per_curve[0].shape + samples[0].shape[1:]
+        if samples[0].ndim != 2 or any(a.shape != shape for a in samples):
+            raise ValueError("sample columns must be (curves, samples) arrays of one shape")
         for a in per_curve + samples:
             a.flags.writeable = False
-        vars(self).update(zip(_CURVE_FIELDS + ("starts",), per_curve))
-        vars(self).update(zip(_SAMPLE_FIELDS, samples), _bounds=bounds.tolist())
+        vars(self).update(zip(_CURVE_FIELDS + _SAMPLE_FIELDS, per_curve + samples))
 
     def __len__(self) -> int:
         return self.model_index.size
 
     def __getitem__(self, k) -> TrainingCurve:
+        if isinstance(k, bool):  # operator.index takes True for 1
+            raise TypeError("curve index must be an integer, got a boolean")
         k = operator.index(k)
-        if not -len(self) <= k < len(self):
-            raise IndexError("curve index out of range")
-        return self._row(k % len(self))
+        return TrainingCurve(*(getattr(self, name)[k].item() for name in _CURVE_FIELDS),
+                             *(getattr(self, name)[k] for name in _SAMPLE_FIELDS))
 
     def __iter__(self):
-        return map(self._row, range(len(self)))
-
-    def _row(self, k: int) -> TrainingCurve:
-        a, b = self._bounds[k], self._bounds[k + 1]
-        return TrainingCurve(int(self.model_index[k]), float(self.n_nonembed[k]),
-                             float(self.n_total[k]), self.tokens[a:b], self.c_total[a:b],
-                             self.c_nonembed[a:b], self.loss[a:b])
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -209,9 +199,20 @@ def bracketing_token_schedule(sizes, spec: LossSpec,
     """
     from .analytic import ce_of_optimal_ne
 
-    sizes = np.asarray(sizes, dtype=float)
+    sizes = _check_sizes(sizes)
     ratios = ce_of_optimal_ne(sizes, spec, embed_map) / (6.0 * sizes**2)
     return float(ratios.min() / TOKEN_MARGIN), float(ratios.max() * TOKEN_MARGIN)
+
+
+def _check_sizes(sizes) -> np.ndarray:
+    """``sizes`` as a float array, once it is non-empty, 1-d, finite, > 0 and increasing."""
+    sizes = _float_array("sizes", sizes)
+    if sizes.ndim != 1 or sizes.size < 1:
+        raise ValueError("sizes must be a non-empty 1-d sequence")
+    _check_positive("sizes", sizes)
+    if not (np.diff(sizes) > 0).all():
+        raise ValueError("sizes must be finite, positive and strictly increasing")
+    return sizes
 
 
 def simulate_curves(
@@ -223,23 +224,17 @@ def simulate_curves(
 ) -> Curves:
     """Evaluate the loss surface along each model's token schedule.
 
-    ``_sample_rows`` fills four C-ordered (models, samples) arrays, whose
-    flattened rows are the table's sample columns and the only full-size arrays
-    it makes.  It fills them in blocks of whole rows of about ``_BIN_BLOCK``
-    samples; with more than one block, a thread per CPU this process may run on
-    takes them one at a time.  A sample's bits do not depend on the block or
-    worker count, and a block's exception, NumPy's under the caller's
-    ``np.errstate`` included, is raised here.  The loss is the surface itself:
-    the checks here bound every sample, so none is repeated on the grid.
+    ``_sample_rows`` fills four C-ordered (models, samples) arrays, which are the
+    table's sample columns and the only full-size arrays it makes.  It fills them in
+    blocks of whole rows of about ``_BIN_BLOCK`` samples; with more than one block, a
+    thread per CPU this process may run on takes them one at a time.  A sample's bits
+    do not depend on the block or worker count, and a block's exception, NumPy's under
+    the caller's ``np.errstate`` included, is raised here.  The loss is the surface
+    itself: the checks here bound every sample, so none is repeated on the grid.
     """
     from .params import _check_third, total_from_nonembed
 
-    sizes = _float_array("sizes", sizes)
-    if sizes.ndim != 1 or sizes.size < 1:
-        raise ValueError("sizes must be a non-empty 1-d sequence")
-    _check_positive("sizes", sizes)
-    if not (np.diff(sizes) > 0).all():
-        raise ValueError("sizes must be finite, positive and strictly increasing")
+    sizes = _check_sizes(sizes)
     lo, hi = tokens_per_param
     if not 0 < lo < hi < math.inf:
         raise ValueError("tokens_per_param must be finite and satisfy 0 < lo < hi")
@@ -267,8 +262,7 @@ def simulate_curves(
         contexts = [contextvars.copy_context() for _ in blocks]
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(lambda ctx, block: ctx.run(_sample_rows, block, *args), contexts, blocks))
-    return Curves(np.arange(m), sizes, n_total, *(a.ravel() for a in columns),
-                  np.arange(m) * s)
+    return Curves(np.arange(m), sizes, n_total, *columns)
 
 
 def _usable_cpus() -> int:
@@ -385,8 +379,8 @@ def extract_frontier(
     n_bins = _check_count("n_bins", n_bins, 10)
     _check_basis(basis)
 
-    c_all, n_of = getattr(curves, f"c_{basis}"), getattr(curves, f"n_{basis}")
-    loss_all = curves.loss
+    # Pooled in (curve, then sample) order: views of C-ordered columns.
+    c_all, loss_all = getattr(curves, f"c_{basis}").reshape(-1), curves.loss.reshape(-1)
     if loss_all.size == 0:
         raise ValueError("curves hold no samples")
     c_lo, c_hi = _check_positive(f"c_{basis}", c_all)
@@ -421,7 +415,7 @@ def extract_frontier(
         raise ValueError(
             f"{n_empty}/{n_bins} compute bins are empty; token schedules too sparse"
         )
-    curve = np.searchsorted(curves.starts, first[filled], side="right") - 1
+    curve = first[filled] // curves.loss.shape[1]
     winner = curves.model_index[curve]
     edge = (winner == curves.model_index.min()) | (winner == curves.model_index.max())
     keep = ~edge if drop_edge_models else np.ones_like(edge)
@@ -435,8 +429,8 @@ def extract_frontier(
     e0, e1 = edges[filled], edges[filled + 1]
     s = np.ldexp(1.0, np.frexp(e0)[1])
     return Frontier(basis, c=s * np.sqrt((e0 / s) * (e1 / s)), loss_min=loss_all[won],
-                    n_opt=n_of[curve], d_opt=curves.tokens[won], model_index=winner[keep],
-                    n_empty=n_empty, n_dropped=keep.size - filled.size)
+                    n_opt=getattr(curves, f"n_{basis}")[curve], d_opt=curves.tokens.flat[won],
+                    model_index=winner[keep], n_empty=n_empty, n_dropped=keep.size - filled.size)
 
 
 def fit_param_scaling(frontier: Frontier) -> PowerLawFit:
@@ -478,17 +472,16 @@ def _write(path_or_buf, head: str, lines=()) -> None:
 def write_curves_csv(curves: Curves, path_or_buf) -> None:
     """Curves CSV; full double precision so reruns are byte-identical.
 
-    Each curve's head is formatted once and its samples from the column slices
-    its ``starts`` bound, so no row record is built.
+    Each curve's head is formatted once and its samples from its row of each sample
+    column, so no row record is built.
     """
-    bounds = [*curves.starts.tolist(), curves.loss.size]
     heads = (f"{k},{n_nonembed:.17g},{n_total:.17g}," for k, n_nonembed, n_total in
              zip(*(getattr(curves, name).tolist() for name in _CURVE_FIELDS)))
-    samples = ((getattr(curves, name)[a:b].tolist() for name in _SAMPLE_FIELDS)
-               for a, b in zip(bounds, bounds[1:]))
+    rows = (zip(*(a.tolist() for a in row))
+            for row in zip(*(getattr(curves, name) for name in _SAMPLE_FIELDS)))
     _write(path_or_buf, CURVES_CSV_HEADER + "\n",
            ("".join(f"{head}{d:.17g},{ct:.17g},{ce:.17g},{ls:.17g}\n"
-                    for d, ct, ce, ls in zip(*columns)) for head, columns in zip(heads, samples)))
+                    for d, ct, ce, ls in samples) for head, samples in zip(heads, rows)))
 
 
 def write_frontier_csv(frontier: Frontier, path_or_buf) -> None:

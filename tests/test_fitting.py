@@ -438,7 +438,7 @@ def test_input_checks_match_their_first_form(xy, fixed_offset):
                                                 offset_fit, *args[2:])
 
 
-_ONE_SAMPLE_EACH = ([1.0, 2.0], [1.0, 2.0], *[[1.0, 1.0]] * 4)
+_ONE_SAMPLE_EACH = ([1.0, 2.0], [1.0, 2.0], *[[[1.0], [1.0]]] * 4)
 
 
 @pytest.mark.parametrize("name, call", [
@@ -452,14 +452,13 @@ _ONE_SAMPLE_EACH = ([1.0, 2.0], [1.0, 2.0], *[[1.0, 1.0]] * 4)
     ("n_total", lambda: nonembed_from_total(np.array([True, True]), DEFAULT_EMBED_MAP)),
     ("n_nonembed", lambda: loss_ne_ce(np.bool_(True), 1e10, EPOCH, DEFAULT_EMBED_MAP)),
     ("arg", lambda: fitting._check_positive("arg", np.array([], dtype=bool))),
-    ("model_index", lambda: Curves([True, False], *_ONE_SAMPLE_EACH, starts=[0, 1])),
-    ("starts", lambda: Curves([0, 1], *_ONE_SAMPLE_EACH, starts=[False, True])),
+    ("model_index", lambda: Curves([True, False], *_ONE_SAMPLE_EACH)),
     ("model_index", lambda: Frontier("total", c=[1.0], loss_min=[1.0], n_opt=[1.0],
                                      d_opt=[1.0], model_index=[True])),
     ("sizes", lambda: simulate_curves(np.array([True]), EPOCH, DEFAULT_EMBED_MAP)),
     ("c", lambda: Frontier("total", c=[True], loss_min=[1.0], n_opt=[1.0], d_opt=[1.0],
                            model_index=[0])),
-    ("loss", lambda: Curves([0, 1], *_ONE_SAMPLE_EACH[:5], [True, False], starts=[0, 1])),
+    ("loss", lambda: Curves([0, 1], *_ONE_SAMPLE_EACH[:5], [[True], [False]])),
 ])
 def test_a_boolean_is_neither_a_number_nor_an_index(name, call):
     """True once passed as 1 and False as 0, by value or as a bool array's dtype."""
@@ -473,8 +472,7 @@ def test_a_boolean_is_neither_a_number_nor_an_index(name, call):
     ("omega", lambda: EmbedMap(np.bytes_(b"5"))),
     ("n_total", lambda: loss_nd("1e9", 1e10, EPOCH)),
     ("sizes", lambda: simulate_curves(["1e4", "1e5"], EPOCH, DEFAULT_EMBED_MAP)),
-    ("model_index", lambda: Curves(["0", "1"], *_ONE_SAMPLE_EACH, starts=["0", "1"])),
-    ("starts", lambda: Curves([0, 1], *_ONE_SAMPLE_EACH, starts=["0", "1"])),
+    ("model_index", lambda: Curves(["0", "1"], *_ONE_SAMPLE_EACH)),
     ("c", lambda: Frontier("total", c=["1e10"], loss_min=[1.0], n_opt=[1.0], d_opt=[1.0],
                            model_index=[0])),
     ("x values", lambda: fit_power_law(["1", "2"], [1.0, 2.0])),

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import re
 import threading
 import tracemalloc
 
@@ -38,6 +39,8 @@ from scalelab.analytic import _min_beta
 
 IDENTITY = EmbedMap(0.0)
 POINT_COLUMNS = ("c", "loss_min", "n_opt", "d_opt", "model_index")
+SAMPLE_COLUMNS = ("tokens", "c_total", "c_nonembed", "loss")
+CURVE_COLUMNS = ("model_index", "n_nonembed", "n_total", *SAMPLE_COLUMNS)
 
 
 def _invert_ce(c, spec, emap, lo=1e-6, hi=1e18):
@@ -62,20 +65,14 @@ def test_kaplan_size_grid_contract():
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
 
 
-def _curve_slices(curves):
-    """Each curve's slice of the sample columns, from its start to the next curve's."""
-    bounds = [*curves.starts.tolist(), curves.loss.size]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
 def test_curve_invariants(epoch_curves):
     curves = epoch_curves
     assert curves.model_index.size == 20
-    for k, rows in enumerate(_curve_slices(curves)):
-        assert np.all(np.diff(curves.loss[rows]) < 0)
-        assert np.all(np.diff(curves.c_total[rows]) > 0)
-        assert np.all(np.diff(curves.c_nonembed[rows]) > 0)
-        np.testing.assert_allclose(curves.c_total[rows] / curves.c_nonembed[rows],
+    for k in range(len(curves)):
+        assert np.all(np.diff(curves.loss[k]) < 0)
+        assert np.all(np.diff(curves.c_total[k]) > 0)
+        assert np.all(np.diff(curves.c_nonembed[k]) > 0)
+        np.testing.assert_allclose(curves.c_total[k] / curves.c_nonembed[k],
                                    curves.n_total[k] / curves.n_nonembed[k], rtol=1e-12)
 
 
@@ -198,10 +195,7 @@ def test_omega_zero_total_basis_recovers_global_exponent():
 
 
 def test_extract_frontier_preconditions(epoch_curves):
-    first = _curve_slices(epoch_curves)[0]
-    one = Curves([0], epoch_curves.n_nonembed[:1], epoch_curves.n_total[:1],
-                 *(getattr(epoch_curves, name)[first]
-                   for name in ("tokens", "c_total", "c_nonembed", "loss")), starts=[0])
+    one = Curves(*(getattr(epoch_curves, name)[:1] for name in CURVE_COLUMNS))
     with pytest.raises(ValueError):
         extract_frontier(one)
     with pytest.raises(TypeError, match="curves"):
@@ -256,7 +250,6 @@ def test_csv_output_deterministic_and_round_trips(tmp_path, epoch_frontier_nonem
 
 def test_pipeline_rerun_identical(epoch_curves):
     rerun = simulate_curves(kaplan_size_grid(), EPOCH, DEFAULT_EMBED_MAP)
-    assert np.array_equal(epoch_curves.starts, rerun.starts)
     assert np.array_equal(epoch_curves.loss, rerun.loss)
     assert np.array_equal(epoch_curves.c_nonembed, rerun.c_nonembed)
     f1 = extract_frontier(epoch_curves, basis="nonembed")
@@ -272,10 +265,11 @@ def _masked_argmin_frontier(curves, n_bins, basis, drop_edge_models):
     and n_dropped.  A kept bin's c is sqrt(lo*hi) where that product is a normal double,
     else NaN.
     """
-    c_all = getattr(curves, f"c_{basis}")
-    lengths = np.diff(np.append(curves.starts, curves.loss.size))
-    n_all = np.repeat(getattr(curves, f"n_{basis}"), lengths)
-    index_all = np.repeat(curves.model_index, lengths)
+    c_all, loss, tokens = (getattr(curves, name).ravel()
+                           for name in (f"c_{basis}", "loss", "tokens"))
+    samples = curves.loss.shape[1]
+    n_all = np.repeat(getattr(curves, f"n_{basis}"), samples)
+    index_all = np.repeat(curves.model_index, samples)
     labels = curves.model_index.tolist()
     edges = np.geomspace(c_all.min(), c_all.max(), n_bins + 1)
     with np.errstate(over="ignore", under="ignore"):
@@ -289,15 +283,15 @@ def _masked_argmin_frontier(curves, n_bins, basis, drop_edge_models):
         if not mask.any():
             n_empty += 1
             continue
-        j = np.flatnonzero(mask)[np.argmin(curves.loss[mask])]
+        j = np.flatnonzero(mask)[np.argmin(loss[mask])]
         if drop_edge_models and index_all[j] in (min(labels), max(labels)):
             n_dropped += 1
             continue
         kept.append(b)
         won.append(j)
     kept, won = np.array(kept, dtype=int), np.array(won, dtype=int)
-    columns = dict(c=centers[kept], loss_min=curves.loss[won], n_opt=n_all[won],
-                   d_opt=curves.tokens[won], model_index=index_all[won])
+    columns = dict(c=centers[kept], loss_min=loss[won], n_opt=n_all[won],
+                   d_opt=tokens[won], model_index=index_all[won])
     return columns, edges[kept], edges[kept + 1], n_empty, n_dropped
 
 
@@ -313,21 +307,19 @@ def _assert_columns_match(frontier, want, lo, hi):
 
 @st.composite
 def curve_sets(draw):
-    """Hand-built tables of curves of unequal length, some empty, labelled by a shuffled
-    range that need not start at 0, whose losses take few values, both signed zeros among
-    them, so bins tie."""
-    lengths = draw(st.lists(st.integers(0, 40), min_size=2, max_size=6).filter(any))
+    """Hand-built tables of 2-6 curves of 1-40 samples each, labelled by a shuffled range
+    that need not start at 0, whose losses take few values, both signed zeros among them,
+    so bins tie."""
+    shape = draw(st.integers(2, 6)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = [*rng.uniform(0.5, 5.0, draw(st.integers(1, 3))), 0.0, -0.0]
-    model_index = rng.permutation(len(lengths)) + draw(st.sampled_from([0, 3]))
-    samples = sum(lengths)
+    model_index = rng.permutation(shape[0]) + draw(st.sampled_from([0, 3]))
 
     def positive(size):
         return 10.0 ** rng.uniform(-3.0, 9.0, size)
 
-    return Curves(model_index, positive(len(lengths)), positive(len(lengths)), positive(samples),
-                  positive(samples), positive(samples), rng.choice(levels, samples),
-                  starts=np.cumsum([0, *lengths[:-1]]))
+    return Curves(model_index, positive(shape[0]), positive(shape[0]), positive(shape),
+                  positive(shape), positive(shape), rng.choice(levels, shape))
 
 
 @settings(max_examples=300, deadline=None)
@@ -353,15 +345,15 @@ def test_extract_frontier_matches_masked_argmin(curves, n_bins, basis, drop_edge
 def test_loss_min_is_the_winners_own_loss():
     """A bin holding 0.0 from model 0 and then -0.0 from model 1 goes to model 0, and
     reports model 0's own +0.0."""
-    c = np.tile(np.geomspace(1.0, 1e4, 20), 2)
-    loss = np.concatenate([np.linspace(3.0, 1.0, 20), np.linspace(3.5, 1.5, 20)])
-    loss[[7, 27]] = 0.0, -0.0
-    tokens = np.arange(1.0, 41.0)  # names each sample's pooled index
-    curves = Curves([0, 1], [1.0, 2.0], [2.0, 3.0], tokens, c, c, loss, starts=[0, 20])
+    c = np.tile(np.geomspace(1.0, 1e4, 20), (2, 1))
+    loss = np.array([np.linspace(3.0, 1.0, 20), np.linspace(3.5, 1.5, 20)])
+    loss[:, 7] = 0.0, -0.0
+    tokens = np.arange(1.0, 41.0).reshape(2, 20)  # names each sample's pooled index
+    curves = Curves([0, 1], [1.0, 2.0], [2.0, 3.0], tokens, c, c, loss)
     for basis in ("nonembed", "total"):
         front = extract_frontier(curves, 10, basis, drop_edge_models=False)
         won = front.d_opt.astype(int) - 1
-        assert front.loss_min.tobytes() == curves.loss[won].tobytes()
+        assert front.loss_min.tobytes() == curves.loss.ravel()[won].tobytes()
         assert front.model_index[3] == 0 and front.loss_min[3].tobytes() == b"\0" * 8
 
 
@@ -369,10 +361,10 @@ def test_extract_frontier_edges_do_not_overflow():
     """Compute up to the largest double: the last edge is computed as 10**log10(c_hi),
     which rounds past it, but neither an overflow warning nor, under
     ``np.errstate(over="raise")``, an error escapes, and every centre is finite."""
-    c = 10.0 ** np.linspace(0.0, 308.0, 40)
-    c[-1] = np.finfo(float).max
-    loss = np.random.default_rng(3).uniform(1.0, 2.0, 40)
-    curves = Curves(range(4), np.ones(4), np.ones(4), c, c, c, loss, starts=[0, 10, 20, 30])
+    c = 10.0 ** np.linspace(0.0, 308.0, 40).reshape(4, 10)
+    c[-1, -1] = np.finfo(float).max
+    loss = np.random.default_rng(3).uniform(1.0, 2.0, (4, 10))
+    curves = Curves(range(4), np.ones(4), np.ones(4), c, c, c, loss)
     for over in ("warn", "raise"):
         with np.errstate(over=over):
             front = extract_frontier(curves, 10, "total", drop_edge_models=False)
@@ -390,16 +382,16 @@ def test_simulate_curves_matches_per_model_evaluation(log_first, log_steps, omeg
     lo, hi = 10.0**log_lo, 10.0 ** (log_lo + log_span)
     curves = simulate_curves(sizes, spec, emap, (lo, hi), samples)
     assert curves.model_index.size == sizes.size
-    for index, (n, rows) in enumerate(zip(sizes, _curve_slices(curves))):
+    for index, n in enumerate(sizes):
         tokens = np.geomspace(lo * n, hi * n, samples)
         n_total = total_from_nonembed(float(n), emap)
         c_nonembed = 6.0 * n * tokens
         assert (curves.model_index[index], curves.n_nonembed[index],
                 curves.n_total[index]) == (index, float(n), n_total)
-        np.testing.assert_array_equal(curves.tokens[rows], tokens)
-        np.testing.assert_array_equal(curves.c_nonembed[rows], c_nonembed)
-        np.testing.assert_array_equal(curves.c_total[rows], 6.0 * n_total * tokens)
-        np.testing.assert_array_equal(curves.loss[rows], loss_ne_ce(n, c_nonembed, spec, emap))
+        np.testing.assert_array_equal(curves.tokens[index], tokens)
+        np.testing.assert_array_equal(curves.c_nonembed[index], c_nonembed)
+        np.testing.assert_array_equal(curves.c_total[index], 6.0 * n_total * tokens)
+        np.testing.assert_array_equal(curves.loss[index], loss_ne_ce(n, c_nonembed, spec, emap))
 
 
 @st.composite
@@ -479,8 +471,7 @@ def test_row_block_simulation_matches_the_whole_array_reference(case):
         curves = simulate_curves(sizes, spec, DEFAULT_EMBED_MAP, window, samples)
     want = _whole_array_curves(sizes, spec, DEFAULT_EMBED_MAP, window, samples)
     for name, column in zip(("tokens", "c_total", "c_nonembed", "loss"), want):
-        np.testing.assert_array_equal(getattr(curves, name), column.ravel(), strict=True,
-                                      err_msg=name)
+        np.testing.assert_array_equal(getattr(curves, name), column, strict=True, err_msg=name)
 
 
 @st.composite
@@ -520,8 +511,8 @@ def test_each_curve_is_its_model_simulated_alone(case):
         for name in ("n_nonembed", "n_total"):
             assert getattr(curves, name)[k] == getattr(alone, name)[0], name
         for name in ("tokens", "c_total", "c_nonembed", "loss"):
-            np.testing.assert_array_equal(getattr(curves, name).reshape(sizes.size, samples)[k],
-                                          getattr(alone, name), strict=True, err_msg=name)
+            np.testing.assert_array_equal(getattr(curves, name)[k], getattr(alone, name)[0],
+                                          strict=True, err_msg=name)
 
 
 def test_row_block_failure_is_the_callers(monkeypatch):
@@ -608,7 +599,7 @@ def test_frontier_counts_empty_and_dropped_bins(epoch_curves, epoch_frontier_non
 def test_extract_frontier_rejects_non_finite_samples(epoch_curves, bad):
     def spoil(field):
         values = getattr(epoch_curves, field).copy()
-        values[epoch_curves.starts[3] + 7] = bad
+        values[3, 7] = bad
         return dataclasses.replace(epoch_curves, **{field: values})
 
     with pytest.raises(ValueError, match="loss"):
@@ -654,7 +645,7 @@ def test_counts_accept_numpy_integers(entry):
 
 def test_samples_per_curve_sets_the_table_layout():
     curves = simulate_curves(_SIZES, EPOCH, DEFAULT_EMBED_MAP, samples_per_curve=np.int32(3))
-    assert curves.starts.tolist() == [0, 3, 6] and curves.loss.size == 9
+    assert all(getattr(curves, name).shape == (3, 3) for name in SAMPLE_COLUMNS)
 
 
 def test_bracketing_token_schedule_widens_the_optimal_ratios_threefold():
@@ -673,6 +664,30 @@ def test_simulate_curves_rejects_non_finite(bad):
             simulate_curves([1e5, 1e6], EPOCH, DEFAULT_EMBED_MAP, tokens_per_param=schedule)
 
 
+# Each entry point that takes a size grid.
+_SIZED = {
+    "simulate_curves": lambda sizes: simulate_curves(sizes, EPOCH, DEFAULT_EMBED_MAP),
+    "bracketing_token_schedule": lambda sizes: bracketing_token_schedule(
+        sizes, EPOCH, DEFAULT_EMBED_MAP),
+}
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ([1e6, np.nan], "sizes must be finite and > 0"),
+    ([1e6, -1e7], "sizes must be finite and > 0"),
+    ([], "sizes must be a non-empty 1-d sequence"),
+    ([[1e5, 1e6]], "sizes must be a non-empty 1-d sequence"),
+    ([1e5, 1e5], "sizes must be finite, positive and strictly increasing"),
+    ([1e6, 1e5], "sizes must be finite, positive and strictly increasing"),
+])
+@pytest.mark.parametrize("entry", sorted(_SIZED))
+def test_size_grids_are_checked_alike(entry, sizes, message):
+    """bracketing_token_schedule once named n_nonembed_opt for a NaN size, failed inside
+    NumPy on no size, and returned a schedule for a 2-d grid or a repeated size."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _SIZED[entry](sizes)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sizes, schedule", [
     ([1e290, 1e291], frontier_module.DEFAULT_TOKENS_PER_PARAM),
@@ -684,8 +699,8 @@ def test_simulate_curves_rejects_compute_outside_doubles(sizes, schedule):
 
 
 def test_extract_frontier_rejects_curves_without_samples():
-    empty = np.empty(0)
-    table = Curves([0, 1], [1e6, 1e7], [2e6, 2e7], empty, empty, empty, empty, starts=[0, 0])
+    empty = np.empty((2, 0))
+    table = Curves([0, 1], [1e6, 1e7], [2e6, 2e7], empty, empty, empty, empty)
     with pytest.raises(ValueError, match="curves"):
         extract_frontier(table)
 
@@ -722,16 +737,18 @@ def test_curves_sequence_contract(epoch_curves):
     for bad in (20, -21, np.int64(20)):
         with pytest.raises(IndexError):
             curves[bad]
-    with pytest.raises(TypeError):
-        curves[1.0]
+    for bad in (1.0, True, np.True_):  # True is no curve 1
+        with pytest.raises(TypeError):
+            curves[bad]
     rows = list(curves)
     assert [cv.model_index for cv in rows] == list(range(20))
+    assert {type(v) for cv in rows for v in (cv.n_nonembed, cv.n_total)} == {float}
+    assert {type(cv.model_index) for cv in rows} == {int}
     for k, cv in enumerate(rows):
-        samples = slice(curves.starts[k], curves.starts[k] + cv.loss.size)
-        for name in ("tokens", "c_total", "c_nonembed", "loss"):
+        for name in SAMPLE_COLUMNS:
             column = getattr(curves, name)
             assert np.shares_memory(getattr(cv, name), column)
-            np.testing.assert_array_equal(getattr(cv, name), column[samples])
+            np.testing.assert_array_equal(getattr(cv, name), column[k], strict=True)
         assert (cv.n_nonembed, cv.n_total) == (curves.n_nonembed[k], curves.n_total[k])
         np.testing.assert_array_equal(curves[k - 20].tokens, cv.tokens)
     with pytest.raises(TypeError):
@@ -739,63 +756,57 @@ def test_curves_sequence_contract(epoch_curves):
 
 
 def test_curves_columns_are_read_only_and_checked(epoch_curves):
-    for name in ("model_index", "n_nonembed", "n_total", "tokens", "c_total", "c_nonembed",
-                 "loss", "starts"):
+    for name in CURVE_COLUMNS:
         with pytest.raises(ValueError):
             getattr(epoch_curves, name)[0] = 1
     with pytest.raises(ValueError):
         epoch_curves[2].loss[0] = 1.0
-    loss = np.ones(3)
-    table = Curves([0, 1], [1.0, 2.0], [2.0, 3.0], loss, loss, loss, loss, starts=[0, 2])
-    assert loss.flags.writeable and [len(cv.loss) for cv in table] == [2, 1]
-    with pytest.raises(ValueError, match="sample columns"):
-        Curves([0, 1], [1.0, 2.0], [2.0, 3.0], loss, loss, loss, np.ones(4), starts=[0, 2])
+    loss = np.ones((2, 3))
+    table = Curves([0, 1], [1.0, 2.0], [2.0, 3.0], loss, loss, loss, loss)
+    assert loss.flags.writeable and [len(cv.loss) for cv in table] == [3, 3]
     with pytest.raises(ValueError, match="equal length"):
-        Curves([0, 1], [1.0, 2.0], [2.0], loss, loss, loss, loss, starts=[0, 2])
-    for starts in ([1, 2], [2, 1], [0, 4]):
-        with pytest.raises(ValueError, match="starts"):
-            Curves([0, 1], [1.0, 2.0], [2.0, 3.0], loss, loss, loss, loss, starts=starts)
+        Curves([0, 1], [1.0, 2.0], [2.0], loss, loss, loss, loss)
+
+
+@pytest.mark.parametrize("columns", [
+    [np.ones(2)] * 4,  # the flat layout, one sample per curve: as long as the curve columns
+    [np.ones((3, 2))] * 4,  # three rows for two curves
+    [np.ones((2, 3))] * 3 + [np.ones((2, 4))],  # one column wider than the others
+])
+def test_curves_reject_sample_columns_of_another_shape(columns):
+    with pytest.raises(ValueError, match=r"^sample columns must be \(curves, samples\)"):
+        Curves([0, 1], [1.0, 2.0], [2.0, 3.0], *columns)
 
 
 @pytest.mark.parametrize("name, bad", [
     ("model_index", [0.5, 1.7]), ("model_index", [0, np.nan]), ("model_index", [np.inf, 1]),
-    ("model_index", [0, 1e300]), ("starts", [0, 1.9]), ("starts", [0, np.nan]),
-    ("starts", [0, np.inf]), ("starts", np.array([0.0, 2.5])),
+    ("model_index", [0, 1e300]),
 ])
 def test_curves_reject_non_integral_indices(name, bad):
     """A fractional or non-finite index is an error naming its column, not truncated
-    onto another curve or sample."""
-    loss = np.ones(3)
-    columns = {"model_index": [0, 1], "starts": [0, 2], name: bad}
+    onto another curve's label."""
+    loss = np.ones((2, 3))
     with pytest.raises(ValueError, match=f"{name} must hold finite integers"):
-        Curves(columns["model_index"], [1.0, 2.0], [2.0, 3.0], loss, loss, loss, loss,
-               starts=columns["starts"])
+        Curves(bad, [1.0, 2.0], [2.0, 3.0], loss, loss, loss, loss)
 
 
 def test_curves_take_integral_floats_as_integers():
-    loss = np.ones(3)
-    table = Curves(np.array([3.0, -1.0]), [1.0, 2.0], [2.0, 3.0], loss, loss, loss, loss,
-                   starts=[0.0, 2.0])
-    assert table.model_index.tolist() == [3, -1] and table.starts.tolist() == [0, 2]
-    assert table.model_index.dtype == table.starts.dtype == int
+    loss = np.ones((2, 3))
+    table = Curves(np.array([3.0, -1.0]), [1.0, 2.0], [2.0, 3.0], loss, loss, loss, loss)
+    assert table.model_index.tolist() == [3, -1] and table.model_index.dtype == int
 
 
 def test_simulate_curves_columns_are_c_contiguous(epoch_curves):
-    for name in ("model_index", "n_nonembed", "n_total", "tokens", "c_total", "c_nonembed",
-                 "loss", "starts"):
+    """The (curves, samples) columns are C-ordered, so extract_frontier pools them as views."""
+    for name in CURVE_COLUMNS:
         assert getattr(epoch_curves, name).flags.c_contiguous
-    assert epoch_curves.starts.tolist() == list(range(0, 20 * 512, 512))
+    assert all(getattr(epoch_curves, name).shape == (20, 512) for name in SAMPLE_COLUMNS)
 
 
 def test_edge_guard_drops_the_tables_own_extreme_models(epoch_curves):
     """A sub-grid labelled 3..8 loses the bins won by models 3 and 8, as the same
     sub-grid labelled 0..5 loses those won by 0 and 5."""
-    a = epoch_curves.starts[3]
-    sub = Curves(*(getattr(epoch_curves, name)[3:9] for name in
-                   ("model_index", "n_nonembed", "n_total")),
-                 *(getattr(epoch_curves, name)[a:epoch_curves.starts[9]] for name in
-                   ("tokens", "c_total", "c_nonembed", "loss")),
-                 starts=epoch_curves.starts[3:9] - a)
+    sub = Curves(*(getattr(epoch_curves, name)[3:9] for name in CURVE_COLUMNS))
     kept = extract_frontier(sub, n_bins=10, drop_edge_models=False)
     assert {3, 8} <= set(kept.model_index.tolist())
     front = extract_frontier(sub, n_bins=10)
@@ -816,10 +827,10 @@ def test_extract_frontier_bins_samples_on_and_beside_edges(seed, n_bins, c_range
     c = np.concatenate([edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges[:-1], np.inf)])
     rng = np.random.default_rng(seed)
     c = c[rng.permutation(c.size)]
-    loss = rng.choice(rng.uniform(1.0, 2.0, 4), c.size)
-    cuts = np.sort(rng.integers(0, c.size + 1, 3))
-    curves = Curves(range(4), [1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0], c, c, c, loss,
-                    starts=[0, *cuts])
+    # Repeats of drawn samples pad four equal curves, moving neither the range nor the edges.
+    c = np.concatenate([c, rng.choice(c, -c.size % 4)]).reshape(4, -1)
+    loss = rng.choice(rng.uniform(1.0, 2.0, 4), c.shape)
+    curves = Curves(range(4), [1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0], c, c, c, loss)
     for basis in ("nonembed", "total"):
         want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis, False)
         frontier = extract_frontier(curves, n_bins, basis, drop_edge_models=False)
@@ -916,8 +927,7 @@ def test_binary_search_sees_almost_no_simulated_sample(spec, monkeypatch):
     searched, search = [], np.searchsorted
 
     def counting(a, v, *args, **kwargs):
-        if np.asarray(a).dtype == float:  # the edges, not the curve starts
-            searched.append(np.size(v))
+        searched.append(np.size(v))
         return search(a, v, *args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", counting)
@@ -941,8 +951,8 @@ def test_extract_frontier_keeps_the_first_tie_across_blocks(block):
     c[[5, 130]], loss[[5, 130]] = np.sqrt(edges[3] * edges[4]), 0.5  # a tie in bin 3
     c[[10, 150]], loss[[10, 150]] = np.sqrt(edges[6] * edges[7]), (0.75, 0.6)  # 150 wins bin 6
     tokens = np.arange(1.0, size + 1)  # names each sample's pooled index
-    curves = Curves(range(4), [1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0], tokens, c, c, loss,
-                    starts=[0, 50, 100, 150])
+    curves = Curves(range(4), [1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0],
+                    *(a.reshape(4, 50) for a in (tokens, c, c, loss)))
     bin_of = np.searchsorted(edges[1:-1], c, side="right")
     first_min = [idx[np.argmin(loss[idx])] for idx in
                  (np.flatnonzero(bin_of == b) for b in range(n_bins))]
