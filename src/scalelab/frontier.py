@@ -80,7 +80,7 @@ class TrainingCurve:
 
 
 _CURVE_FIELDS = ("model_index", "n_nonembed", "n_total")
-_SAMPLE_FIELDS = ("tokens", "c_total", "c_nonembed", "loss")
+_SAMPLE_FIELDS = ("tokens", "loss")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -88,27 +88,25 @@ class Curves:
     """Training curves as one read-only rectangular table.
 
     ``model_index``, ``n_nonembed`` and ``n_total`` hold one entry per curve;
-    ``tokens``, ``c_total``, ``c_nonembed`` and ``loss`` are (curves, samples)
-    arrays whose row ``k`` holds curve ``k``'s samples, so every curve has the same
-    number of samples, possibly none.  ``len`` counts curves; an integer index or
-    iteration yields one ``TrainingCurve`` per curve, whose arrays are those rows.
+    ``tokens`` and ``loss`` are (curves, samples) arrays whose row ``k`` holds curve
+    ``k``'s samples, so every curve has the same number of samples, possibly none.
+    ``c_total`` and ``c_nonembed`` are 6 n tokens in each basis, a fresh array on each
+    access.  ``len`` counts curves; an integer index or iteration yields one
+    ``TrainingCurve`` per curve, whose arrays are those rows.
     """
 
     model_index: np.ndarray
     n_nonembed: np.ndarray
     n_total: np.ndarray
     tokens: np.ndarray
-    c_total: np.ndarray
-    c_nonembed: np.ndarray
     loss: np.ndarray
 
-    def __init__(self, model_index, n_nonembed, n_total, tokens, c_total, c_nonembed, loss):
+    def __init__(self, model_index, n_nonembed, n_total, tokens, loss):
         # Views, so freezing them leaves the caller's arrays writeable.
         per_curve = [a.view() for a in (
             _check_integers("model_index", model_index), _float_array("n_nonembed", n_nonembed),
             _float_array("n_total", n_total))]
-        samples = [_float_array(name, v).view()
-                   for name, v in zip(_SAMPLE_FIELDS, (tokens, c_total, c_nonembed, loss))]
+        samples = [_float_array(name, v).view() for name, v in zip(_SAMPLE_FIELDS, (tokens, loss))]
         if per_curve[0].ndim != 1 or any(a.shape != per_curve[0].shape for a in per_curve):
             raise ValueError("per-curve columns must be 1-d and of equal length")
         shape = per_curve[0].shape + samples[0].shape[1:]
@@ -118,6 +116,9 @@ class Curves:
             a.flags.writeable = False
         vars(self).update(zip(_CURVE_FIELDS + _SAMPLE_FIELDS, per_curve + samples))
 
+    c_total = property(lambda self: np.multiply(6.0 * self.n_total[:, None], self.tokens))
+    c_nonembed = property(lambda self: np.multiply(6.0 * self.n_nonembed[:, None], self.tokens))
+
     def __len__(self) -> int:
         return self.model_index.size
 
@@ -125,8 +126,11 @@ class Curves:
         if isinstance(k, bool):  # operator.index takes True for 1
             raise TypeError("curve index must be an integer, got a boolean")
         k = operator.index(k)
-        return TrainingCurve(*(getattr(self, name)[k].item() for name in _CURVE_FIELDS),
-                             *(getattr(self, name)[k] for name in _SAMPLE_FIELDS))
+        model_index, n_nonembed, n_total = (getattr(self, name)[k].item() for name in _CURVE_FIELDS)
+        tokens = self.tokens[k]  # a row's compute has its column's bits
+        return TrainingCurve(model_index, n_nonembed, n_total, tokens,
+                             np.multiply(6.0 * n_total, tokens),
+                             np.multiply(6.0 * n_nonembed, tokens), self.loss[k])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -224,13 +228,13 @@ def simulate_curves(
 ) -> Curves:
     """Evaluate the loss surface along each model's token schedule.
 
-    ``_sample_rows`` fills four C-ordered (models, samples) arrays, which are the
-    table's sample columns and the only full-size arrays it makes.  It fills them in
-    blocks of whole rows of about ``_BIN_BLOCK`` samples; with more than one block, a
-    thread per CPU this process may run on takes them one at a time.  A sample's bits
-    do not depend on the block or worker count, and a block's exception, NumPy's under
-    the caller's ``np.errstate`` included, is raised here.  The loss is the surface
-    itself: the checks here bound every sample, so none is repeated on the grid.
+    ``_sample_rows`` fills two C-ordered (models, samples) arrays, tokens and loss,
+    which are the table's sample columns and the only full-size arrays it makes.  It
+    fills them in blocks of whole rows of about ``_BIN_BLOCK`` samples; with more than
+    one block, a thread per CPU this process may run on takes them one at a time.  A
+    sample's bits do not depend on the block or worker count, and a block's exception,
+    NumPy's under the caller's ``np.errstate`` included, is raised here.  The loss is
+    the surface itself: the checks here bound every sample, so none is re-checked.
     """
     from .params import _check_third, total_from_nonembed
 
@@ -273,20 +277,19 @@ def _usable_cpus() -> int:
 
 
 def _sample_rows(rows, sizes, n_total, tokens_per_param, spec, columns):
-    """Fill the model rows ``rows`` of the (models, samples) ``columns`` (tokens,
-    c_total, c_nonembed, loss), from a ``slice`` of ``sizes`` and ``n_total``."""
+    """Fill the model rows ``rows`` of the (models, samples) ``columns`` (tokens, loss),
+    from a ``slice`` of ``sizes`` and ``n_total``."""
     from .lossmodel import _surface
 
-    tokens, c_total, c_nonembed, loss = (a[rows] for a in columns)
+    tokens, loss = (a[rows] for a in columns)
     n, n_t = sizes[rows], n_total[rows, None]
     lo, hi = tokens_per_param
     _token_grid(lo * n, hi * n, tokens)
     six_n = 6.0 * n[:, None]
-    np.multiply(six_n, tokens, out=c_nonembed)
-    np.multiply(6.0 * n_t, tokens, out=c_total)
-    # d = c_nonembed / (6 n_nonembed), as loss_ne_ce computes it; _surface
-    # turns it into the loss in place.
-    np.divide(c_nonembed, six_n, out=loss)
+    # d = c_nonembed / (6 n_nonembed), as loss_ne_ce computes it, built in the loss
+    # buffer; _surface turns it into the loss in place.
+    np.multiply(six_n, tokens, out=loss)
+    np.divide(loss, six_n, out=loss)
     _surface(n_t, loss, spec)
 
 
@@ -314,57 +317,56 @@ def _block_scratch(size):
     return np.empty(size, dtype=np.intp), np.empty(size), np.empty(size, dtype=bool)
 
 
-def _geometric_bin_of(c, edges, scratch):
-    """Bin of each sample of the block ``c``, equal to
-    ``np.searchsorted(edges[1:-1], c, side="right")``, as a view of ``scratch[0]``.
+def _geometric_bin_of(t, six_n, edges, scratch):
+    """Bin of each sample of the C-ordered (rows, samples) block of tokens ``t``, whose
+    rows' 6 n are ``six_n``, in C order: a view of ``scratch[0]`` equal to
+    ``np.searchsorted(edges[1:-1], six_n[:, None] * t, side="right").ravel()``.
 
     ``edges`` are geometric, so the bin is the integer part of the sample's position
-    ``(ln c - ln e0) * n / (ln e_n - ln e0)``.  Rounding in ``np.log``, ``math.log``, the
-    edges and that map moves a position by far less than ``eps``, so only positions within
-    ``eps`` of an integer are searched for, and binning is exact within that budget.
-    ``scratch`` is a ``_block_scratch`` of at least ``c.size`` samples; the call
-    overwrites all of its buffers.
+    ``(ln t + ln six_n - ln e0) * n / (ln e_n - ln e0)``, one offset per row.  Rounding in
+    ``np.log``, ``math.log``, the edges, the compute and that map moves a position by far
+    less than ``eps``, so only positions within ``eps`` of an integer are searched for, by
+    their exact compute, and binning is exact within that budget.  ``scratch`` is a
+    ``_block_scratch`` of at least ``t.size`` samples; the call overwrites all of its buffers.
     """
     n = edges.size - 1
     log_lo, log_hi = math.log(edges[0]), math.log(edges[-1])
     # A collapsed range puts every sample at position 0, inside the band.
     scale = n / (log_hi - log_lo) if log_hi > log_lo else 0.0
-    # About 4096 times the rounding above; a subnormal edge is rounded to a
+    log_six_n = np.log(six_n)
+    # About 4096 times the rounding above, which grows with |ln c|, |ln six_n| and
+    # |ln t| <= |ln c| + |ln six_n|; a subnormal edge or compute is rounded to a
     # multiple of 2**-1074, a relative error of up to 2**-1075 / e0.
-    eps = 2.0**-40 * (scale * (max(1.0, 2.0**-1022 / edges[0]) + max(-log_lo, log_hi)) + n)
-    k, f, missed = (a[:c.size] for a in scratch)
-    np.log(c, out=f)
-    f -= log_lo
+    magnitude = max(-log_lo, log_hi) + 2.0 * np.abs(log_six_n).max()
+    eps = 2.0**-40 * (scale * (max(1.0, 2.0**-1022 / edges[0]) + magnitude) + n)
+    k, f, missed = (a[:t.size].reshape(t.shape) for a in scratch)
+    np.log(t, out=f)
+    f += (log_six_n - log_lo)[:, None]
     f *= scale
-    # Capped at n - 1/2, the largest compute lies mid-bin, outside the band; a
-    # negative position truncates toward 0 and so lies inside it.
-    np.minimum(f, n - 0.5, out=f)
+    # Positions lie within eps of [0, n]: one that truncates to n (the largest compute)
+    # or one below 0 (truncated toward 0) lies in the band, so no bin left is out of range.
     np.copyto(k, f, casting="unsafe")
     # Distance from mid-bin: 1/2 less the distance from the nearest edge.
     f -= k
     f -= 0.5
     np.absolute(f, out=f)
     # A band of 1/2 or more searches every sample.
-    miss = np.flatnonzero(np.greater_equal(f, 0.5 - eps, out=missed))
-    k[miss] = np.searchsorted(edges[1:-1], c[miss], side="right")
-    return k
+    miss = np.divmod(np.flatnonzero(np.greater_equal(f, 0.5 - eps, out=missed)), t.shape[1])
+    k[miss] = np.searchsorted(edges[1:-1], six_n[miss[0]] * t[miss], side="right")
+    return k.reshape(-1)
 
 
-def extract_frontier(
-    curves: Curves,
-    n_bins: int = DEFAULT_BINS,
-    basis: str = "nonembed",
-    drop_edge_models: bool = True,
-) -> Frontier:
+def extract_frontier(curves: Curves, n_bins: int = DEFAULT_BINS, basis: str = "nonembed",
+                     drop_edge_models: bool = True) -> Frontier:
     """Bin pooled samples by compute and keep the minimum-loss sample per bin.
 
-    ``curves`` is a ``Curves`` table of at least two curves and one sample,
-    with finite losses and finite positive compute, checked by the minima and
-    maxima the edges need.  The ``n_bins`` bins are geometric between the
-    smallest and largest compute; a sample's bin is the number of interior
-    edges at or below its compute, the integer part of its position among the
-    edges, with a binary search only for positions within rounding of an edge.
-    Samples go through in blocks of ``_BIN_BLOCK``, so no scratch array grows
+    ``curves`` is a ``Curves`` table of at least two curves and one sample, with
+    finite losses and finite positive tokens, sizes in ``basis`` and compute 6 n
+    tokens, which is never built as a column.  The ``n_bins`` bins are geometric
+    between the smallest and largest compute; a sample's bin is the number of
+    interior edges at or below its compute, the integer part of its position among
+    the edges, with a binary search only for positions within rounding of an edge.
+    Samples go through in blocks of at most ``_BIN_BLOCK``, so no scratch array grows
     with the sample count.
     A bin's winner is its first minimum-loss sample in pooled (curve, then
     sample) order.  Bins whose winner has the table's smallest or largest
@@ -379,15 +381,21 @@ def extract_frontier(
     n_bins = _check_count("n_bins", n_bins, 10)
     _check_basis(basis)
 
-    # Pooled in (curve, then sample) order: views of C-ordered columns.
-    c_all, loss_all = getattr(curves, f"c_{basis}").reshape(-1), curves.loss.reshape(-1)
-    if loss_all.size == 0:
+    tokens, losses = curves.tokens, curves.loss
+    if losses.size == 0:
         raise ValueError("curves hold no samples")
-    c_lo, c_hi = _check_positive(f"c_{basis}", c_all)
-    _check_positive("loss", loss_all, zero_ok=None)
-
-    # The last edge is 10**log10(c_hi) before geomspace puts c_hi there; it may overflow.
-    with np.errstate(over="ignore"):
+    # A row's extremes bound it, and a NaN in a row is NaN in both.
+    t_lo, t_hi = tokens.min(axis=1), tokens.max(axis=1)
+    _check_positive("tokens", (t_lo, t_hi))
+    n = getattr(curves, f"n_{basis}")
+    _check_positive(f"n_{basis}", n)
+    # Rounding a product by a positive factor is monotone, so the compute extremes are
+    # those of the products of each row's token extremes, bit for bit.
+    with np.errstate(over="ignore", under="ignore"):
+        six_n = 6.0 * n
+        c_lo, c_hi = _check_positive(f"c_{basis}", (np.min(six_n * t_lo), np.max(six_n * t_hi)))
+        _check_positive("loss", losses, zero_ok=None)
+        # The last edge is 10**log10(c_hi) before geomspace puts c_hi there; it may overflow.
         edges = np.geomspace(c_lo, c_hi, n_bins + 1)
 
     # One pass over blocks, last to first, each binned into the same scratch.  A
@@ -395,27 +403,28 @@ def extract_frontier(
     # that equal it (a zero tie included, as ``==`` holds -0.0 equal to 0.0) are the
     # earliest in pooled order to attain it.  So the smallest such index replaces the
     # bin's held winner (``first``, or size for no sample), which lies in a later
-    # block.  A block updates only the bins it touches: O(block) work.
-    size = loss_all.size
+    # block.  A block updates only the bins it touches: O(block) work.  It is whole
+    # rows or part of one, so its samples follow each other in pooled order.
+    (m, samples), size = losses.shape, losses.size
+    rows, width = max(1, _BIN_BLOCK // samples), min(samples, _BIN_BLOCK)
     scratch = _block_scratch(min(size, _BIN_BLOCK))
     best, first = np.full(n_bins, np.inf), np.full(n_bins, size)
-    for a in reversed(range(0, size, _BIN_BLOCK)):
-        loss = loss_all[a:a + _BIN_BLOCK]
-        k = _geometric_bin_of(c_all[a:a + _BIN_BLOCK], edges, scratch)
+    for r, j in reversed([(r, j) for r in range(0, m, rows) for j in range(0, samples, width)]):
+        block = np.s_[r:r + rows, j:j + width]
+        loss = losses[block].reshape(-1)
+        k = _geometric_bin_of(tokens[block], six_n[r:r + rows], edges, scratch)
         np.minimum.at(best, k, loss)
         at_min, is_tie = scratch[1][:k.size], scratch[2][:k.size]
         np.take(best, k, out=at_min, mode="clip")
         np.equal(loss, at_min, out=is_tie)
         ties = np.flatnonzero(is_tie)
-        np.minimum.at(first, k[ties], ties + a)
+        np.minimum.at(first, k[ties], ties + (r * samples + j))
 
     filled = np.flatnonzero(first < size)
     n_empty = n_bins - filled.size
     if n_empty > 0.5 * n_bins:
-        raise ValueError(
-            f"{n_empty}/{n_bins} compute bins are empty; token schedules too sparse"
-        )
-    curve = first[filled] // curves.loss.shape[1]
+        raise ValueError(f"{n_empty}/{n_bins} compute bins are empty; token schedules too sparse")
+    curve = first[filled] // samples
     winner = curves.model_index[curve]
     edge = (winner == curves.model_index.min()) | (winner == curves.model_index.max())
     keep = ~edge if drop_edge_models else np.ones_like(edge)
@@ -428,9 +437,9 @@ def extract_frontier(
     # or underflow outside that range.
     e0, e1 = edges[filled], edges[filled + 1]
     s = np.ldexp(1.0, np.frexp(e0)[1])
-    return Frontier(basis, c=s * np.sqrt((e0 / s) * (e1 / s)), loss_min=loss_all[won],
-                    n_opt=getattr(curves, f"n_{basis}")[curve], d_opt=curves.tokens.flat[won],
-                    model_index=winner[keep], n_empty=n_empty, n_dropped=keep.size - filled.size)
+    return Frontier(basis, c=s * np.sqrt((e0 / s) * (e1 / s)), loss_min=losses.flat[won],
+                    n_opt=n[curve], d_opt=tokens.flat[won], model_index=winner[keep],
+                    n_empty=n_empty, n_dropped=keep.size - filled.size)
 
 
 def fit_param_scaling(frontier: Frontier) -> PowerLawFit:
@@ -478,7 +487,7 @@ def write_curves_csv(curves: Curves, path_or_buf) -> None:
     heads = (f"{k},{n_nonembed:.17g},{n_total:.17g}," for k, n_nonembed, n_total in
              zip(*(getattr(curves, name).tolist() for name in _CURVE_FIELDS)))
     rows = (zip(*(a.tolist() for a in row))
-            for row in zip(*(getattr(curves, name) for name in _SAMPLE_FIELDS)))
+            for row in zip(curves.tokens, curves.c_total, curves.c_nonembed, curves.loss))
     _write(path_or_buf, CURVES_CSV_HEADER + "\n",
            ("".join(f"{head}{d:.17g},{ct:.17g},{ce:.17g},{ls:.17g}\n"
                     for d, ct, ce, ls in samples) for head, samples in zip(heads, rows)))

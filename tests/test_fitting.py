@@ -438,7 +438,7 @@ def test_input_checks_match_their_first_form(xy, fixed_offset):
                                                 offset_fit, *args[2:])
 
 
-_ONE_SAMPLE_EACH = ([1.0, 2.0], [1.0, 2.0], *[[[1.0], [1.0]]] * 4)
+_ONE_SAMPLE_EACH = ([1.0, 2.0], [1.0, 2.0], *[[[1.0], [1.0]]] * 2)
 
 
 @pytest.mark.parametrize("name, call", [
@@ -458,7 +458,7 @@ _ONE_SAMPLE_EACH = ([1.0, 2.0], [1.0, 2.0], *[[[1.0], [1.0]]] * 4)
     ("sizes", lambda: simulate_curves(np.array([True]), EPOCH, DEFAULT_EMBED_MAP)),
     ("c", lambda: Frontier("total", c=[True], loss_min=[1.0], n_opt=[1.0], d_opt=[1.0],
                            model_index=[0])),
-    ("loss", lambda: Curves([0, 1], *_ONE_SAMPLE_EACH[:5], [[True], [False]])),
+    ("loss", lambda: Curves([0, 1], *_ONE_SAMPLE_EACH[:3], [[True], [False]])),
 ])
 def test_a_boolean_is_neither_a_number_nor_an_index(name, call):
     """True once passed as 1 and False as 0, by value or as a bool array's dtype."""

@@ -39,8 +39,11 @@ from scalelab.analytic import _min_beta
 
 IDENTITY = EmbedMap(0.0)
 POINT_COLUMNS = ("c", "loss_min", "n_opt", "d_opt", "model_index")
-SAMPLE_COLUMNS = ("tokens", "c_total", "c_nonembed", "loss")
+SAMPLE_COLUMNS = ("tokens", "loss")
+COMPUTE_COLUMNS = ("c_total", "c_nonembed")
 CURVE_COLUMNS = ("model_index", "n_nonembed", "n_total", *SAMPLE_COLUMNS)
+# A size at which 6 n is exactly 1.0, so a table's compute is its tokens.
+UNIT = 1.0 / 6.0
 
 
 def _invert_ce(c, spec, emap, lo=1e-6, hi=1e18):
@@ -319,7 +322,7 @@ def curve_sets(draw):
         return 10.0 ** rng.uniform(-3.0, 9.0, size)
 
     return Curves(model_index, positive(shape[0]), positive(shape[0]), positive(shape),
-                  positive(shape), positive(shape), rng.choice(levels, shape))
+                  rng.choice(levels, shape))
 
 
 @settings(max_examples=300, deadline=None)
@@ -348,11 +351,11 @@ def test_loss_min_is_the_winners_own_loss():
     c = np.tile(np.geomspace(1.0, 1e4, 20), (2, 1))
     loss = np.array([np.linspace(3.0, 1.0, 20), np.linspace(3.5, 1.5, 20)])
     loss[:, 7] = 0.0, -0.0
-    tokens = np.arange(1.0, 41.0).reshape(2, 20)  # names each sample's pooled index
-    curves = Curves([0, 1], [1.0, 2.0], [2.0, 3.0], tokens, c, c, loss)
+    curves = Curves([0, 1], [UNIT] * 2, [UNIT] * 2, c, loss)
     for basis in ("nonembed", "total"):
         front = extract_frontier(curves, 10, basis, drop_edge_models=False)
-        won = front.d_opt.astype(int) - 1
+        # A sample is named by its curve and its tokens, which rise along the curve.
+        won = front.model_index * 20 + np.searchsorted(c[0], front.d_opt)
         assert front.loss_min.tobytes() == curves.loss.ravel()[won].tobytes()
         assert front.model_index[3] == 0 and front.loss_min[3].tobytes() == b"\0" * 8
 
@@ -364,7 +367,7 @@ def test_extract_frontier_edges_do_not_overflow():
     c = 10.0 ** np.linspace(0.0, 308.0, 40).reshape(4, 10)
     c[-1, -1] = np.finfo(float).max
     loss = np.random.default_rng(3).uniform(1.0, 2.0, (4, 10))
-    curves = Curves(range(4), np.ones(4), np.ones(4), c, c, c, loss)
+    curves = Curves(range(4), np.full(4, UNIT), np.full(4, UNIT), c, loss)
     for over in ("warn", "raise"):
         with np.errstate(over=over):
             front = extract_frontier(curves, 10, "total", drop_edge_models=False)
@@ -604,8 +607,54 @@ def test_extract_frontier_rejects_non_finite_samples(epoch_curves, bad):
 
     with pytest.raises(ValueError, match="loss"):
         extract_frontier(spoil("loss"))
-    with pytest.raises(ValueError, match="c_total"):
-        extract_frontier(spoil("c_total"), basis="total")
+    with pytest.raises(ValueError, match="tokens"):
+        extract_frontier(spoil("tokens"), basis="total")
+
+
+def _four_by_twenty():
+    """A hand-built table of 4 curves of 20 samples, with its non-embedding frontier."""
+    tokens = np.geomspace(1e3, 1e6, 20) * np.array([[1.0], [2.0], [4.0], [8.0]])
+    n = np.array([1e2, 1e3, 1e4, 1e5])
+    loss = 1.0 + 100.0 / n[:, None] ** 0.3 + 300.0 / tokens**0.3
+    curves = Curves(range(4), n, 2.0 * n, tokens, loss)
+    return curves, extract_frontier(curves, 10, drop_edge_models=False)
+
+
+@pytest.mark.parametrize("basis", ["nonembed", "total"])
+@pytest.mark.parametrize("column, bad", [
+    ("tokens", np.nan), ("tokens", np.inf), ("tokens", -1.0), ("tokens", 0.0),
+    ("n_total", np.nan), ("n_total", -2.0), ("n_nonembed", np.nan), ("n_nonembed", -2.0),
+])
+def test_extract_frontier_refuses_bad_tokens_and_sizes(column, bad, basis):
+    """A bad token at a winner once came out as its d_opt, and a bad size as its n_opt;
+    each is refused, naming its column.  A size counts only in its own basis."""
+    curves, front = _four_by_twenty()
+    winner = int(front.model_index[3])
+    values = getattr(curves, column).copy()
+    if column == "tokens":
+        values[winner, np.flatnonzero(curves.tokens[winner] == front.d_opt[3])] = bad
+    else:
+        values[winner] = bad
+    spoilt = dataclasses.replace(curves, **{column: values})
+    if column in ("tokens", f"n_{basis}"):
+        with pytest.raises(ValueError, match=f"^{column} must be finite and > 0$"):
+            extract_frontier(spoilt, 10, basis)
+    else:
+        extract_frontier(spoilt, 10, basis)
+
+
+@pytest.mark.parametrize("basis", ["nonembed", "total"])
+@pytest.mark.parametrize("token, size", [(1e300, 1e10), (1e-300, 1e-30), (1.0, 1e308)])
+def test_extract_frontier_refuses_compute_outside_doubles(token, size, basis):
+    """Tokens and sizes that are each finite and > 0, whose compute 6 n tokens overflows
+    or rounds to 0, are refused naming the compute of the basis, without a warning."""
+    curves, _ = _four_by_twenty()
+    tokens, n = curves.tokens.copy(), getattr(curves, f"n_{basis}").copy()
+    tokens[2, 5], n[2] = token, size
+    spoilt = dataclasses.replace(curves, tokens=tokens, **{f"n_{basis}": n})
+    with np.errstate(all="raise"), pytest.raises(
+            ValueError, match=f"^c_{basis} must be finite and > 0$"):
+        extract_frontier(spoilt, 10, basis)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
@@ -645,7 +694,7 @@ def test_counts_accept_numpy_integers(entry):
 
 def test_samples_per_curve_sets_the_table_layout():
     curves = simulate_curves(_SIZES, EPOCH, DEFAULT_EMBED_MAP, samples_per_curve=np.int32(3))
-    assert all(getattr(curves, name).shape == (3, 3) for name in SAMPLE_COLUMNS)
+    assert all(getattr(curves, name).shape == (3, 3) for name in SAMPLE_COLUMNS + COMPUTE_COLUMNS)
 
 
 def test_bracketing_token_schedule_widens_the_optimal_ratios_threefold():
@@ -700,7 +749,7 @@ def test_simulate_curves_rejects_compute_outside_doubles(sizes, schedule):
 
 def test_extract_frontier_rejects_curves_without_samples():
     empty = np.empty((2, 0))
-    table = Curves([0, 1], [1e6, 1e7], [2e6, 2e7], empty, empty, empty, empty)
+    table = Curves([0, 1], [1e6, 1e7], [2e6, 2e7], empty, empty)
     with pytest.raises(ValueError, match="curves"):
         extract_frontier(table)
 
@@ -721,9 +770,9 @@ def test_extract_frontier_rejects_an_unknown_basis_before_any_pass(epoch_curves,
         raise AssertionError("binned before the basis was checked")
 
     monkeypatch.setattr(frontier_module, "_geometric_bin_of", no_pass)
-    c = epoch_curves.c_total.copy()
-    c[5] = np.inf
-    for table in (epoch_curves, dataclasses.replace(epoch_curves, c_total=c)):
+    tokens = epoch_curves.tokens.copy()
+    tokens[5] = np.inf
+    for table in (epoch_curves, dataclasses.replace(epoch_curves, tokens=tokens)):
         for basis in ("Total", "c_total", "", None):
             with pytest.raises(ValueError, match="basis must be 'total' or 'nonembed'"):
                 extract_frontier(table, basis=basis)
@@ -745,9 +794,10 @@ def test_curves_sequence_contract(epoch_curves):
     assert {type(v) for cv in rows for v in (cv.n_nonembed, cv.n_total)} == {float}
     assert {type(cv.model_index) for cv in rows} == {int}
     for k, cv in enumerate(rows):
-        for name in SAMPLE_COLUMNS:
+        for name in SAMPLE_COLUMNS + COMPUTE_COLUMNS:
             column = getattr(curves, name)
-            assert np.shares_memory(getattr(cv, name), column)
+            # The stored columns are shared; compute is a row's own, with the column's bits.
+            assert np.shares_memory(getattr(cv, name), column) == (name in SAMPLE_COLUMNS)
             np.testing.assert_array_equal(getattr(cv, name), column[k], strict=True)
         assert (cv.n_nonembed, cv.n_total) == (curves.n_nonembed[k], curves.n_total[k])
         np.testing.assert_array_equal(curves[k - 20].tokens, cv.tokens)
@@ -761,17 +811,21 @@ def test_curves_columns_are_read_only_and_checked(epoch_curves):
             getattr(epoch_curves, name)[0] = 1
     with pytest.raises(ValueError):
         epoch_curves[2].loss[0] = 1.0
+    for name in COMPUTE_COLUMNS:  # a fresh array on each access: spoiling one spoils no other
+        spoilt = getattr(epoch_curves, name)
+        spoilt[0] = np.nan
+        assert np.isfinite(getattr(epoch_curves, name)).all()
     loss = np.ones((2, 3))
-    table = Curves([0, 1], [1.0, 2.0], [2.0, 3.0], loss, loss, loss, loss)
+    table = Curves([0, 1], [1.0, 2.0], [2.0, 3.0], loss, loss)
     assert loss.flags.writeable and [len(cv.loss) for cv in table] == [3, 3]
     with pytest.raises(ValueError, match="equal length"):
-        Curves([0, 1], [1.0, 2.0], [2.0], loss, loss, loss, loss)
+        Curves([0, 1], [1.0, 2.0], [2.0], loss, loss)
 
 
 @pytest.mark.parametrize("columns", [
-    [np.ones(2)] * 4,  # the flat layout, one sample per curve: as long as the curve columns
-    [np.ones((3, 2))] * 4,  # three rows for two curves
-    [np.ones((2, 3))] * 3 + [np.ones((2, 4))],  # one column wider than the others
+    [np.ones(2)] * 2,  # the flat layout, one sample per curve: as long as the curve columns
+    [np.ones((3, 2))] * 2,  # three rows for two curves
+    [np.ones((2, 3)), np.ones((2, 4))],  # one column wider than the other
 ])
 def test_curves_reject_sample_columns_of_another_shape(columns):
     with pytest.raises(ValueError, match=r"^sample columns must be \(curves, samples\)"):
@@ -787,12 +841,12 @@ def test_curves_reject_non_integral_indices(name, bad):
     onto another curve's label."""
     loss = np.ones((2, 3))
     with pytest.raises(ValueError, match=f"{name} must hold finite integers"):
-        Curves(bad, [1.0, 2.0], [2.0, 3.0], loss, loss, loss, loss)
+        Curves(bad, [1.0, 2.0], [2.0, 3.0], loss, loss)
 
 
 def test_curves_take_integral_floats_as_integers():
     loss = np.ones((2, 3))
-    table = Curves(np.array([3.0, -1.0]), [1.0, 2.0], [2.0, 3.0], loss, loss, loss, loss)
+    table = Curves(np.array([3.0, -1.0]), [1.0, 2.0], [2.0, 3.0], loss, loss)
     assert table.model_index.tolist() == [3, -1] and table.model_index.dtype == int
 
 
@@ -800,7 +854,8 @@ def test_simulate_curves_columns_are_c_contiguous(epoch_curves):
     """The (curves, samples) columns are C-ordered, so extract_frontier pools them as views."""
     for name in CURVE_COLUMNS:
         assert getattr(epoch_curves, name).flags.c_contiguous
-    assert all(getattr(epoch_curves, name).shape == (20, 512) for name in SAMPLE_COLUMNS)
+    assert all(getattr(epoch_curves, name).shape == (20, 512)
+               for name in SAMPLE_COLUMNS + COMPUTE_COLUMNS)
 
 
 def test_edge_guard_drops_the_tables_own_extreme_models(epoch_curves):
@@ -830,7 +885,11 @@ def test_extract_frontier_bins_samples_on_and_beside_edges(seed, n_bins, c_range
     # Repeats of drawn samples pad four equal curves, moving neither the range nor the edges.
     c = np.concatenate([c, rng.choice(c, -c.size % 4)]).reshape(4, -1)
     loss = rng.choice(rng.uniform(1.0, 2.0, 4), c.shape)
-    curves = Curves(range(4), [1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0], c, c, c, loss)
+    # 6 n = 1, 2, 4 and 8: the tokens are the compute scaled exactly by a power of two.
+    six_n = np.array([1.0, 2.0, 4.0, 8.0])
+    n = six_n * UNIT
+    curves = Curves(range(4), n, n, c / six_n[:, None], loss)
+    assert np.array_equal(curves.c_total, c)
     for basis in ("nonembed", "total"):
         want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis, False)
         frontier = extract_frontier(curves, n_bins, basis, drop_edge_models=False)
@@ -859,10 +918,11 @@ def binning_cases(draw, max_bins):
 
 def _bin_by_blocks(c, edges, block):
     """``_geometric_bin_of`` over ``c`` in blocks of ``block`` samples, all sharing one
-    scratch, as ``extract_frontier`` calls it."""
+    scratch, as ``extract_frontier`` calls it: each block one row of tokens at 6 n = 1."""
     scratch = frontier_module._block_scratch(min(c.size, block))
-    return np.concatenate([frontier_module._geometric_bin_of(c[a:a + block], edges, scratch)
-                           .copy() for a in range(0, c.size, block)])
+    return np.concatenate([frontier_module._geometric_bin_of(c[None, a:a + block], np.ones(1),
+                                                             edges, scratch).copy()
+                           for a in range(0, c.size, block)])
 
 
 def _few_ulps_case():
@@ -918,6 +978,65 @@ def test_geometric_bin_of_spans_real_blocks():
                                   np.searchsorted(edges[1:-1], c, side="right"))
 
 
+@st.composite
+def split_magnitude_tables(draw):
+    """(curves, n_bins, basis): 2-6 curves whose compute 6 n t lies on every edge of a
+    geometric range and one ulp either side, and at random inside it; within rounding of
+    there where 6 n is no power of two or the tokens are subnormal.  Each curve's 6 n lies
+    1e210-1e300 times above or below 1, and its tokens as far the other way.  The other
+    basis's sizes are 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_bins, rows = draw(st.integers(10, 100)), draw(st.integers(2, 6))
+    ranges = [(0.5, 2.0), (7.0, 7.0 * (1 + 1e-9)), (1e-20, 1e-12), (1e-20, 1e8)]
+    lo, hi = draw(st.sampled_from(ranges)
+                  | st.tuples(st.floats(-20.0, 8.0), st.floats(0.0, 28.0)).map(
+                      lambda t: (10.0 ** t[0], 10.0 ** min(t[0] + t[1], 8.0))))
+    edges = np.geomspace(lo, hi, n_bins + 1)
+    inside = np.exp(rng.uniform(np.log(lo), np.log(hi), draw(st.integers(0, 200))))
+    c = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), inside])
+    c = rng.permutation(np.concatenate([c, rng.choice(c, -c.size % rows)])).reshape(rows, -1)
+    # Half the curves' 6 n lie 1e286 or more from 1, which takes small compute's tokens
+    # subnormal.
+    exponent = rng.integers(rng.choice([700, 950], rows), 997) * rng.choice([-1, 1], rows)
+    six_n = np.ldexp(np.where(rng.random(rows) < 0.5, 1.0, rng.uniform(1.0, 2.0, rows)), exponent)
+    n = six_n / 6.0
+    basis = draw(st.sampled_from(["nonembed", "total"]))
+    sizes = {"n_nonembed": np.ones(rows), "n_total": np.ones(rows), f"n_{basis}": n}
+    curves = Curves(range(rows), sizes["n_nonembed"], sizes["n_total"],
+                    c / (6.0 * n)[:, None], rng.choice(rng.uniform(1.0, 2.0, 3), c.shape))
+    return curves, n_bins, basis
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_magnitude_tables(), st.sampled_from([1, 3, 64, 65536]))
+def test_guard_band_holds_for_split_magnitudes(case, block):
+    """Each block's bins are the binary search of its compute 6 n t, also where ln t and
+    ln 6 n are hundreds of times ln c and cancel in the position, and the frontier is the
+    reference's."""
+    curves, n_bins, basis = case
+    real, binned = frontier_module._geometric_bin_of, []
+
+    def checked(t, six_n, edges, scratch):
+        k = real(t, six_n, edges, scratch)
+        want = np.searchsorted(edges[1:-1], (six_n[:, None] * t).ravel(), side="right")
+        np.testing.assert_array_equal(k, want)
+        binned.append(k.size)
+        return k
+
+    want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis, False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontier_module, "_BIN_BLOCK", block)
+        mp.setattr(frontier_module, "_geometric_bin_of", checked)
+        if n_empty > 0.5 * n_bins:
+            with pytest.raises(ValueError, match="too sparse"):
+                extract_frontier(curves, n_bins, basis, drop_edge_models=False)
+        else:
+            frontier = extract_frontier(curves, n_bins, basis, drop_edge_models=False)
+            _assert_columns_match(frontier, want, lo, hi)
+            assert (frontier.n_empty, frontier.n_dropped) == (n_empty, n_dropped)
+    assert sum(binned) == curves.loss.size
+
+
 @pytest.mark.parametrize("spec", sorted(SPEC_CATALOG))
 def test_binary_search_sees_almost_no_simulated_sample(spec, monkeypatch):
     """At 2000 x 512 samples and 2000 bins, fewer than 0.1% of the samples lie within the
@@ -934,7 +1053,7 @@ def test_binary_search_sees_almost_no_simulated_sample(spec, monkeypatch):
     for basis in ("nonembed", "total"):
         searched.clear()
         extract_frontier(curves, n_bins=2000, basis=basis)
-        # The smallest compute sits on the lowest edge, inside the band.
+        # The smallest and largest compute sit on the outer edges, inside the band.
         assert 0 < sum(searched) < 1e-3 * curves.loss.size, (basis, sum(searched))
 
 
@@ -950,16 +1069,17 @@ def test_extract_frontier_keeps_the_first_tie_across_blocks(block):
     loss = rng.choice([1.0, 1.5, 2.0], size)
     c[[5, 130]], loss[[5, 130]] = np.sqrt(edges[3] * edges[4]), 0.5  # a tie in bin 3
     c[[10, 150]], loss[[10, 150]] = np.sqrt(edges[6] * edges[7]), (0.75, 0.6)  # 150 wins bin 6
-    tokens = np.arange(1.0, size + 1)  # names each sample's pooled index
-    curves = Curves(range(4), [1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0],
-                    *(a.reshape(4, 50) for a in (tokens, c, c, loss)))
+    curves = Curves(range(4), np.full(4, UNIT), np.full(4, UNIT), c.reshape(4, 50),
+                    loss.reshape(4, 50))
     bin_of = np.searchsorted(edges[1:-1], c, side="right")
-    first_min = [idx[np.argmin(loss[idx])] for idx in
-                 (np.flatnonzero(bin_of == b) for b in range(n_bins))]
+    first_min = np.array([idx[np.argmin(loss[idx])] for idx in
+                          (np.flatnonzero(bin_of == b) for b in range(n_bins))])
     for basis in ("nonembed", "total"):
         want = extract_frontier(curves, n_bins, basis, drop_edge_models=False)
-        np.testing.assert_array_equal(want.d_opt, tokens[first_min])
-        assert (want.d_opt[3], want.d_opt[6]) == (6.0, 151.0)
+        # A sample is named by its curve and its tokens, which are its compute.
+        np.testing.assert_array_equal(want.model_index, first_min // 50)
+        np.testing.assert_array_equal(want.d_opt, c[first_min])
+        assert (want.model_index[3], want.model_index[6]) == (0, 3)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(frontier_module, "_BIN_BLOCK", block)
             got = extract_frontier(curves, n_bins, basis, drop_edge_models=False)
@@ -991,7 +1111,7 @@ def test_extract_frontier_memory_stays_flat_at_stress_scale():
 
 
 def test_simulate_curves_memory_is_its_output():
-    """2000 x 512 samples allocate the four 8 MB sample columns and no full-size temporary."""
+    """2000 x 512 samples allocate the two 8 MB sample columns and no full-size temporary."""
     sizes = size_grid(1e3, 1e9, 2000)
     tracemalloc.start()
     try:
@@ -999,7 +1119,7 @@ def test_simulate_curves_memory_is_its_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * 2**20, f"{peak / 2**20:.2f} MiB"
+    assert peak <= 17 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 @st.composite
