@@ -69,12 +69,10 @@ def _checked_optima(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap) -> np.n
     return _vector(n_nonembed_opt)
 
 
-def _ce(n, cbrt, spec: LossSpec, omega: float, names=("n_nonembed_opt",) * 2):
+def _ce(n, cbrt, spec: LossSpec, omega: float):
     """c at checked optima ``n``, given cbrt = n**(1/3).
 
-    Raises ``ValueError`` where c leaves the range of doubles, naming the
-    input: ``names[0]`` if the first entry of ``n`` is out of range, else
-    ``names[1]``, so that a grid names the end it goes out at.
+    Raises ``ValueError`` naming ``n_nonembed_opt`` where c leaves the range of doubles.
     """
     a, b = spec.alpha, spec.beta
     # An overflowing factor, or one times another that underflows (NaN), fails the
@@ -83,8 +81,7 @@ def _ce(n, cbrt, spec: LossSpec, omega: float, names=("n_nonembed_opt",) * 2):
         c = (6.0 * n * (n + omega / 3.0 * cbrt) ** (-1.0 / b)
              * (n + omega * cbrt) ** ((1.0 + a) / b) * (b * spec.d_c / (a * spec.n_c)) ** (1.0 / b))
     if c.size and not (c.min() > 0 and c.max() < math.inf):  # NaN fails both
-        name = names[0] if not 0 < c[0] < math.inf else names[1]
-        raise ValueError(f"{name} takes c_nonembed out of the range of doubles")
+        raise ValueError("n_nonembed_opt takes c_nonembed out of the range of doubles")
     return c
 
 
@@ -96,13 +93,10 @@ def _param_slope(n, spec: LossSpec, omega: float):
                   + ((a + 1.0) / b) * (x + omega / 3.0) / (x + omega))
 
 
-def _optimum(n, spec: LossSpec, omega: float, names=("n_nonembed_opt",) * 2):
-    """(c, g, k, loss) at checked optima ``n``: each closed form once, loss_ne_ce's checks.
-
-    ``names`` are ``_ce``'s.
-    """
+def _optimum(n, spec: LossSpec, omega: float):
+    """(c, g, k, loss) at checked optima ``n``: each closed form once, loss_ne_ce's checks."""
     cbrt = n**THIRD
-    c = _ce(n, cbrt, spec, omega, names)  # finite, so n_total, a factor of c, is too
+    c = _ce(n, cbrt, spec, omega)  # finite, so n_total, a factor of c, is too
     g = _param_slope(n, spec, omega)
     n_total = n + omega * cbrt  # total_from_nonembed at delta = 1/3
     with np.errstate(over="ignore"):  # an overflowing d fails the check below instead
@@ -173,19 +167,12 @@ def param_exponent_large_scale_limit(spec: LossSpec) -> float:
     return spec.beta / (spec.alpha + spec.beta)
 
 
-def exponent_curve(
-    spec: LossSpec,
-    embed_map: EmbedMap,
-    n_min: float = EXPONENT_CURVE_RANGE[0],
-    n_max: float = EXPONENT_CURVE_RANGE[1],
-    count: int = EXPONENT_CURVE_POINTS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sample the frontier on a log-spaced grid of non-embedding optima.
-
-    Returns the columns (n_nonembed_opt, c_nonembed, g, k, loss_opt): each
-    optimum, its compute, the local slopes there and its loss.
+def exponent_curve(spec: LossSpec, embed_map: EmbedMap) -> tuple[np.ndarray, ...]:
+    """Columns (n_nonembed_opt, c_nonembed, g, k, loss_opt) at ``EXPONENT_CURVE_POINTS``
+    log-spaced optima across ``EXPONENT_CURVE_RANGE``: each optimum, its compute, the
+    local slopes there and its loss.  On another grid, ``ce_of_optimal_ne``,
+    ``local_param_exponent``, ``local_loss_exponent`` and ``loss_ne_ce`` give them bit
+    for bit.
     """
-    from .frontier import size_grid
-
-    n = _checked_optima(size_grid(n_min, n_max, count), spec, embed_map)
-    return (n, *_optimum(n, spec, embed_map.omega, ("n_min", "n_max")))
+    n = _checked_optima(np.geomspace(*EXPONENT_CURVE_RANGE, EXPONENT_CURVE_POINTS), spec, embed_map)
+    return (n, *_optimum(n, spec, embed_map.omega))

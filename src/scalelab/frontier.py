@@ -239,6 +239,9 @@ def simulate_curves(
     from .params import _check_third, total_from_nonembed
 
     sizes = _check_sizes(sizes)
+    tokens_per_param = _float_array("tokens_per_param", tokens_per_param)
+    if tokens_per_param.shape != (2,):
+        raise ValueError("tokens_per_param must be a pair (lo, hi)")
     lo, hi = tokens_per_param
     if not 0 < lo < hi < math.inf:
         raise ValueError("tokens_per_param must be finite and satisfy 0 < lo < hi")

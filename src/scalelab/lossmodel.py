@@ -84,9 +84,8 @@ def loss_ne_ce(n_nonembed, c_nonembed, spec: LossSpec, embed_map: EmbedMap):
     delta = 1/3 so results stay consistent with the closed forms.
     """
     _check_third(embed_map)
-    _check_positive("n_nonembed", n_nonembed)  # as given, so a boolean is named
+    n_total = _vector(total_from_nonembed(n_nonembed, embed_map))  # checks n_nonembed as given
     n = _vector(n_nonembed)
-    n_total = total_from_nonembed(n, embed_map)
     _check_positive("c_nonembed", c_nonembed)
     _check_positive("n_total", n_total)
     with np.errstate(over="ignore"):

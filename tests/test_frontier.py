@@ -20,7 +20,6 @@ from scalelab import (
     LossSpec,
     bracketing_token_schedule,
     ce_of_optimal_ne,
-    exponent_curve,
     extract_frontier,
     fit_loss_scaling,
     fit_param_scaling,
@@ -673,7 +672,6 @@ _COUNTED = {
     "extract_frontier": ("n_bins", lambda k: extract_frontier(
         simulate_curves(_SIZES, EPOCH, DEFAULT_EMBED_MAP, samples_per_curve=64), n_bins=k)),
     "size_grid": ("count", lambda k: size_grid(1e6, 1e9, k)),
-    "exponent_curve": ("count", lambda k: exponent_curve(EPOCH, DEFAULT_EMBED_MAP, count=k)),
 }
 
 
@@ -711,6 +709,19 @@ def test_simulate_curves_rejects_non_finite(bad):
     for schedule in [(10.0, bad), (bad, 10.0)]:
         with pytest.raises(ValueError, match="tokens_per_param"):
             simulate_curves([1e5, 1e6], EPOCH, DEFAULT_EMBED_MAP, tokens_per_param=schedule)
+
+
+@pytest.mark.parametrize("schedule, message", [
+    (("10", "3e5"), "tokens_per_param must be a number, got a string"),
+    (5.0, "tokens_per_param must be a pair (lo, hi)"),
+    ((10.0,), "tokens_per_param must be a pair (lo, hi)"),
+    ((10.0, 1e3, 3e5), "tokens_per_param must be a pair (lo, hi)"),
+    ([[10.0, 3e5]], "tokens_per_param must be a pair (lo, hi)"),
+])
+def test_simulate_curves_names_a_schedule_that_is_no_pair(schedule, message):
+    """These once failed inside the unpacking or the comparison without naming the argument."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate_curves([1e5, 1e6], EPOCH, DEFAULT_EMBED_MAP, tokens_per_param=schedule)
 
 
 # Each entry point that takes a size grid.

@@ -53,6 +53,14 @@ def test_from_import_loads_only_the_defining_module(fresh_python):
     assert loaded == "['scalelab', 'scalelab.fitting']"
 
 
+def test_exponent_curve_loads_no_frontier(fresh_python):
+    """The closed forms sample their own grid: they once imported frontier for it."""
+    loaded = _loaded_after(fresh_python, "import scalelab.analytic\nscalelab.analytic."
+                           "exponent_curve(scalelab.EPOCH, scalelab.DEFAULT_EMBED_MAP)")
+    assert loaded == ("['scalelab', 'scalelab.analytic', 'scalelab.fitting', "
+                      "'scalelab.lossmodel', 'scalelab.params']")
+
+
 @pytest.mark.parametrize("module, name", EXPORTED_NAMES)
 def test_exported_name_is_its_modules_object(module, name):
     submodule = getattr(scalelab, module)
