@@ -369,6 +369,21 @@ def test_exponent_curve_out_of_double_range_names_the_optima():
         exponent_curve(spec, IDENTITY)
 
 
+@pytest.mark.parametrize("bounds, name", [((1e3, 1e25), "n_max"), ((1e-300, 1.0), "n_min")])
+def test_exponent_curve_out_of_double_range_names_the_bound(bounds, name):
+    """The curve over a range exponent_curve once took, through the closed forms it is
+    built from: compute past the bound ``name`` leaves the doubles, the other bound's
+    stays in them, and the error names n_nonembed_opt where it once named the bound."""
+    spec = LossSpec(406.4, 410.7, 0.5, 0.10078125, 1.693)
+    end = dict(zip(("n_min", "n_max"), bounds))
+    inside = end["n_max" if name == "n_min" else "n_min"]
+    assert 0 < ce_of_optimal_ne(inside, spec, IDENTITY) < np.inf
+    for n in (end[name], np.geomspace(*bounds, EXPONENT_CURVE_POINTS)):
+        for form in (ce_of_optimal_ne, local_loss_exponent):
+            with pytest.raises(ValueError, match="^n_nonembed_opt takes c_nonembed out of the range"):
+                form(n, spec, IDENTITY)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_optimal_nt_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="c_total"):
