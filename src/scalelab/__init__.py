@@ -12,6 +12,13 @@ import importlib
 
 __version__ = "0.1.0"
 
+# The frontier defaults that the CLI parser needs too, defined here so that it loads
+# no submodule: the size grid of Kaplan et al., samples per curve and compute bins.
+KAPLAN_SIZE_RANGE = (7.9e2, 1.58e9)
+KAPLAN_GRID_POINTS = 20
+DEFAULT_SAMPLES_PER_CURVE = 512
+DEFAULT_BINS = 200
+
 _SUBMODULES = {
     "analytic": (
         "ce_of_optimal_ne",
@@ -87,6 +94,16 @@ def __getattr__(name):
     if name in _EXPORTS:
         return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _write(path_or_buf, head: str, lines=()) -> None:
+    """Write ``head``, then each string of ``lines``, to an open text buffer, or to the
+    file at a path, opened with ``newline=""`` so no newline is translated."""
+    if not hasattr(path_or_buf, "write"):
+        with open(path_or_buf, "w", newline="") as fh:
+            return _write(fh, head, lines)
+    path_or_buf.write(head)
+    path_or_buf.writelines(lines)
 
 
 def __dir__():

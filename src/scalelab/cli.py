@@ -1,13 +1,14 @@
 """Command-line front end emitting figure-ready CSV data and fit reports.
 
 Every command is deterministic and writes to --output or standard output
-through ``frontier._write``; reruns with the same flags produce byte-identical
+through ``scalelab._write``; reruns with the same flags produce byte-identical
 files.  Exit status: 0 on success, 2 for bad input (as for an argparse usage
 error) or a grid too large for memory, 1 for a failed `reproduce` tolerance or a
 numerical failure.  A closed standard output is left to ``scalelab.__main__.run``.
 
-The parser needs only the frontier constants and writer; each command imports
-the modules it calls when it runs, so a process loads nothing else.
+The parser takes its defaults and writer from the package, which loads no submodule;
+each command imports the modules it calls when it runs, so a process loads nothing
+else, and help or a usage error loads no numpy.
 """
 
 from __future__ import annotations
@@ -16,13 +17,8 @@ import argparse
 import sys
 from typing import TYPE_CHECKING
 
-from .frontier import (
-    DEFAULT_BINS,
-    DEFAULT_SAMPLES_PER_CURVE,
-    KAPLAN_GRID_POINTS,
-    KAPLAN_SIZE_RANGE,
-    _write,
-)
+from . import (DEFAULT_BINS, DEFAULT_SAMPLES_PER_CURVE, KAPLAN_GRID_POINTS, KAPLAN_SIZE_RANGE,
+               _write)
 
 if TYPE_CHECKING:
     from .frontier import Curves

@@ -91,6 +91,25 @@ def _parse_field(row: dict, k: int, name: str, kind, source: str):
         raise ValueError(f"{source} row {k} column {name!r} must be {noun}, got {text!r}") from None
 
 
+def _read_csv(path, source: str):
+    """The header and row dicts of the CSV file at ``path``, as ``csv.DictReader`` reads
+    them.  A line the csv module cannot read, such as one with a field beyond its size
+    limit, is a ValueError naming the file ``source`` and the header or row."""
+    import csv
+
+    rows = None
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            header, rows = reader.fieldnames, []
+            for row in reader:
+                rows.append(row)
+        except csv.Error as exc:
+            where = "header" if rows is None else f"row {len(rows) + 1}"
+            raise ValueError(f"{source} {where}: {exc}") from None
+    return header, rows
+
+
 def _vector(x) -> np.ndarray:
     """``x`` as a float array of at least one dimension, so that a scalar gets the
     array loops' bits: NumPy's scalar math on a 0-d array can differ by an ulp."""

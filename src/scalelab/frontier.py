@@ -14,7 +14,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import _SUBMODULES
+from . import (DEFAULT_BINS, DEFAULT_SAMPLES_PER_CURVE, KAPLAN_GRID_POINTS, KAPLAN_SIZE_RANGE,
+               _SUBMODULES, _write)
 from .fitting import (
     PowerLawFit,
     _check_count,
@@ -22,6 +23,7 @@ from .fitting import (
     _check_positive,
     _float_array,
     _parse_field,
+    _read_csv,
     fit_power_law,
     fit_power_law_with_offset,
 )
@@ -34,9 +36,6 @@ if TYPE_CHECKING:
 
 __all__ = list(_SUBMODULES["frontier"])
 
-KAPLAN_SIZE_RANGE = (7.9e2, 1.58e9)
-KAPLAN_GRID_POINTS = 20
-
 # Token schedule: per model, log-spaced token counts between these multiples
 # of its non-embedding size.  The upper multiple must exceed the largest
 # tokens-per-parameter ratio reached at any interior model's optimum, else
@@ -45,8 +44,6 @@ KAPLAN_GRID_POINTS = 20
 DEFAULT_TOKENS_PER_PARAM = (10.0, 3e5)
 # Factor by which `bracketing_token_schedule` widens the optimal ratios' range.
 TOKEN_MARGIN = 3.0
-DEFAULT_SAMPLES_PER_CURVE = 512
-DEFAULT_BINS = 200
 
 CURVES_CSV_HEADER = "model_index,n_nonembed,n_total,tokens,c_total,c_nonembed,loss"
 FRONTIER_CSV_HEADER = "basis,c,loss_min,n_opt,d_opt,model_index"
@@ -471,29 +468,19 @@ def fit_loss_scaling(
     raise ValueError("form must be 'kaplan' or 'chinchilla'")
 
 
-def _write(path_or_buf, head: str, lines=()) -> None:
-    """Write ``head``, then each string of ``lines``, to an open text buffer, or to the
-    file at a path, opened with ``newline=""`` so no newline is translated."""
-    if not hasattr(path_or_buf, "write"):
-        with open(path_or_buf, "w", newline="") as fh:
-            return _write(fh, head, lines)
-    path_or_buf.write(head)
-    path_or_buf.writelines(lines)
-
-
 def write_curves_csv(curves: Curves, path_or_buf) -> None:
     """Curves CSV; full double precision so reruns are byte-identical.
 
-    Each curve's head is formatted once and its samples from its row of each sample
-    column, so no row record is built.
+    Each curve's head is formatted once, into one ``%`` template for its samples, which
+    come from its row of each sample column, so no row record is built.
     """
     heads = (f"{k},{n_nonembed:.17g},{n_total:.17g}," for k, n_nonembed, n_total in
              zip(*(getattr(curves, name).tolist() for name in _CURVE_FIELDS)))
     rows = (zip(*(a.tolist() for a in row))
             for row in zip(curves.tokens, curves.c_total, curves.c_nonembed, curves.loss))
     _write(path_or_buf, CURVES_CSV_HEADER + "\n",
-           ("".join(f"{head}{d:.17g},{ct:.17g},{ce:.17g},{ls:.17g}\n"
-                    for d, ct, ce, ls in samples) for head, samples in zip(heads, rows)))
+           ("".join(map((head + "%.17g,%.17g,%.17g,%.17g\n").__mod__, samples))
+            for head, samples in zip(heads, rows)))
 
 
 def write_frontier_csv(frontier: Frontier, path_or_buf) -> None:
@@ -504,14 +491,10 @@ def write_frontier_csv(frontier: Frontier, path_or_buf) -> None:
 
 
 def read_frontier_csv(path) -> Frontier:
-    import csv
-
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = FRONTIER_CSV_HEADER.split(",")
-        if reader.fieldnames != expected:
-            raise ValueError(f"frontier CSV must have header {FRONTIER_CSV_HEADER!r}")
-        rows = list(reader)
+    header, rows = _read_csv(path, "frontier CSV")
+    expected = FRONTIER_CSV_HEADER.split(",")
+    if header != expected:
+        raise ValueError(f"frontier CSV must have header {FRONTIER_CSV_HEADER!r}")
     for k, row in enumerate(rows, 1):
         if None in row:  # csv.DictReader files the extra fields of a long row under None
             raise ValueError(f"frontier CSV row {k} has more than {len(expected)} fields")

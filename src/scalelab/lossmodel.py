@@ -99,7 +99,10 @@ def load_loss_spec(path) -> LossSpec:
     import json
 
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:  # arrays or objects nested deeper than the recursion limit
+            raise ValueError("spec file nests too deeply to parse") from None
     if not isinstance(raw, dict):
         raise ValueError(f"spec file must hold a JSON object, not {type(raw).__name__}")
     values = {}

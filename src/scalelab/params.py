@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _SUBMODULES
-from .fitting import _check_count, _check_positive, _loglog_ols, _parse_field, _unwrap, _vector
+from .fitting import (_check_count, _check_positive, _loglog_ols, _parse_field, _read_csv, _unwrap,
+                      _vector)
 
 __all__ = list(_SUBMODULES["params"])
 
@@ -180,30 +181,26 @@ def load_model_configs(path) -> list[ParamSplit]:
     When the optional n_nonembed column is absent or empty it is computed
     from the shape via ``count_params``.
     """
-    import csv
-
+    header, rows = _read_csv(path, "config CSV")
+    required = ("name", "d_model", "n_layers", "vocab", "context_learned")
+    missing = set(required) - set(header or [])
+    if missing:
+        raise ValueError(f"config CSV missing columns: {sorted(missing)}")
     splits = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = ("name", "d_model", "n_layers", "vocab", "context_learned")
-        missing = set(required) - set(reader.fieldnames or [])
-        if missing:
-            raise ValueError(f"config CSV missing columns: {sorted(missing)}")
-        for k, row in enumerate(reader, 1):
-            if None in row:  # the extra fields of a long row
-                raise ValueError(f"config CSV row {k} has more than "
-                                 f"{len(reader.fieldnames)} fields")
-            short = [name for name in required if row[name] is None]
-            if short:
-                raise ValueError(f"config CSV row {k} has no {', '.join(short)}")
-            counted = count_params(ModelShape(*(_parse_field(row, k, name, int, "config CSV")
-                                                for name in required[1:])))
-            explicit = row.get("n_nonembed")
-            if explicit is not None and explicit.strip():
-                splits.append(ParamSplit(counted.n_embed,
-                                         _parse_field(row, k, "n_nonembed", float, "config CSV")))
-            else:
-                splits.append(counted)
+    for k, row in enumerate(rows, 1):
+        if None in row:  # the extra fields of a long row
+            raise ValueError(f"config CSV row {k} has more than {len(header)} fields")
+        short = [name for name in required if row[name] is None]
+        if short:
+            raise ValueError(f"config CSV row {k} has no {', '.join(short)}")
+        counted = count_params(ModelShape(*(_parse_field(row, k, name, int, "config CSV")
+                                            for name in required[1:])))
+        explicit = row.get("n_nonembed")
+        if explicit is not None and explicit.strip():
+            splits.append(ParamSplit(counted.n_embed,
+                                     _parse_field(row, k, "n_nonembed", float, "config CSV")))
+        else:
+            splits.append(counted)
     if not splits:
         raise ValueError("config CSV contains no rows")
     return splits

@@ -244,9 +244,20 @@ def test_bad_input_exits_2(capsys, argv):
      "row 2 column 'd_model' must be an integer, got '5.5'"),
     ("exponent-curve --spec", '{"n_c": 1' + "0" * 400 + ', "d_c": 410.7, "alpha": 0.3392, '
                               '"beta": 0.2849, "e_irr": 1.693}', "key 'n_c' is too large"),
+    # Fields beyond the csv module's limit of 131,072 characters, and nesting beyond the
+    # recursion limit, once ended in a csv.Error or RecursionError traceback.
+    ("fit", "basis,c,loss_min,n_opt,d_opt,model_index\n"
+            f"total,{'1' * 200_000},3.0,1e3,1e6,1\n", "frontier CSV row 1: field larger"),
+    ("fit", f"basis,{'c' * 200_000}\n", "frontier CSV header: field larger"),
+    ("fit-embed-map", "name,d_model,n_layers,vocab,context_learned\n"
+                      f"a,512,8,32000,0\nb,{'5' * 140_000},8,32000,0\n",
+     "config CSV row 2: field larger"),
+    ("exponent-curve --spec", "[" * 100_000, "spec file nests too deeply"),
 ], ids=["frontier-csv-short-row", "config-csv-short-row", "frontier-csv-long-row",
         "config-csv-long-row", "spec-array", "spec-null", "spec-string", "spec-bool",
-        "frontier-csv-unparsable-field", "config-csv-unparsable-field", "spec-huge-integer"])
+        "frontier-csv-unparsable-field", "config-csv-unparsable-field", "spec-huge-integer",
+        "frontier-csv-field-over-the-limit", "frontier-csv-header-over-the-limit",
+        "config-csv-field-over-the-limit", "spec-nested-too-deeply"])
 def test_malformed_input_file_exits_2(tmp_path, capsys, command, text, named):
     path = tmp_path / "input"
     path.write_text(text)
@@ -548,20 +559,21 @@ def _run_fresh(tmp_path, fresh_python, script, argv):
     return proc.stdout.splitlines()
 
 
-_PARSER_MODULES = ["scalelab", "scalelab.cli", "scalelab.fitting", "scalelab.frontier"]
-_SURFACE_MODULES = sorted(_PARSER_MODULES + ["scalelab.lossmodel", "scalelab.params"])
+_FIT_MODULES = ["scalelab", "scalelab.cli", "scalelab.fitting", "scalelab.frontier"]
+_SURFACE_MODULES = sorted(_FIT_MODULES + ["scalelab.lossmodel", "scalelab.params"])
 
 
 @pytest.mark.parametrize("argv, loaded, formats", [
-    (["fit", "{frontier}", "--form", "plain"], _PARSER_MODULES, ["csv", "json"]),
-    (["fit", "{frontier}", "--form", "chinchilla"], _PARSER_MODULES, ["csv", "json"]),
-    (["fit-embed-map"], sorted(_PARSER_MODULES + ["scalelab.data", "scalelab.params"]),
-     ["csv", "json"]),
+    (["fit", "{frontier}", "--form", "plain"], _FIT_MODULES, ["csv", "json"]),
+    (["fit", "{frontier}", "--form", "chinchilla"], _FIT_MODULES, ["csv", "json"]),
+    (["fit-embed-map"], ["scalelab", "scalelab.cli", "scalelab.data", "scalelab.fitting",
+                         "scalelab.params"], ["csv", "json"]),
     (["simulate", "--sizes-count", "3"], _SURFACE_MODULES, []),
     (["frontier", "--basis", "total"], _SURFACE_MODULES, []),
     (["reproduce"], _SURFACE_MODULES, ["json"]),
     (["reproduce", "--omega", "0"], sorted(_SURFACE_MODULES + ["scalelab.analytic"]), ["json"]),
-    (["exponent-curve"], sorted(_SURFACE_MODULES + ["scalelab.analytic"]), []),
+    (["exponent-curve"], ["scalelab", "scalelab.analytic", "scalelab.cli", "scalelab.fitting",
+                          "scalelab.lossmodel", "scalelab.params"], []),
 ], ids=["fit-plain", "fit-chinchilla", "fit-embed-map", "simulate", "frontier", "reproduce",
         "reproduce-omega-0", "exponent-curve"])
 def test_each_command_loads_only_the_modules_it_calls(tmp_path, fresh_python, argv, loaded,
@@ -570,6 +582,29 @@ def test_each_command_loads_only_the_modules_it_calls(tmp_path, fresh_python, ar
     or csv unless it reads or writes that format."""
     lines = _run_fresh(tmp_path, fresh_python, _ONE_COMMAND, argv)
     assert lines[-2:] == [str(loaded), str(formats)]
+
+
+# Runs ``python -m scalelab ARGS`` as runpy does, and at exit prints which of numpy and
+# scalelab.frontier the process loaded.
+_LOADED_AT_EXIT = """
+import atexit, runpy, sys
+
+atexit.register(lambda: print([m for m in ("numpy", "scalelab.frontier") if m in sys.modules]))
+runpy.run_module("scalelab", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["fit", "--help"], 0),
+    (["simulate", "--bins", "x"], 2),
+], ids=["help", "command-help", "usage-error"])
+def test_help_and_usage_errors_load_no_numpy(fresh_python, argv, code):
+    """The parser takes its defaults from the package, so it loads neither numpy nor
+    ``frontier``; a process that only prints help or a usage error skips both."""
+    proc = fresh_python("-c", _LOADED_AT_EXIT, *argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("command", ["fit-embed-map", "simulate", "frontier", "fit",
