@@ -7,6 +7,10 @@ golden-section search minimizing the y-space residual.  The least-squares
 design depends only on x, so it is built once per fit, and the final fit
 reuses it.  One profile step costs one LAPACK solve against it plus in-place
 passes: the log of y - offset, and the squared residual built in one buffer.
+The solve calls NumPy's least-squares gufunc, the one ``np.linalg.lstsq``
+calls, with the same driver, inputs, ``rcond`` and error state, so its bits
+are that function's; it skips the wrapper's input coercion and output copies,
+which cost more than the solve itself on a frontier's hundred points.
 
 It also holds the package's argument checks, which name the bad argument or
 file field, and its scalar shaping, since every other module imports it.
@@ -19,6 +23,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import _SUBMODULES
 
@@ -92,13 +97,14 @@ def _parse_field(row: dict, k: int, name: str, kind, source: str):
 
 
 def _read_csv(path, source: str):
-    """The header and row dicts of the CSV file at ``path``, as ``csv.DictReader`` reads
-    them.  A line the csv module cannot read, such as one with a field beyond its size
-    limit, is a ValueError naming the file ``source`` and the header or row."""
+    """The header and row dicts of the UTF-8 CSV file at ``path``, as ``csv.DictReader``
+    reads them.  A line the csv module cannot read, such as one with a field beyond its size
+    limit, or a byte that is not UTF-8, is a ValueError naming the file ``source`` and the
+    header or row."""
     import csv
 
     rows = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
             header, rows = reader.fieldnames, []
@@ -107,7 +113,37 @@ def _read_csv(path, source: str):
         except csv.Error as exc:
             where = "header" if rows is None else f"row {len(rows) + 1}"
             raise ValueError(f"{source} {where}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise _undecodable_record(path, source, exc) from None
     return header, rows
+
+
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+
+
+def _undecodable_record(path, source: str, exc: UnicodeDecodeError) -> ValueError:
+    """The error for the CSV file at ``path``, in which ``exc`` found a byte that is not
+    UTF-8.  The decoder reads ahead of the csv module, so the file is read again with each
+    such byte as a lone surrogate, to name the header or row (counted as ``csv.DictReader``
+    counts them) that holds the first; a csv error in a record before it is named instead."""
+    import csv
+
+    k, where = 0, "header"
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        try:
+            for record in csv.reader(fh):
+                if k and not record:  # a blank row, which csv.DictReader skips
+                    continue
+                try:
+                    "".join(record).encode("utf-8")
+                except UnicodeEncodeError:
+                    break
+                k += 1
+                where = f"row {k}"
+        except csv.Error as err:
+            return ValueError(f"{source} {where}: {err}")
+    return ValueError(f"{source} {where}: {_not_utf8(exc)}")
 
 
 def _vector(x) -> np.ndarray:
@@ -139,13 +175,20 @@ class PowerLawFit:
         return _unwrap(self.prefactor * _vector(x) ** self.exponent + (self.offset or 0.0), x)
 
 
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
 def _loglog_design(log_x: np.ndarray):
     """Column-scaled degree-1 least-squares design on ln x, built once per x.
 
     Returns ``solve(log_y) -> (exponent, intercept)`` as Python floats.  The
     column scaling, ``rcond`` and LAPACK solve are those of NumPy's degree-1
     polynomial fit, whose coefficients it reproduces bit for bit; only the
-    solve depends on y.
+    solve depends on y.  ``solve`` calls ``_umath_linalg.lstsq``, the gufunc
+    behind ``np.linalg.lstsq``, with that function's signature and, around the
+    call alone, its error state: a LAPACK failure raises ``LinAlgError`` and
+    no floating-point flag of the solve reaches the caller's ``np.errstate``.
     """
     lhs = np.vander(log_x, 2)
     scale = np.sqrt((lhs * lhs).sum(axis=0))
@@ -154,10 +197,13 @@ def _loglog_design(log_x: np.ndarray):
     rcond = log_x.size * np.finfo(float).eps
 
     def solve(log_y: np.ndarray) -> tuple[float, float]:
-        coef, _, rank, _ = np.linalg.lstsq(lhs, log_y, rcond)
+        with np.errstate(call=_raise_lstsq_error, invalid="call",
+                         over="ignore", divide="ignore", under="ignore"):
+            coef, _, rank, _ = _umath_linalg.lstsq(lhs, log_y[:, None], rcond,
+                                                   signature="ddd->ddid")
         if rank < 2:  # where np.polyfit warns, the fit is refused
             raise ArithmeticError("log-log fit is rank-deficient: the x values are too close")
-        exponent, intercept = coef.tolist()
+        (exponent,), (intercept,) = coef.tolist()
         return exponent / scale_exponent, intercept / scale_intercept
 
     return solve

@@ -253,14 +253,35 @@ def test_bad_input_exits_2(capsys, argv):
                       f"a,512,8,32000,0\nb,{'5' * 140_000},8,32000,0\n",
      "config CSV row 2: field larger"),
     ("exponent-curve --spec", "[" * 100_000, "spec file nests too deeply"),
+    # Past 4,300 digits int() itself refuses, naming an interpreter setting.
+    ("exponent-curve --spec", '{"n_c": 1' + "0" * 5000 + ', "d_c": 410.7, "alpha": 0.3392, '
+                              '"beta": 0.2849, "e_irr": 1.693}',
+     "spec file key 'n_c' is too large for a double"),
+    # A byte that is not UTF-8 once ended in the codec's message, naming no file or row.
+    # The decoder reads thousands of bytes ahead of the csv module, so row 600 (past two
+    # blank lines, which do not count) is named only if the row is found again.
+    ("fit-embed-map", b"name,d_model,n_layers,vocab,context_learned\n"
+                      + b"".join(b"m%d,512,8,32000,0\n" % k for k in range(1, 600))
+                      + b"\n\nbad\xe2(,512,8,32000,0\n",
+     "config CSV row 600: byte 0xe2 is not UTF-8 (invalid continuation byte)"),
+    ("fit", b"basis,c\xff,loss_min,n_opt,d_opt,model_index\ntotal,1e10,3.0,1e3,1e6,1\n",
+     "frontier CSV header: byte 0xff is not UTF-8 (invalid start byte)"),
+    ("fit-embed-map", b"name,d_model,n_layers,vocab,context_learned\n"
+                      b"a,512,8,32000,0\nb," + b"5" * 140_000 + b",8,32000,0\nc\xff,1,2,3,4\n",
+     "config CSV row 2: field larger"),  # the first fault in the file is named
+    ("exponent-curve --spec", b'{"n_c": 406.4, "d_c": "\xff", "alpha": 0.3392}',
+     "spec file offset 23: byte 0xff is not UTF-8 (invalid start byte)"),
 ], ids=["frontier-csv-short-row", "config-csv-short-row", "frontier-csv-long-row",
         "config-csv-long-row", "spec-array", "spec-null", "spec-string", "spec-bool",
         "frontier-csv-unparsable-field", "config-csv-unparsable-field", "spec-huge-integer",
         "frontier-csv-field-over-the-limit", "frontier-csv-header-over-the-limit",
-        "config-csv-field-over-the-limit", "spec-nested-too-deeply"])
+        "config-csv-field-over-the-limit", "spec-nested-too-deeply",
+        "spec-integer-over-4300-digits", "config-csv-not-utf8-past-the-read-ahead",
+        "frontier-csv-header-not-utf8", "config-csv-field-over-the-limit-before-not-utf8",
+        "spec-not-utf8"])
 def test_malformed_input_file_exits_2(tmp_path, capsys, command, text, named):
     path = tmp_path / "input"
-    path.write_text(text)
+    path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
     code, out, err = _run(capsys, [*command.split(), str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1

@@ -210,6 +210,59 @@ def test_loglog_ols_matches_polyfit_bit_for_bit(points):
     assert (prefactor, exponent) == (want_prefactor, float(want[0]))
 
 
+def _public_lstsq_fit(log_x, log_y):
+    """The column-scaled degree-1 fit on ln x through np.linalg.lstsq, as NumPy computes it
+    under the caller's error state: the coefficients over the column scales, and the rank."""
+    with np.errstate(all="ignore"):  # built as _loglog_design builds it, before the call
+        lhs = np.vander(log_x, 2)
+        scale = np.sqrt((lhs * lhs).sum(axis=0))
+        lhs /= scale
+    coef, _, rank, _ = np.linalg.lstsq(lhs, log_y, log_x.size * np.finfo(float).eps)
+    with np.errstate(all="ignore"):  # as Python floats divide: inf or 0, no flag
+        return coef / scale, rank
+
+
+def _result_or_error(f, *args):
+    """``f(*args)``, or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+# x = e**t for t in [-700, 700], about the range of doubles; ln y the same, sometimes NaN.
+LOG_XY = st.lists(st.tuples(st.floats(-700.0, 700.0),
+                            st.floats(-700.0, 700.0) | st.just(math.nan)),
+                  min_size=2, max_size=400)
+
+
+@settings(deadline=None)
+@given(LOG_XY)
+@example([(23.025850929940457, 0.0), (23.025850929940457 + 4e-15, 1.0)])  # ln x 1 ulp apart: rank 1
+@example([(-700.0, 1.0), (700.0, math.nan), (1e-300, 2.0)])  # NaN in ln y: NaN coefficients
+@example([(0.0, -700.0), (2.3e-16, 700.0), (-1.2e-16, 0.0)])  # x one ulp around 1
+@example([(math.nan, 0.0), (1.0, 1.0), (2.0, 2.0)])  # NaN in the design: LAPACK fails
+def test_loglog_solve_matches_public_lstsq_bit_for_bit(points):
+    """The solve returns np.linalg.lstsq's bits over the scales, refuses its rank < 2 and
+    raises its errors; under a caller's np.errstate(all="raise") it raises only where
+    np.linalg.lstsq raises, so its own error state covers the gufunc call."""
+    t, log_y = np.array(points).T.copy()
+    x = np.exp(t)
+    assume(np.unique(x).size >= 2)  # as every fit requires
+    log_x = np.log(x)
+    solve = _loglog_design(log_x)
+    for state in ({}, {"all": "raise"}):
+        with np.errstate(**state):
+            want = _result_or_error(_public_lstsq_fit, log_x, log_y)
+            got = _result_or_error(solve, log_y)
+        if isinstance(want, type):
+            assert got is want
+        elif want[1] < 2:
+            assert got is ArithmeticError
+        else:
+            assert np.array(got).tobytes() == want[0].tobytes()
+
+
 # Three distinct x values, each one ulp above the last: ln x cannot carry a slope.
 ONE_ULP_APART = [1e10, 10000000000.000002, 10000000000.000004]
 
@@ -344,9 +397,13 @@ def _counting(counts, name, f):
 
 
 def test_offset_fit_builds_one_design_and_solves_once_per_profile_step(monkeypatch):
-    counts = {"vander": 0, "lstsq": 0, "search_sse": 0}
+    counts = {"vander": 0, "lstsq": 0, "public_lstsq": 0, "search_sse": 0}
     monkeypatch.setattr(np, "vander", _counting(counts, "vander", np.vander))
-    monkeypatch.setattr(np.linalg, "lstsq", _counting(counts, "lstsq", np.linalg.lstsq))
+    # The solve calls the gufunc behind np.linalg.lstsq, never the wrapper itself.
+    monkeypatch.setattr(fitting._umath_linalg, "lstsq",
+                        _counting(counts, "lstsq", fitting._umath_linalg.lstsq))
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        _counting(counts, "public_lstsq", np.linalg.lstsq))
     golden = fitting._golden_section
     monkeypatch.setattr(fitting, "_golden_section",
                         lambda f, *args, **kwargs: golden(_counting(counts, "search_sse", f),
@@ -359,10 +416,11 @@ def test_offset_fit_builds_one_design_and_solves_once_per_profile_step(monkeypat
     assert counts["search_sse"] > 40
     assert counts["vander"] == 1
     assert counts["lstsq"] == counts["search_sse"] + 2 + 1
+    assert counts["public_lstsq"] == 0
 
     counts.update(vander=0, lstsq=0, search_sse=0)
     fit_power_law_with_offset(x, y, fixed_offset=1.0)
-    assert counts == {"vander": 1, "lstsq": 1, "search_sse": 0}
+    assert counts == {"vander": 1, "lstsq": 1, "public_lstsq": 0, "search_sse": 0}
 
 
 def _checks_as_first_written(x, y, offset_fit, fixed_offset=None):

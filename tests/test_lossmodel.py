@@ -134,6 +134,12 @@ def test_load_loss_spec_round_trip(tmp_path):
         load_loss_spec(bad)
 
 
+def test_spec_file_integers_load_as_their_doubles(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text('{"n_c": 406, "d_c": %d, "alpha": 0.3, "beta": 0.4, "e_irr": 2}' % 10**308)
+    assert load_loss_spec(path) == LossSpec(406.0, 1e308, 0.3, 0.4, 2.0)
+
+
 def test_resolve_spec_catalog_and_path(tmp_path):
     assert resolve_spec("epoch") is EPOCH
     assert resolve_spec("CHINCHILLA") is CHINCHILLA
