@@ -4,13 +4,16 @@ The offset form y = prefactor * x**exponent + offset is fitted by profiling:
 for a candidate offset the inner problem is exact log-log least squares on
 (x, y - offset), so the outer problem reduces to a one-dimensional
 golden-section search minimizing the y-space residual.  The least-squares
-design depends only on x, so it is built once per fit, and the final fit
-reuses it.  One profile step costs one LAPACK solve against it plus in-place
-passes: the log of y - offset, and the squared residual built in one buffer.
-The solve calls NumPy's least-squares gufunc, the one ``np.linalg.lstsq``
-calls, with the same driver, inputs, ``rcond`` and error state, so its bits
-are that function's; it skips the wrapper's input coercion and output copies,
-which cost more than the solve itself on a frontier's hundred points.
+design depends only on x, so it is built once per fit.  One profile step costs
+one LAPACK solve against it plus passes into two buffers held for the fit: the
+log of y - offset in one, the squared residual in the other.  The final fit
+takes the coefficients the search solved for the offset it chose.  The solve
+calls NumPy's least-squares gufunc, the one ``np.linalg.lstsq`` calls, with
+the same driver, inputs, ``rcond`` and error state, so its bits are that
+function's; it skips the wrapper's input coercion and output copies, and enters
+the error state through one decorated function, not a ``with`` per call, since
+on a frontier's hundred points each of those costs a sizeable share of the
+solve itself.
 
 It also holds the package's argument checks, which name the bad argument or
 file field, and its scalar shaping, since every other module imports it.
@@ -98,13 +101,14 @@ def _parse_field(row: dict, k: int, name: str, kind, source: str):
 
 def _read_csv(path, source: str):
     """The header and row dicts of the UTF-8 CSV file at ``path``, as ``csv.DictReader``
-    reads them.  A line the csv module cannot read, such as one with a field beyond its size
-    limit, or a byte that is not UTF-8, is a ValueError naming the file ``source`` and the
-    header or row."""
+    reads them; a leading byte-order mark, which spreadsheet programs write, is not part of
+    the first field.  A line the csv module cannot read, such as one with a field beyond its
+    size limit, or a byte that is not UTF-8, is a ValueError naming the file ``source`` and
+    the header or row."""
     import csv
 
     rows = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         try:
             header, rows = reader.fieldnames, []
@@ -130,7 +134,7 @@ def _undecodable_record(path, source: str, exc: UnicodeDecodeError) -> ValueErro
     import csv
 
     k, where = 0, "header"
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         try:
             for record in csv.reader(fh):
                 if k and not record:  # a blank row, which csv.DictReader skips
@@ -179,6 +183,13 @@ def _raise_lstsq_error(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
+@np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _lstsq(lhs: np.ndarray, rhs: np.ndarray, rcond: float):
+    """``_umath_linalg.lstsq`` under ``np.linalg.lstsq``'s error state, looked up per call."""
+    return _umath_linalg.lstsq(lhs, rhs, rcond, signature="ddd->ddid")
+
+
 def _loglog_design(log_x: np.ndarray):
     """Column-scaled degree-1 least-squares design on ln x, built once per x.
 
@@ -197,10 +208,7 @@ def _loglog_design(log_x: np.ndarray):
     rcond = log_x.size * np.finfo(float).eps
 
     def solve(log_y: np.ndarray) -> tuple[float, float]:
-        with np.errstate(call=_raise_lstsq_error, invalid="call",
-                         over="ignore", divide="ignore", under="ignore"):
-            coef, _, rank, _ = _umath_linalg.lstsq(lhs, log_y[:, None], rcond,
-                                                   signature="ddd->ddid")
+        coef, _, rank, _ = _lstsq(lhs, log_y[:, None], rcond)
         if rank < 2:  # where np.polyfit warns, the fit is refused
             raise ArithmeticError("log-log fit is rank-deficient: the x values are too close")
         (exponent,), (intercept,) = coef.tolist()
@@ -209,14 +217,15 @@ def _loglog_design(log_x: np.ndarray):
     return solve
 
 
-def _loglog_ols(x: np.ndarray, y: np.ndarray, solve=None) -> tuple[float, float, float]:
+def _loglog_ols(x: np.ndarray, y: np.ndarray, coef=None) -> tuple[float, float, float]:
     """OLS on (ln x, ln y); returns (prefactor, exponent, r_squared).
 
-    ``solve`` is ``_loglog_design(ln x)`` when the caller has already built it.
-    Raises ArithmeticError when exp(intercept) overflows a double.
+    ``coef`` is the (exponent, intercept) that ``_loglog_design(ln x)`` solved for ln y,
+    when the caller already has it.  Raises ArithmeticError when exp(intercept) overflows
+    a double.
     """
     log_x, log_y = np.log(x), np.log(y)
-    exponent, intercept = (solve or _loglog_design(log_x))(log_y)
+    exponent, intercept = coef or _loglog_design(log_x)(log_y)
     with np.errstate(over="ignore"):
         prefactor = float(np.exp(intercept))
     if not math.isfinite(prefactor):
@@ -290,12 +299,12 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
     order = np.argsort(x)
     x, y = x[order], y[order]
 
-    solve = _loglog_design(np.log(x))
     if fixed_offset is not None:
         _check_positive("fixed_offset", fixed_offset, zero_ok=True)
         if not y.min() > fixed_offset:  # y - fixed_offset > 0, without overflow
             raise ValueError("y - fixed_offset must be > 0")
         offset = float(fixed_offset)
+        prefactor, exponent, r_squared = _loglog_ols(x, y - offset)
     else:
         if (y[1:] >= y[:-1]).any():
             raise ValueError(
@@ -304,29 +313,38 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
                 "fewer bins"
             )
         y_min = float(y.min())
+        solve = _loglog_design(np.log(x))
+        log_y, r = np.empty_like(y), np.empty_like(x)
+        # Bound once and given their output positionally: on a hundred points, attribute
+        # lookups and keyword parsing are a measurable share of each pass.
+        subtract, log, exp, power, multiply, add = (np.subtract, np.log, np.exp, np.power,
+                                                    np.multiply, np.add)
 
-        def y_space_sse(offset: float) -> float:
-            log_y = y - offset
-            np.log(log_y, out=log_y)
-            exponent, intercept = solve(log_y)
-            prefactor = float(np.exp(intercept))
+        def profile(offset: float) -> tuple[float, tuple[float, float]]:
+            """The y-space SSE at ``offset`` and the (exponent, intercept) it was scored with."""
+            subtract(y, offset, log_y)
+            log(log_y, log_y)
+            coef = exponent, intercept = solve(log_y)
+            prefactor = float(exp(intercept))
             # (offset + prefactor * x**exponent - y)**2 in one buffer, same operation order.
-            r = x**exponent
-            r *= prefactor
-            r += offset
-            r -= y
-            r *= r
-            return float(r.sum())
+            power(x, exponent, r)
+            multiply(r, prefactor, r)
+            add(r, offset, r)
+            subtract(r, y, r)
+            multiply(r, r, r)
+            return float(add.reduce(r)), coef
 
         hi = y_min * (1.0 - 1e-12)
-        candidate = _golden_section(y_space_sse, 0.0, hi, tol=1e-10 * y_min)
-        sse = y_space_sse(candidate)
+        candidate = _golden_section(lambda offset: profile(offset)[0], 0.0, hi,
+                                    tol=1e-10 * y_min)
+        sse, coef = profile(candidate)
         if not math.isfinite(sse):
             raise ArithmeticError("offset search failed to bracket a minimum")
         # Never do worse than the offset-free nested model.
-        offset = candidate if sse <= y_space_sse(0.0) else 0.0
+        sse_0, coef_0 = profile(0.0)
+        offset, coef = (candidate, coef) if sse <= sse_0 else (0.0, coef_0)
+        prefactor, exponent, r_squared = _loglog_ols(x, y - offset, coef)
 
-    prefactor, exponent, r_squared = _loglog_ols(x, y - offset, solve)
     return PowerLawFit(prefactor, exponent, offset, r_squared, int(x.size))
 
 

@@ -12,6 +12,7 @@ derived in closed form from a fixed width/depth aspect ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -29,6 +30,10 @@ THIRD = 1.0 / 3.0
 # Calibrated on the bundled model-configuration suite (see data/); downstream
 # analytic defaults use this omega together with delta = 1/3.
 DEFAULT_OMEGA = 47491.0
+
+# From this omega on, nonembed_from_total works in units of sqrt(omega/3): below it,
+# (omega/3)**1.5 < 2**900, so the unscaled form's sums stay far below the largest double.
+_OMEGA_SCALED = 3.0 * 2.0**600
 
 
 def _check_third(embed_map: EmbedMap):
@@ -127,19 +132,38 @@ def nonembed_from_total(n_total, embed_map: EmbedMap):
     cancellation in u - v.  Accepts scalars or arrays; a float gives a float.
     """
     _check_third(embed_map)
-    # A float is worked in Python floats, cheaper than NumPy's; cbrt and hypot stay
-    # NumPy's (math.hypot rounds differently), so the bits equal the array path's.
+    # A float is worked in Python floats, cheaper than NumPy's; cbrt stays NumPy's, and
+    # the rest is IEEE basic operations and square roots, so the bits equal the array path's.
     scalar = isinstance(n_total, float)
     _check_positive("n_total", n_total)
     n = float(n_total) if scalar else _vector(n_total)
     omega = embed_map.omega
     if omega != 0.0:
+        sqrt, larger, smaller = (math.sqrt, max, min) if scalar else (np.sqrt, np.maximum,
+                                                                      np.minimum)
         half = n / 2.0
-        u = np.cbrt(half + np.hypot(half, (omega / 3.0) ** 1.5))
-        if scalar:
-            u = float(u)
-        v = omega / (3.0 * u)
-        t = n / (u * u + u * v + v * v)
+        if omega < _OMEGA_SCALED:
+            # u**3 = half + hypot(half, w), w = (omega/3)**1.5, with the hypot worked as
+            # m*sqrt(1 + (r/m)**2), m = max(half, w), r = min(half, w).
+            w = (omega / 3.0) ** 1.5
+            m = larger(half, w)
+            r = smaller(half, w) / m
+            u = np.cbrt(half + m * sqrt(1.0 + r * r))
+            if scalar:
+                u = float(u)
+            v = omega / (3.0 * u)
+            t = n / (u * u + u * v + v * v)
+        else:
+            # (omega/3)**1.5 is near or past the largest double (past it from omega of about
+            # 1e206): u = s*c and v = s/c in units of s = sqrt(omega/3), where
+            # c**3 = q + sqrt(1 + q**2) and q = half/s**3, so nothing overflows.
+            s = math.sqrt(omega / 3.0)
+            q = half / s / s / s
+            c = np.cbrt(q + sqrt(1.0 + q * q))
+            if scalar:
+                c = float(c)
+            c2 = c * c
+            t = n / s / s / (c2 + 1.0 + 1.0 / c2)
         n = t * t * t
         if (n == 0.0) if scalar else (n == 0.0).any():
             raise ArithmeticError("n_nonembed underflows to 0 for this n_total")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scalelab import analytic, cli
 from scalelab import frontier as frontier_module
 from scalelab.cli import main
+from scalelab.params import bundled_config_path
 
 
 def _run(capsys, argv):
@@ -286,6 +287,47 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, command, text, named):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
+
+
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("command", ["fit --form chinchilla", "fit-embed-map"])
+def test_a_csv_after_a_byte_order_mark_reads_as_its_text(tmp_path, capsys, command):
+    # Spreadsheet programs save "UTF-8 with BOM"; the mark was once read into the first
+    # header field, and the file refused as having the wrong header.
+    if command == "fit-embed-map":
+        plain = bundled_config_path()
+    else:
+        plain = tmp_path / "total.csv"
+        assert _run(capsys, ["frontier", "--basis", "total", "--output", str(plain)])[0] == 0
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(_BOM + plain.read_bytes())
+    reports = []
+    for path in (plain, marked):
+        report = tmp_path / f"{path.stem}.json"
+        assert _run(capsys, [*command.split(), str(path), "--output", str(report)])[0] == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command, text", [
+    ("fit", b"basis,c\xff,loss_min,n_opt,d_opt,model_index\ntotal,1e10,3.0,1e3,1e6,1\n"),
+    ("fit-embed-map", b"name,d_model,n_layers,vocab,context_learned\n"
+                      + b"".join(b"m%d,512,8,32000,0\n" % k for k in range(1, 600))
+                      + b"\n\nbad\xe2(,512,8,32000,0\n"),
+], ids=["frontier-csv-header", "config-csv-row-600"])
+def test_a_byte_that_is_not_utf8_after_a_byte_order_mark_names_the_same_record(
+        tmp_path, capsys, command, text):
+    errors = []
+    for prefix in (b"", _BOM):
+        path = tmp_path / "input.csv"
+        path.write_bytes(prefix + text)
+        code, out, err = _run(capsys, [command, str(path)])
+        assert code == 2 and out == ""
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert "is not UTF-8" in errors[0]
 
 
 @pytest.mark.parametrize("command, named", [

@@ -412,15 +412,23 @@ def test_offset_fit_builds_one_design_and_solves_once_per_profile_step(monkeypat
     y = (x / 1e9) ** -0.178 + 1.817
     fit_power_law_with_offset(x, y)
     # The search's evaluations, then the candidate's and offset 0's: one solve
-    # each, and one for the final fit, all against one design.
+    # each, all against one design.  The final fit takes the chosen one's.
     assert counts["search_sse"] > 40
     assert counts["vander"] == 1
-    assert counts["lstsq"] == counts["search_sse"] + 2 + 1
+    assert counts["lstsq"] == counts["search_sse"] + 2
     assert counts["public_lstsq"] == 0
 
     counts.update(vander=0, lstsq=0, search_sse=0)
     fit_power_law_with_offset(x, y, fixed_offset=1.0)
     assert counts == {"vander": 1, "lstsq": 1, "public_lstsq": 0, "search_sse": 0}
+
+    # The coefficients taken are a fresh fit's at the chosen offset, bit for bit, both
+    # when the search's candidate is chosen and when offset 0 is.
+    for planted in (1.817, 0.0):
+        fit = fit_power_law_with_offset(x, (x / 1e9) ** -0.178 + planted)
+        assert (fit.offset > 0.0) == (planted > 0.0)
+        want = _loglog_ols(x, (x / 1e9) ** -0.178 + planted - fit.offset)
+        assert (fit.prefactor, fit.exponent, fit.r_squared) == want
 
 
 def _checks_as_first_written(x, y, offset_fit, fixed_offset=None):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -283,6 +284,67 @@ def test_inverse_scalar_path_matches_array_bit_for_bit(log_ns, log_omega):
         got = [nonembed_from_total(v, emap) for v in scalars]
         assert all(type(v) is float for v in got)
         np.testing.assert_array_equal(got, want)
+
+
+def _root_40_digits(n_total: float, omega: float) -> Decimal:
+    """t**3, where t**3 + omega*t = n_total, to 40 digits.  Newton's method on this convex,
+    increasing cubic descends onto t from min(n_total/omega, n_total**(1/3)), which bounds
+    it from above."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        n, w = Decimal(n_total), Decimal(omega)
+        t = Decimal(min(n_total / omega, n_total ** THIRD))
+        for _ in range(100):
+            step = (t * t * t + w * t - n) / (3 * t * t + w)
+            t -= step
+            if abs(step) <= abs(t) * Decimal("1e-45"):
+                break
+        return t * t * t
+
+
+def _ulps_from(root: Decimal, got: float) -> float:
+    return float(abs(Decimal(got) - root) / Decimal(math.ulp(float(root))))
+
+
+# Sweeps of 470,000 draws over the first property's ranges, 430,000 of them where omega*t
+# and t**3 are of one size, found at most 13.9 ulp, and 40,000 over the second's at most
+# 12.1; 32 leaves a margin.
+INVERSE_ULPS = 32.0
+
+
+@given(st.floats(-6.0, 300.0), LOG_OMEGA)
+def test_inverse_is_within_a_few_ulp_of_the_40_digit_root(log_n, log_omega):
+    n, omega = 10.0**log_n, 10.0**log_omega
+    assert _ulps_from(_root_40_digits(n, omega), nonembed_from_total(n, EmbedMap(omega))) \
+        <= INVERSE_ULPS
+
+
+@given(st.floats(-6.0, 308.25), st.floats(150.0, 308.25))
+def test_inverse_with_a_huge_omega_is_the_root_or_names_its_underflow(log_n, log_omega):
+    # Through omega = 3*2**600 and past where (omega/3)**1.5 overflows, about 1e206.
+    n, omega = 10.0**log_n, 10.0**log_omega
+    root = _root_40_digits(n, omega)
+    try:
+        got = nonembed_from_total(n, EmbedMap(omega))
+    except ArithmeticError as exc:
+        assert "underflows" in str(exc)
+        assert root < Decimal(math.ulp(0.0))
+    else:
+        assert _ulps_from(root, got) <= INVERSE_ULPS
+
+
+def test_inverse_of_a_huge_omega_is_finite_where_the_root_is():
+    # (omega/3)**1.5 once raised a bare OverflowError here, for a float and an array.
+    emap = EmbedMap(1e206)
+    got = nonembed_from_total(1e300, emap)
+    assert type(got) is float
+    assert _ulps_from(_root_40_digits(1e300, 1e206), got) <= INVERSE_ULPS
+    assert got == pytest.approx(1e282, rel=1e-9)
+    np.testing.assert_array_equal(nonembed_from_total(np.array([1e300, 1e300]), emap),
+                                  [got, got])
+    for n_total in (1e6, np.array([1e300, 1e6])):  # root ~ (1e6/1e206)**3, below any double
+        with pytest.raises(ArithmeticError, match="underflows"):
+            nonembed_from_total(n_total, emap)
 
 
 @given(LOG_N, st.floats(1e-6, 5.0), LOG_OMEGA)
