@@ -34,6 +34,10 @@ DEFAULT_OMEGA = 47491.0
 # From this omega on, nonembed_from_total works in units of sqrt(omega/3): below it,
 # (omega/3)**1.5 < 2**900, so the unscaled form's sums stay far below the largest double.
 _OMEGA_SCALED = 3.0 * 2.0**600
+# For n_total = 2**-1074, the smallest double, the root is n_total / 2 where omega t and
+# t**3 are each n_total / 2, at omega = (n_total / 2)**(2/3); it falls as omega rises, so
+# below this omega it rounds to n_total and from it to 0.
+_OMEGA_SMALLEST_ROOT = 2.0 ** (-2150 / 3)
 
 
 def _check_third(embed_map: EmbedMap):
@@ -147,7 +151,17 @@ def nonembed_from_total(n_total, embed_map: EmbedMap):
             # m*sqrt(1 + (r/m)**2), m = max(half, w), r = min(half, w).
             w = (omega / 3.0) ** 1.5
             m = larger(half, w)
-            r = smaller(half, w) / m
+            if not scalar and not m.all():  # some n_total is 2**-1074: worked as a float
+                rest = m > 0.0
+                t = np.full(n.shape, nonembed_from_total(math.ulp(0.0), embed_map))
+                t[rest] = nonembed_from_total(n[rest], embed_map)
+                return _unwrap(t, n_total)
+            try:
+                r = smaller(half, w) / m
+            except ZeroDivisionError:  # n_total / 2 and w round to 0: n_total is 2**-1074
+                if omega < _OMEGA_SMALLEST_ROOT:
+                    return n
+                raise ArithmeticError("n_nonembed underflows to 0 for this n_total") from None
             u = np.cbrt(half + m * sqrt(1.0 + r * r))
             if scalar:
                 u = float(u)

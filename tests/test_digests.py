@@ -7,8 +7,10 @@ changes a single output byte fails here.
 
 ``ROW_BLOCK_DIGESTS`` pins a grid of 300 models, which ``simulate_curves`` fills
 in three row blocks: the sample columns per spec and one frontier command.  They
-were recorded from the code that evaluated the whole grid at once.  Both tables
-hold the bits of NumPy's AVX-512 kernels (ROADMAP item 10).
+were recorded from the code that evaluated the whole grid at once.
+``STRESS_DIGESTS`` pins the frontier command at the stress scale, 2000 models and
+2000 bins, in both bases.  All three tables hold the bits of NumPy's AVX-512
+kernels (ROADMAP item 10).
 """
 
 import hashlib
@@ -76,3 +78,19 @@ def test_row_block_frontier_matches_pinned_digest(tmp_path):
                  "--output", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == ROW_BLOCK_DIGESTS["frontier:300:400:total"]
+
+
+# sha256 of the output of `frontier --sizes-count 2000 --bins 2000 --basis BASIS`:
+# simulate_curves and extract_frontier each take its samples in 16 blocks of 128 rows.
+STRESS_DIGESTS = {
+    "nonembed": "9ac1edeeb0e16b3e93b628d77fe87e2036e1450784122141f805549f63dae40c",
+    "total": "bad12f6877b346929ca24e3a6d490d92bb8bba2856ea8f46edd8e627317cdf67",
+}
+
+
+@pytest.mark.parametrize("basis", sorted(STRESS_DIGESTS))
+def test_stress_frontier_matches_pinned_digest(basis, tmp_path):
+    out = tmp_path / "out"
+    assert main(["frontier", "--sizes-count", "2000", "--bins", "2000", "--basis", basis,
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == STRESS_DIGESTS[basis]

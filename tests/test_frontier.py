@@ -656,6 +656,37 @@ def test_extract_frontier_refuses_compute_outside_doubles(token, size, basis):
         extract_frontier(spoilt, 10, basis)
 
 
+@pytest.mark.parametrize("errstate", ["warn", "raise"])
+@pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]])
+def test_extract_frontier_names_non_finite_losses(bad, errstate):
+    """Losses are checked by their sum, which is finite only if every loss is: NaN, an
+    infinity, and infinities of both signs, whose sum is NaN, are each named as a loss,
+    with no warning and, under ``np.errstate(all="raise")``, no FloatingPointError."""
+    curves, _ = _four_by_twenty()
+    loss = curves.loss.copy()
+    loss.flat[[17, 62][:len(bad)]] = bad
+    with np.errstate(all=errstate), pytest.raises(ValueError, match="^loss must be finite$"):
+        extract_frontier(dataclasses.replace(curves, loss=loss), 10)
+
+
+@pytest.mark.parametrize("basis", ["nonembed", "total"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_extract_frontier_takes_finite_losses_whose_sum_overflows(sign, basis):
+    """Finite losses up to 1e308 in size, whose sum overflows to an infinity of their
+    sign, are accepted without a warning, also under ``np.errstate(all="raise")``, and
+    give the reference's frontier."""
+    curves, _ = _four_by_twenty()
+    loss = sign * 1e308 * (curves.loss / curves.loss.max())
+    with np.errstate(over="ignore"):
+        assert loss.sum() == sign * np.inf and np.isfinite(loss).all()
+    huge = dataclasses.replace(curves, loss=loss)
+    want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(huge, 10, basis, False)
+    with np.errstate(all="raise"):
+        frontier = extract_frontier(huge, 10, basis, drop_edge_models=False)
+    _assert_columns_match(frontier, want, lo, hi)
+    assert (frontier.n_empty, frontier.n_dropped) == (n_empty, n_dropped)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
 @pytest.mark.parametrize("name", ["n_min", "n_max"])
 def test_size_grid_rejects_non_finite_range(name, bad):
@@ -1110,7 +1141,7 @@ def _extraction_peak(curves, basis):
 
 def test_extract_frontier_memory_stays_flat_at_stress_scale():
     """Extraction streams the samples through fixed block scratch: 1,024,000 samples
-    allocate about 1.3 MiB, no more than 256,000 do."""
+    allocate about 1.9 MiB, no more than 256,000 do."""
     curves = simulate_curves(size_grid(1e3, 1e9, 2000), EPOCH, DEFAULT_EMBED_MAP)
     smaller = simulate_curves(size_grid(1e3, 1e9, 500), EPOCH, DEFAULT_EMBED_MAP)
     assert curves.loss.size == 2000 * 512

@@ -364,6 +364,28 @@ def test_inverse_reports_underflow():
         nonembed_from_total(1e-200, EmbedMap(1e8))
 
 
+# The root for n_total = 2**-1074 is n_total / 2 at omega = 2**(-2150/3), about 1.8274e-216.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega", [1e-300, 1.8273e-216, 1.8275e-216, 2.5e-216])
+def test_inverse_of_the_smallest_double_is_its_root_or_names_its_underflow(omega):
+    """n_total / 2 rounds to 0, and so does (omega/3)**1.5 below omega of about 3e-216: once
+    a division by zero for a float and NaN for an array.  The root lies in (0, n_total], so
+    it rounds to n_total above n_total / 2 and to 0 below."""
+    n, emap = math.ulp(0.0), EmbedMap(omega)
+    rounds_up = _root_40_digits(n, omega) > Decimal(n) / 2
+    for n_total in (n, np.array([n, 1e-320, n])):
+        if rounds_up:
+            got = nonembed_from_total(n_total, emap)
+            assert type(got) is type(n_total)
+            np.testing.assert_array_equal(got, [nonembed_from_total(v, emap)
+                                                for v in np.ravel(n_total).tolist()])
+            assert np.ravel(got)[0] == n
+        else:
+            with pytest.raises(ArithmeticError, match="underflows"):
+                nonembed_from_total(n_total, emap)
+    assert rounds_up == (omega < 1.8274e-216)
+
+
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_embed_map_rejects_non_finite_omega(bad):
     with pytest.raises(ValueError, match="omega"):
