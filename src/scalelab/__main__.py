@@ -1,8 +1,8 @@
 """The ``scalelab`` command: ``python -m scalelab`` and the console script.
 
-Both run ``run()``, which sets what suits a process that runs one command and
-exits.  ``import scalelab`` and an in-process ``scalelab.cli.main()`` change
-none of these settings.
+Both run ``run()``, which sets what suits a process that runs one command, and
+ends the process itself.  ``import scalelab`` and an in-process
+``scalelab.cli.main()`` change none of these settings.
 """
 
 import gc
@@ -10,19 +10,25 @@ import os
 import sys
 
 
-def run() -> int:
-    """Run one command in this process, which exits after it; returns its exit status.
+def run():
+    """Run one command in this process, then end the process with its exit status.
 
     The cyclic collector is off from the start: the command leaves well under
     a MiB of cyclic garbage, which is not worth the dozens of collections
-    that importing numpy and running the command would trigger.  It is frozen
-    before exit all the same, since interpreter shutdown collects even with
-    the collector off, and a frozen object is skipped.  Every BLAS call here
-    is an n-by-2 least-squares solve, so OpenBLAS starts on one thread
-    instead of a spinning pool, unless the user set ``OPENBLAS_NUM_THREADS``;
-    numpy reads it when the command first imports numpy.  A reader that
-    closes standard output ends the command quietly with 141 (128 + SIGPIPE),
-    as a shell reports a process killed by SIGPIPE.
+    that importing numpy and running the command would trigger.  Every BLAS
+    call here is an n-by-2 least-squares solve, so OpenBLAS starts on one
+    thread instead of a spinning pool, unless the user set
+    ``OPENBLAS_NUM_THREADS``; numpy reads it when the command first imports
+    numpy.  Once the command has returned and standard output and standard
+    error are flushed, ``os._exit`` ends the process: interpreter
+    finalization would only tear down modules and free memory that the
+    exiting process hands back anyway.  So ``atexit`` handlers do not run
+    after a command that returned; a caller that needs them calls
+    ``scalelab.cli.main()`` in-process.  argparse's help and usage errors
+    raise ``SystemExit``, and any other exception propagates, each to the
+    interpreter's usual exit.  A reader that closes standard output or
+    standard error ends the command quietly with 141 (128 + SIGPIPE), as a
+    shell reports a process killed by SIGPIPE.
     """
     gc.disable()
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -30,15 +36,12 @@ def run() -> int:
         from . import cli
 
         status = cli.main()
-        sys.stdout.flush()  # a closed pipe raises here, not at interpreter shutdown
-        return status
+        sys.stdout.flush()
+        sys.stderr.flush()
     except BrokenPipeError:
-        # What is still buffered goes to devnull, so shutdown's flush cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    finally:
-        gc.freeze()
+        status = 141  # what is still buffered goes with the process
+    os._exit(status)
 
 
 if __name__ == "__main__":
-    raise SystemExit(run())
+    run()

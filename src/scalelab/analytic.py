@@ -154,7 +154,11 @@ def loss_compute_exponent_total(spec: LossSpec) -> float:
 def transition_point(embed_map: EmbedMap) -> float:
     """n_nonembed = omega**(3/2), where embedding and non-embedding counts are equal."""
     _check_third(embed_map)
-    return embed_map.omega**1.5
+    try:
+        return float(embed_map.omega) ** 1.5
+    except OverflowError:
+        raise ArithmeticError(
+            "omega takes the transition point out of the range of doubles") from None
 
 
 def param_exponent_small_scale_limit(spec: LossSpec) -> float:

@@ -56,12 +56,16 @@ def _check_positive(name, value, zero_ok=False, scalar=False):
 
 
 def _float_array(name, value) -> np.ndarray:
-    """``value`` as a float array, once it holds no booleans or strings; else a ValueError."""
+    """``value`` as a float array, once it holds no booleans, strings or integers beyond
+    the range of doubles; else a ValueError naming ``name``."""
     v = np.asarray(value)
     if v.dtype.kind in "bSU":  # True would pass as 1.0, "5" as 5.0; [True, 2.0] is floats
         what = "a boolean" if v.dtype.kind == "b" else "a string"
         raise ValueError(f"{name} must be a number, got {what}")
-    return v.astype(float, copy=False)
+    try:
+        return v.astype(float, copy=False)
+    except OverflowError:  # an int past the largest double, held in an object array
+        raise ValueError(f"{name} is too large for a double") from None
 
 
 def _check_count(name, value, least):
@@ -176,6 +180,7 @@ class PowerLawFit:
     n_points: int
 
     def predict(self, x):
+        _check_positive("x", x)
         return _unwrap(self.prefactor * _vector(x) ** self.exponent + (self.offset or 0.0), x)
 
 
@@ -243,10 +248,15 @@ def _loglog_ols(x: np.ndarray, y: np.ndarray, coef=None) -> tuple[float, float, 
     return prefactor, exponent, float(r_squared)
 
 
-def _validated_xy(x, y, min_points: int) -> tuple[np.ndarray, np.ndarray]:
+def _paired_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
     x, y = np.asarray(x), np.asarray(y)  # checked as given, so a boolean or string is named
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
+    return x, y
+
+
+def _validated_xy(x, y, min_points: int) -> tuple[np.ndarray, np.ndarray]:
+    x, y = _paired_xy(x, y)
     if x.size < min_points:
         raise ValueError(f"need >={min_points} points, got {x.size}")
     # Reductions, not np.unique, which imports numpy.ma on first use (~15 ms).
@@ -350,4 +360,6 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
 
 def sum_squared_error(fit: PowerLawFit, x, y) -> float:
     """y-space residual of a fit against data; used for form comparisons."""
-    return float(np.sum((fit.predict(x) - np.asarray(y, dtype=float)) ** 2))
+    x, y = _paired_xy(x, y)
+    _check_positive("y", y, zero_ok=None)
+    return float(np.sum((fit.predict(x) - y.astype(float, copy=False)) ** 2))

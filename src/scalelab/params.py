@@ -231,14 +231,19 @@ def load_model_configs(path) -> list[ParamSplit]:
         short = [name for name in required if row[name] is None]
         if short:
             raise ValueError(f"config CSV row {k} has no {', '.join(short)}")
-        counted = count_params(ModelShape(*(_parse_field(row, k, name, int, "config CSV")
-                                            for name in required[1:])))
+        shape = [_parse_field(row, k, name, int, "config CSV") for name in required[1:]]
         explicit = row.get("n_nonembed")
         if explicit is not None and explicit.strip():
-            splits.append(ParamSplit(counted.n_embed,
-                                     _parse_field(row, k, "n_nonembed", float, "config CSV")))
+            explicit = _parse_field(row, k, "n_nonembed", float, "config CSV")
         else:
-            splits.append(counted)
+            explicit = None
+        try:  # a shape out of range, or a count beyond the range of doubles
+            split = count_params(ModelShape(*shape))
+            if explicit is not None:
+                split = ParamSplit(split.n_embed, explicit)
+        except ValueError as exc:
+            raise ValueError(f"config CSV row {k}: {exc}") from None
+        splits.append(split)
     if not splits:
         raise ValueError("config CSV contains no rows")
     return splits

@@ -257,6 +257,14 @@ def test_transition_point():
     assert total_from_nonembed(tp, DEFAULT_EMBED_MAP) == pytest.approx(2 * tp, rel=1e-14)
 
 
+@pytest.mark.parametrize("omega", [1e300, np.float64(1e300)], ids=["float", "float64"])
+def test_transition_point_beyond_the_doubles_is_named(omega):
+    """A float once ended in a bare OverflowError, a NumPy float in inf and a warning."""
+    with pytest.raises(ArithmeticError, match="^omega takes the transition point out of the "
+                                              "range of doubles$"):
+        transition_point(EmbedMap(omega))
+
+
 def test_exponent_curve_contract():
     n, c, g, k, loss_opt = exponent_curve(EPOCH, DEFAULT_EMBED_MAP)
     assert {a.shape for a in (n, c, g, k, loss_opt)} == {(400,)}

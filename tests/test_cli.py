@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scalelab import analytic, cli
 from scalelab import frontier as frontier_module
 from scalelab.cli import main
+from scalelab.frontier import extract_frontier, fit_param_scaling
 from scalelab.params import bundled_config_path
 
 
@@ -133,6 +134,20 @@ def test_reproduce_default_passes_all_targets(tmp_path, capsys):
     assert observed[("epoch", "param_exponent_nonembed")] == pytest.approx(0.78, abs=0.02)
     assert observed[("chinchilla", "param_exponent_nonembed")] == pytest.approx(0.74, abs=0.02)
     assert "pass" in out
+
+
+@pytest.mark.xfail(strict=True, reason="the fitted exponent steps with the bin count: 23 counts "
+                   "from 100 to 400 miss the tolerance (ROADMAP item 20)")
+def test_the_chinchilla_parameter_exponent_holds_at_every_bin_count_from_100_to_400(
+        chinchilla_curves):
+    """``reproduce --bins B``'s chinchilla check, over every B from 100 to 400.  The curves
+    are the headline run's (its spec, map and default schedule), simulated once, so each
+    count costs an extraction and a fit.  ``--bins 101`` reads 0.7608 and fails."""
+    target, tol = cli.HEADLINE_TARGETS[("chinchilla", "param_exponent_nonembed")]
+    missed = [bins for bins in range(100, 401) if not abs(fit_param_scaling(
+        extract_frontier(chinchilla_curves, n_bins=bins, basis="nonembed")).exponent
+        - target) <= tol]
+    assert missed == []
 
 
 def test_reproduce_omega_zero_reports_total_only(tmp_path, capsys):
@@ -272,6 +287,11 @@ def test_bad_input_exits_2(capsys, argv):
      "config CSV row 2: field larger"),  # the first fault in the file is named
     ("exponent-curve --spec", b'{"n_c": 406.4, "d_c": "\xff", "alpha": 0.3392}',
      "spec file offset 23: byte 0xff is not UTF-8 (invalid start byte)"),
+    # An integer past the largest double once ended in "int too large to convert to float"
+    # and exit status 1, naming no file or row.
+    ("fit-embed-map", "name,d_model,n_layers,vocab,context_learned\n"
+                      f"a,512,8,32000,0\nb,{10**160},8,32000,0\n",
+     "config CSV row 2: n_nonembed is too large for a double"),
 ], ids=["frontier-csv-short-row", "config-csv-short-row", "frontier-csv-long-row",
         "config-csv-long-row", "spec-array", "spec-null", "spec-string", "spec-bool",
         "frontier-csv-unparsable-field", "config-csv-unparsable-field", "spec-huge-integer",
@@ -279,7 +299,7 @@ def test_bad_input_exits_2(capsys, argv):
         "config-csv-field-over-the-limit", "spec-nested-too-deeply",
         "spec-integer-over-4300-digits", "config-csv-not-utf8-past-the-read-ahead",
         "frontier-csv-header-not-utf8", "config-csv-field-over-the-limit-before-not-utf8",
-        "spec-not-utf8"])
+        "spec-not-utf8", "config-csv-integer-beyond-the-doubles"])
 def test_malformed_input_file_exits_2(tmp_path, capsys, command, text, named):
     path = tmp_path / "input"
     path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
@@ -678,31 +698,31 @@ def test_every_command_prints_help(fresh_python, command):
     assert proc.stdout.startswith(f"usage: scalelab {command}")
 
 
-# Runs ``python -m scalelab ARGS`` as runpy does, and at exit prints what the process
-# holds then: whether the collector is frozen, OPENBLAS_NUM_THREADS, its thread count and
-# whether the collector is enabled.
+# Runs ``python -m scalelab ARGS`` as runpy does.  ``run()`` ends the process through
+# ``os._exit``, so no atexit handler runs after a command; the probe wraps ``os._exit`` and
+# prints, just before the real one, OPENBLAS_NUM_THREADS, the thread count and whether the
+# collector is enabled.
 _AT_EXIT = """
-import atexit, gc, os, runpy, sys
+import gc, os, runpy, sys
 
-def probe():
+def probe(status, _exit=os._exit):
     tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
-    print(gc.get_freeze_count() > 0, os.environ.get("OPENBLAS_NUM_THREADS"), tasks,
-          gc.isenabled())
+    print(os.environ.get("OPENBLAS_NUM_THREADS"), tasks, gc.isenabled(), flush=True)
+    _exit(status)
 
-atexit.register(probe)
+os._exit = probe
 runpy.run_module("scalelab", run_name="__main__", alter_sys=True)
 """
 
 
-def test_a_command_process_freezes_the_collector_and_runs_blas_on_one_thread(tmp_path,
-                                                                             fresh_python):
-    """The collector stays off, shutdown's collections skip what is alive, and OpenBLAS
-    starts no worker thread."""
+def test_a_command_process_disables_the_collector_and_runs_blas_on_one_thread(tmp_path,
+                                                                              fresh_python):
+    """The collector stays off, and OpenBLAS starts no worker thread."""
     proc = fresh_python("-c", _AT_EXIT, "fit-embed-map", "--output", str(tmp_path / "e.json"),
                         env={"OPENBLAS_NUM_THREADS": None})
     assert proc.returncode == 0, proc.stderr
-    frozen, threads, tasks, enabled = proc.stdout.splitlines()[-1].split()
-    assert (frozen, threads, enabled) == ("True", "1", "False")
+    threads, tasks, enabled = proc.stdout.splitlines()[-1].split()
+    assert (threads, enabled) == ("1", "False")
     if sys.platform == "linux":
         assert tasks == "1"
 
@@ -711,7 +731,7 @@ def test_a_command_process_keeps_the_users_blas_threads(tmp_path, fresh_python):
     proc = fresh_python("-c", _AT_EXIT, "fit-embed-map", "--output", str(tmp_path / "e.json"),
                         env={"OPENBLAS_NUM_THREADS": "2"})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split()[:2] == ["True", "2"]
+    assert proc.stdout.splitlines()[-1].split()[0] == "2"
 
 
 def test_in_process_main_changes_no_process_setting(tmp_path, capsys):
@@ -831,6 +851,32 @@ def test_a_closed_pipe_ends_python_m_scalelab_quietly_with_141(checkout_env):
         err = proc.stderr.read()
         assert proc.wait(timeout=300) == 141
     assert err == b""
+
+
+@pytest.mark.parametrize("command", ["simulate", "exponent-curve"])
+def test_a_command_process_hands_a_pipe_every_byte_before_it_ends(tmp_path, checkout_env,
+                                                                  command):
+    """``run()`` ends the process with ``os._exit``, which flushes nothing itself: what a
+    command writes to a pipe arrives whole, as in its ``--output`` file, and so does a
+    rejected argument's `error:` line.  PYTHONUNBUFFERED is unset, so standard output is
+    block-buffered, as in a shell pipeline.  ``simulate`` writes about 1 MB in strings
+    longer than the buffer, which bypass it; ``exponent-curve`` writes row by row, so its
+    last rows are still buffered when the command returns."""
+    env = {k: v for k, v in checkout_env.items() if k != "PYTHONUNBUFFERED"}
+
+    def scalelab(*args):
+        return subprocess.run([sys.executable, "-m", "scalelab", command, *args], env=env,
+                              capture_output=True, timeout=300)
+
+    path = tmp_path / "output.csv"
+    assert scalelab("--output", str(path)).returncode == 0
+    proc = scalelab()
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == path.read_bytes()
+    proc = scalelab("--omega", "nan")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+    assert proc.stderr.endswith(b"\n")
 
 
 def test_no_command_builds_a_row_record(tmp_path, monkeypatch):

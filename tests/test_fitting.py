@@ -142,6 +142,39 @@ def test_fits_reject_non_finite(fit, bad):
 
 
 @pytest.mark.parametrize("fit", [fit_power_law, fit_power_law_with_offset])
+def test_fits_name_an_integer_beyond_the_doubles(fit):
+    with pytest.raises(ValueError, match="^x values is too large for a double$"):
+        fit([1, 10**400, 10**401], [3, 2, 1])
+    with pytest.raises(ValueError, match="^y values is too large for a double$"):
+        fit([1, 2, 3], [10**402, 10**401, 10**400])
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ([1.0, 2.0], [1.0], "equal length"),  # y was broadcast, as if it were [1, 1]
+    ([[1.0, 2.0]], [[1.0, 2.0]], "equal length"),
+    ([1.0, np.nan], [1.0, 2.0], "^x must be finite and > 0"),
+    ([1.0, -2.0], [1.0, 2.0], "^x must be finite and > 0"),
+    ([1.0, 2.0], [1.0, np.nan], "^y must be finite$"),
+    ([1.0, 2.0], [np.inf, 2.0], "^y must be finite$"),
+])
+def test_sum_squared_error_rejects_bad_data(x, y, message):
+    fit = fit_power_law([1.0, 2.0, 4.0], [1.0, 0.5, 0.3])
+    with pytest.raises(ValueError, match=message):
+        sum_squared_error(fit, x, y)
+
+
+@pytest.mark.parametrize("x", [-1.0, 0.0, np.nan, np.inf, [1.0, -1.0], np.array([2.0, np.nan])])
+def test_predict_rejects_x_outside_the_power_law(x):
+    """A negative x once gave NaN under "invalid value encountered in power", and NaN
+    itself came back silently."""
+    fit = fit_power_law_with_offset([1.0, 2.0, 4.0], [1.0, 0.5, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^x must be finite and > 0"):
+            fit.predict(x)
+
+
+@pytest.mark.parametrize("fit", [fit_power_law, fit_power_law_with_offset])
 def test_fits_reject_all_equal_x(fit):
     with pytest.raises(ValueError, match="distinct"):
         fit([2.0, 2.0, 2.0], [3.0, 2.0, 1.0])

@@ -156,6 +156,12 @@ def test_loss_spec_rejects_non_finite(field, bad):
         dataclasses.replace(EPOCH, **{field: bad})
 
 
+@pytest.mark.parametrize("field", ["n_c", "d_c", "alpha", "beta", "e_irr"])
+def test_loss_spec_names_an_integer_beyond_the_doubles(field):
+    with pytest.raises(ValueError, match=f"^{field} is too large for a double$"):
+        dataclasses.replace(EPOCH, **{field: 10**400})
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_loss_nd_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="n_total"):

@@ -409,6 +409,29 @@ def test_param_split_rejects_non_finite(name, bad):
         ParamSplit(**{"n_embed": 1.0, "n_nonembed": 1.0, name: bad})
 
 
+@pytest.mark.parametrize("name, build", [
+    ("n_embed", lambda v: ParamSplit(v, 1)),
+    ("n_nonembed", lambda v: ParamSplit(1, v)),
+    ("omega", EmbedMap),
+    ("n_nonembed", lambda v: total_from_nonembed(v, DEFAULT_EMBED_MAP)),
+    ("n_nonembed", lambda v: total_from_nonembed([1, v], DEFAULT_EMBED_MAP)),
+    ("n_total", lambda v: nonembed_from_total(v, DEFAULT_EMBED_MAP)),
+], ids=["n_embed", "n_nonembed", "omega", "total_from_nonembed", "total_from_nonembed-array",
+        "nonembed_from_total"])
+def test_an_integer_beyond_the_doubles_is_named(name, build):
+    """It once ended in a bare OverflowError: "int too large to convert to float"."""
+    with pytest.raises(ValueError, match=f"^{name} is too large for a double$"):
+        build(10**400)
+
+
+def test_load_model_configs_names_the_row_of_a_count_beyond_the_doubles(tmp_path):
+    path = tmp_path / "configs.csv"
+    path.write_text("name,d_model,n_layers,vocab,context_learned\n"
+                    f"a,512,8,32000,0\nb,{10**160},8,32000,0\n")
+    with pytest.raises(ValueError, match="^config CSV row 2: n_nonembed is too large"):
+        load_model_configs(path)
+
+
 @pytest.mark.parametrize("bad", [-2.0, *NON_FINITE])
 @pytest.mark.parametrize("name, build", [
     ("omega", EmbedMap),
