@@ -15,8 +15,8 @@ the error state through one decorated function, not a ``with`` per call, since
 on a frontier's hundred points each of those costs a sizeable share of the
 solve itself.
 
-It also holds the package's argument checks, which name the bad argument or
-file field, and its scalar shaping, since every other module imports it.
+It also holds the package's argument checks, which name the bad argument, and its
+scalar shaping, since every other module imports it.
 """
 
 from __future__ import annotations
@@ -93,67 +93,6 @@ def _check_integers(name, value):
     return v.astype(int, copy=False)
 
 
-def _parse_field(row: dict, k: int, name: str, kind, source: str):
-    """``kind(row[name])``, or a ValueError naming the file ``source``, row ``k`` and column."""
-    text = row[name]
-    try:
-        return kind(text)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"{source} row {k} column {name!r} must be {noun}, got {text!r}") from None
-
-
-def _read_csv(path, source: str):
-    """The header and row dicts of the UTF-8 CSV file at ``path``, as ``csv.DictReader``
-    reads them; a leading byte-order mark, which spreadsheet programs write, is not part of
-    the first field.  A line the csv module cannot read, such as one with a field beyond its
-    size limit, or a byte that is not UTF-8, is a ValueError naming the file ``source`` and
-    the header or row."""
-    import csv
-
-    rows = None
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            header, rows = reader.fieldnames, []
-            for row in reader:
-                rows.append(row)
-        except csv.Error as exc:
-            where = "header" if rows is None else f"row {len(rows) + 1}"
-            raise ValueError(f"{source} {where}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise _undecodable_record(path, source, exc) from None
-    return header, rows
-
-
-def _not_utf8(exc: UnicodeDecodeError) -> str:
-    return f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
-
-
-def _undecodable_record(path, source: str, exc: UnicodeDecodeError) -> ValueError:
-    """The error for the CSV file at ``path``, in which ``exc`` found a byte that is not
-    UTF-8.  The decoder reads ahead of the csv module, so the file is read again with each
-    such byte as a lone surrogate, to name the header or row (counted as ``csv.DictReader``
-    counts them) that holds the first; a csv error in a record before it is named instead."""
-    import csv
-
-    k, where = 0, "header"
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        try:
-            for record in csv.reader(fh):
-                if k and not record:  # a blank row, which csv.DictReader skips
-                    continue
-                try:
-                    "".join(record).encode("utf-8")
-                except UnicodeEncodeError:
-                    break
-                k += 1
-                where = f"row {k}"
-        except csv.Error as err:
-            return ValueError(f"{source} {where}: {err}")
-    return ValueError(f"{source} {where}: {_not_utf8(exc)}")
-
-
 def _vector(x) -> np.ndarray:
     """``x`` as a float array of at least one dimension, so that a scalar gets the
     array loops' bits: NumPy's scalar math on a 0-d array can differ by an ulp."""
@@ -181,7 +120,11 @@ class PowerLawFit:
 
     def predict(self, x):
         _check_positive("x", x)
-        return _unwrap(self.prefactor * _vector(x) ** self.exponent + (self.offset or 0.0), x)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf: refused below
+            y = self.prefactor * _vector(x) ** self.exponent + (self.offset or 0.0)
+        if not np.isfinite(y).all():
+            raise ArithmeticError("the prediction at x overflows a double")
+        return _unwrap(y, x)
 
 
 def _raise_lstsq_error(err, flag):
@@ -362,4 +305,8 @@ def sum_squared_error(fit: PowerLawFit, x, y) -> float:
     """y-space residual of a fit against data; used for form comparisons."""
     x, y = _paired_xy(x, y)
     _check_positive("y", y, zero_ok=None)
-    return float(np.sum((fit.predict(x) - y.astype(float, copy=False)) ** 2))
+    with np.errstate(over="ignore"):
+        sse = float(np.sum((fit.predict(x) - y.astype(float, copy=False)) ** 2))
+    if not math.isfinite(sse):
+        raise ArithmeticError("the squared residuals overflow a double")
+    return sse

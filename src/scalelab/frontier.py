@@ -22,8 +22,6 @@ from .fitting import (
     _check_integers,
     _check_positive,
     _float_array,
-    _parse_field,
-    _read_csv,
     fit_power_law,
     fit_power_law_with_offset,
 )
@@ -499,7 +497,9 @@ def write_frontier_csv(frontier: Frontier, path_or_buf) -> None:
 
 
 def read_frontier_csv(path) -> Frontier:
-    header, rows = _read_csv(path, "frontier CSV")
+    from . import _files
+
+    header, rows = _files.read_csv(path, "frontier CSV")
     expected = FRONTIER_CSV_HEADER.split(",")
     if header != expected:
         raise ValueError(f"frontier CSV must have header {FRONTIER_CSV_HEADER!r}")
@@ -512,6 +512,6 @@ def read_frontier_csv(path) -> Frontier:
     if len(bases) > 1:
         raise ValueError("frontier CSV mixes bases")
     basis = bases.pop() if bases else "nonembed"
-    return Frontier(basis, **{name: [_parse_field(row, k, name, kind, "frontier CSV")
+    return Frontier(basis, **{name: [_files.parse_field(row, k, name, kind, "frontier CSV")
                                      for k, row in enumerate(rows, 1)]
                               for name, kind in zip(_POINT_FIELDS, (float,) * 4 + (int,))})

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _SUBMODULES
-from .fitting import _check_positive, _not_utf8, _unwrap, _vector
+from .fitting import _check_positive, _unwrap, _vector
 from .params import EmbedMap, _check_third, total_from_nonembed
 
 __all__ = list(_SUBMODULES["lossmodel"])
@@ -98,15 +98,19 @@ def load_loss_spec(path) -> LossSpec:
     """Read a custom LossSpec from a JSON object file."""
     import json
 
-    with open(path, encoding="utf-8") as fh:
-        try:
-            # An integer of over 400 characters, beyond any double, is cut to 400, which
-            # keeps it beyond one: int() refuses a string of over 4,300 digits.
-            raw = json.load(fh, parse_int=lambda text: int(text[:400]))
-        except RecursionError:  # arrays or objects nested deeper than the recursion limit
-            raise ValueError("spec file nests too deeply to parse") from None
-        except UnicodeDecodeError as exc:  # read whole, so exc.start is the file offset
-            raise ValueError(f"spec file offset {exc.start}: {_not_utf8(exc)}") from None
+    from . import _files
+
+    text, bad = _files.decode(path)
+    if bad:
+        raise ValueError(f"spec file offset {bad[0]}: {bad[1]}")
+    try:
+        # An integer of over 400 characters, beyond any double, is cut to 400, which
+        # keeps it beyond one: int() refuses a string of over 4,300 digits.
+        raw = json.loads(text, parse_int=lambda digits: int(digits[:400]))
+    except RecursionError:  # arrays or objects nested deeper than the recursion limit
+        raise ValueError("spec file nests too deeply to parse") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"spec file line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"spec file must hold a JSON object, not {type(raw).__name__}")
     values = {}

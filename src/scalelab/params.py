@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _SUBMODULES
-from .fitting import (_check_count, _check_positive, _loglog_ols, _parse_field, _read_csv, _unwrap,
-                      _vector)
+from .fitting import _check_count, _check_positive, _loglog_ols, _unwrap, _vector
 
 __all__ = list(_SUBMODULES["params"])
 
@@ -219,7 +218,9 @@ def load_model_configs(path) -> list[ParamSplit]:
     When the optional n_nonembed column is absent or empty it is computed
     from the shape via ``count_params``.
     """
-    header, rows = _read_csv(path, "config CSV")
+    from . import _files
+
+    header, rows = _files.read_csv(path, "config CSV")
     required = ("name", "d_model", "n_layers", "vocab", "context_learned")
     missing = set(required) - set(header or [])
     if missing:
@@ -231,12 +232,10 @@ def load_model_configs(path) -> list[ParamSplit]:
         short = [name for name in required if row[name] is None]
         if short:
             raise ValueError(f"config CSV row {k} has no {', '.join(short)}")
-        shape = [_parse_field(row, k, name, int, "config CSV") for name in required[1:]]
-        explicit = row.get("n_nonembed")
-        if explicit is not None and explicit.strip():
-            explicit = _parse_field(row, k, "n_nonembed", float, "config CSV")
-        else:
-            explicit = None
+        shape = [_files.parse_field(row, k, name, int, "config CSV") for name in required[1:]]
+        explicit = None
+        if (row.get("n_nonembed") or "").strip():
+            explicit = _files.parse_field(row, k, "n_nonembed", float, "config CSV")
         try:  # a shape out of range, or a count beyond the range of doubles
             split = count_params(ModelShape(*shape))
             if explicit is not None:

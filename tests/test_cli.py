@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -16,6 +17,7 @@ from scalelab import analytic, cli
 from scalelab import frontier as frontier_module
 from scalelab.cli import main
 from scalelab.frontier import extract_frontier, fit_param_scaling
+from scalelab.lossmodel import CHINCHILLA
 from scalelab.params import bundled_config_path
 
 
@@ -287,6 +289,13 @@ def test_bad_input_exits_2(capsys, argv):
      "config CSV row 2: field larger"),  # the first fault in the file is named
     ("exponent-curve --spec", b'{"n_c": 406.4, "d_c": "\xff", "alpha": 0.3392}',
      "spec file offset 23: byte 0xff is not UTF-8 (invalid start byte)"),
+    # The offset counts from the file's first byte, a byte-order mark included.
+    ("exponent-curve --spec", b'\xef\xbb\xbf{"n_c": 406.4, "d_c": "\xff", "alpha": 0.3392}',
+     "spec file offset 26: byte 0xff is not UTF-8 (invalid start byte)"),
+    # A JSON syntax error once printed the json module's message alone, naming no file.
+    ("exponent-curve --spec", '{"n_c": 406.4,',
+     "error: spec file line 1 column 15: Expecting property name enclosed in double quotes\n"),
+    ("exponent-curve --spec", "", "error: spec file line 1 column 1: Expecting value\n"),
     # An integer past the largest double once ended in "int too large to convert to float"
     # and exit status 1, naming no file or row.
     ("fit-embed-map", "name,d_model,n_layers,vocab,context_learned\n"
@@ -299,7 +308,8 @@ def test_bad_input_exits_2(capsys, argv):
         "config-csv-field-over-the-limit", "spec-nested-too-deeply",
         "spec-integer-over-4300-digits", "config-csv-not-utf8-past-the-read-ahead",
         "frontier-csv-header-not-utf8", "config-csv-field-over-the-limit-before-not-utf8",
-        "spec-not-utf8", "config-csv-integer-beyond-the-doubles"])
+        "spec-not-utf8", "spec-not-utf8-after-a-byte-order-mark", "spec-truncated",
+        "spec-empty", "config-csv-integer-beyond-the-doubles"])
 def test_malformed_input_file_exits_2(tmp_path, capsys, command, text, named):
     path = tmp_path / "input"
     path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
@@ -329,6 +339,20 @@ def test_a_csv_after_a_byte_order_mark_reads_as_its_text(tmp_path, capsys, comma
         assert _run(capsys, [*command.split(), str(path), "--output", str(report)])[0] == 0
         reports.append(report.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_a_spec_file_after_a_byte_order_mark_reads_as_its_text(tmp_path, capsys):
+    # Once refused with "Unexpected UTF-8 BOM (decode using utf-8-sig)".
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(json.dumps(dataclasses.asdict(CHINCHILLA)))
+    marked.write_bytes(_BOM + plain.read_bytes())
+    curves = []
+    for path in (plain, marked):
+        curve = tmp_path / f"{path.stem}.csv"
+        code, _, err = _run(capsys, ["exponent-curve", "--spec", str(path), "--output", str(curve)])
+        assert (code, err) == (0, "")
+        curves.append(curve.read_bytes())
+    assert curves[0] == curves[1]
 
 
 @pytest.mark.parametrize("command, text", [
@@ -647,10 +671,12 @@ _SURFACE_MODULES = sorted(_FIT_MODULES + ["scalelab.lossmodel", "scalelab.params
 
 
 @pytest.mark.parametrize("argv, loaded, formats", [
-    (["fit", "{frontier}", "--form", "plain"], _FIT_MODULES, ["csv", "json"]),
-    (["fit", "{frontier}", "--form", "chinchilla"], _FIT_MODULES, ["csv", "json"]),
-    (["fit-embed-map"], ["scalelab", "scalelab.cli", "scalelab.data", "scalelab.fitting",
-                         "scalelab.params"], ["csv", "json"]),
+    (["fit", "{frontier}", "--form", "plain"], sorted(_FIT_MODULES + ["scalelab._files"]),
+     ["csv", "json"]),
+    (["fit", "{frontier}", "--form", "chinchilla"], sorted(_FIT_MODULES + ["scalelab._files"]),
+     ["csv", "json"]),
+    (["fit-embed-map"], ["scalelab", "scalelab._files", "scalelab.cli", "scalelab.data",
+                         "scalelab.fitting", "scalelab.params"], ["csv", "json"]),
     (["simulate", "--sizes-count", "3"], _SURFACE_MODULES, []),
     (["frontier", "--basis", "total"], _SURFACE_MODULES, []),
     (["reproduce"], _SURFACE_MODULES, ["json"]),

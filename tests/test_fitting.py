@@ -174,6 +174,24 @@ def test_predict_rejects_x_outside_the_power_law(x):
             fit.predict(x)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda fit: fit.predict(1e300), "the prediction at x overflows"),
+    (lambda fit: fit.predict([1.0, 1e300]), "the prediction at x overflows"),
+    (lambda fit: sum_squared_error(fit, [1e300], [1.0]), "the prediction at x overflows"),
+    (lambda fit: sum_squared_error(fit, [1e100], [1.0]), "the squared residuals overflow"),
+    (lambda fit: sum_squared_error(fit, [1.0, 1.0], [-1e154, -1e154]),  # each square is finite
+     "the squared residuals overflow"),
+], ids=["predict-scalar", "predict-array", "sse-prediction", "sse-residual", "sse-sum"])
+def test_a_prediction_beyond_the_doubles_is_refused(call, message):
+    """A valid x that takes y = x**2 past the largest double once gave inf under
+    "overflow encountered in power"."""
+    fit = fit_power_law([1.0, 2.0, 4.0], [1.0, 4.0, 16.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match=f"^{message}"):
+            call(fit)
+
+
 @pytest.mark.parametrize("fit", [fit_power_law, fit_power_law_with_offset])
 def test_fits_reject_all_equal_x(fit):
     with pytest.raises(ValueError, match="distinct"):
