@@ -194,52 +194,39 @@ def cmd_reproduce(args) -> int:
     return 1 if any(e["pass"] is False for e in entries) else 0
 
 
-def _add_map_options(parser) -> None:
-    parser.add_argument("--spec", default=None,
-                        help="loss constants: 'epoch', 'chinchilla', or path to a JSON file")
-    parser.add_argument("--omega", type=float, default=None,
-                        help="parameter-map coefficient (default: scalelab.params.DEFAULT_OMEGA, "
-                             "calibrated on the bundled config suite)")
+# Arguments as (flag, add_argument keywords), in the order a command adds them; the
+# groups that several commands share.
+_MAP_OPTIONS = (
+    ("--spec", dict(default=None,
+                    help="loss constants: 'epoch', 'chinchilla', or path to a JSON file")),
+    ("--omega", dict(type=float, default=None,
+                     help="parameter-map coefficient (default: scalelab.params.DEFAULT_OMEGA, "
+                          "calibrated on the bundled config suite)")),
+)
+_GRID_OPTIONS = (
+    ("--sizes-min", dict(type=float, default=KAPLAN_SIZE_RANGE[0])),
+    ("--sizes-max", dict(type=float, default=KAPLAN_SIZE_RANGE[1])),
+    ("--sizes-count", dict(type=int, default=KAPLAN_GRID_POINTS)),
+)
+_BINS = (("--bins", dict(type=int, default=DEFAULT_BINS)),)
 
-
-def _add_grid_options(parser) -> None:
-    parser.add_argument("--sizes-min", type=float, default=KAPLAN_SIZE_RANGE[0])
-    parser.add_argument("--sizes-max", type=float, default=KAPLAN_SIZE_RANGE[1])
-    parser.add_argument("--sizes-count", type=int, default=KAPLAN_GRID_POINTS)
-
-
-def _add_config_csv(parser) -> None:
-    parser.add_argument("config_csv", nargs="?", default=None,
-                        help="config CSV path (default: bundled suite)")
-
-
-def _add_basis(parser) -> None:
-    parser.add_argument("--basis", choices=("total", "nonembed"), default="nonembed")
-
-
-def _add_bins(parser) -> None:
-    parser.add_argument("--bins", type=int, default=DEFAULT_BINS)
-
-
-def _add_fit_options(parser) -> None:
-    parser.add_argument("frontier_csv")
-    parser.add_argument("--form", choices=("plain", "kaplan", "chinchilla"), default="plain")
-
-
-# Every command: its help line, its function, and what adds its arguments ahead of
-# --output, in order.  The full parser lists the commands in this order.
+# Every command: its help line, its function, and its arguments ahead of --output.  The
+# full parser lists the commands in this order.
 _COMMANDS = {
-    "fit-embed-map": ("fit (omega, delta) from a model-config CSV", cmd_fit_embed_map,
-                      (_add_config_csv,)),
-    "simulate": ("emit synthetic training-curve CSV", cmd_simulate,
-                 (_add_map_options, _add_grid_options)),
-    "frontier": ("emit the compute-efficient frontier CSV", cmd_frontier,
-                 (_add_map_options, _add_grid_options, _add_basis, _add_bins)),
-    "fit": ("fit a power law to a frontier CSV", cmd_fit, (_add_fit_options,)),
+    "fit-embed-map": ("fit (omega, delta) from a model-config CSV", cmd_fit_embed_map, (
+        ("config_csv", dict(nargs="?", default=None,
+                            help="config CSV path (default: bundled suite)")),)),
+    "simulate": ("emit synthetic training-curve CSV", cmd_simulate, _MAP_OPTIONS + _GRID_OPTIONS),
+    "frontier": ("emit the compute-efficient frontier CSV", cmd_frontier, (
+        *_MAP_OPTIONS, *_GRID_OPTIONS,
+        ("--basis", dict(choices=("total", "nonembed"), default="nonembed")), *_BINS)),
+    "fit": ("fit a power law to a frontier CSV", cmd_fit, (
+        ("frontier_csv", {}),
+        ("--form", dict(choices=("plain", "kaplan", "chinchilla"), default="plain")))),
     "exponent-curve": ("emit the analytic local-exponent curve CSV", cmd_exponent_curve,
-                       (_add_map_options,)),
+                       _MAP_OPTIONS),
     "reproduce": ("run the default pipeline and check the six headline exponents",
-                  cmd_reproduce, (_add_map_options, _add_bins)),
+                  cmd_reproduce, _MAP_OPTIONS + _BINS),
 }
 
 
@@ -257,10 +244,10 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
     for name in [command] if one else _COMMANDS:
-        help_text, func, add_options = _COMMANDS[name]
+        help_text, func, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        for add in add_options:
-            add(p)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
         p.add_argument("--output", default=None)
         p.set_defaults(func=func)
     return parser

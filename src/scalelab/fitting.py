@@ -141,7 +141,8 @@ def _lstsq(lhs: np.ndarray, rhs: np.ndarray, rcond: float):
 def _loglog_design(log_x: np.ndarray):
     """Column-scaled degree-1 least-squares design on ln x, built once per x.
 
-    Returns ``solve(log_y) -> (exponent, intercept)`` as Python floats.  The
+    Returns ``solve(log_y) -> (exponent, intercept)`` as Python floats, for ln y
+    given as an (n, 1) column, which a caller can view once per buffer.  The
     column scaling, ``rcond`` and LAPACK solve are those of NumPy's degree-1
     polynomial fit, whose coefficients it reproduces bit for bit; only the
     solve depends on y.  ``solve`` calls ``_umath_linalg.lstsq``, the gufunc
@@ -156,7 +157,7 @@ def _loglog_design(log_x: np.ndarray):
     rcond = log_x.size * np.finfo(float).eps
 
     def solve(log_y: np.ndarray) -> tuple[float, float]:
-        coef, _, rank, _ = _lstsq(lhs, log_y[:, None], rcond)
+        coef, _, rank, _ = _lstsq(lhs, log_y, rcond)
         if rank < 2:  # where np.polyfit warns, the fit is refused
             raise ArithmeticError("log-log fit is rank-deficient: the x values are too close")
         (exponent,), (intercept,) = coef.tolist()
@@ -173,7 +174,7 @@ def _loglog_ols(x: np.ndarray, y: np.ndarray, coef=None) -> tuple[float, float, 
     a double.
     """
     log_x, log_y = np.log(x), np.log(y)
-    exponent, intercept = coef or _loglog_design(log_x)(log_y)
+    exponent, intercept = coef or _loglog_design(log_x)(log_y[:, None])
     with np.errstate(over="ignore"):
         prefactor = float(np.exp(intercept))
     if not math.isfinite(prefactor):
@@ -245,8 +246,10 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
     y-space sum of squared residuals, stopping once the bracket is narrower
     than 1e-10*min(y) (about 50 evaluations; 200 iterations is only a cap).
     Each candidate offset is scored with the exact inner log-log fit, solved
-    against a design built once from x.  Passing ``fixed_offset`` skips the
-    search, which with ``fixed_offset=0`` reproduces ``fit_power_law`` exactly.
+    against a design built once from x; one whose law leaves the doubles scores
+    +inf, and the fit is refused with an ArithmeticError only when offset 0 does
+    too.  Passing ``fixed_offset`` skips the search, which with ``fixed_offset=0``
+    reproduces ``fit_power_law`` exactly.
     """
     x, y = _validated_xy(x, y, min_points=3)
     order = np.argsort(x)
@@ -268,6 +271,7 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
         y_min = float(y.min())
         solve = _loglog_design(np.log(x))
         log_y, r = np.empty_like(y), np.empty_like(x)
+        log_y_column = log_y[:, None]
         # Bound once and given their output positionally: on a hundred points, attribute
         # lookups and keyword parsing are a measurable share of each pass.
         subtract, log, exp, power, multiply, add = (np.subtract, np.log, np.exp, np.power,
@@ -277,7 +281,7 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
             """The y-space SSE at ``offset`` and the (exponent, intercept) it was scored with."""
             subtract(y, offset, log_y)
             log(log_y, log_y)
-            coef = exponent, intercept = solve(log_y)
+            coef = exponent, intercept = solve(log_y_column)
             prefactor = float(exp(intercept))
             # (offset + prefactor * x**exponent - y)**2 in one buffer, same operation order.
             power(x, exponent, r)
@@ -285,16 +289,20 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
             add(r, offset, r)
             subtract(r, y, r)
             multiply(r, r, r)
-            return float(add.reduce(r)), coef
+            sse = float(add.reduce(r))
+            return (math.inf if sse != sse else sse), coef  # NaN: 0 * inf, an overflowed law
 
         hi = y_min * (1.0 - 1e-12)
-        candidate = _golden_section(lambda offset: profile(offset)[0], 0.0, hi,
-                                    tol=1e-10 * y_min)
-        sse, coef = profile(candidate)
-        if not math.isfinite(sse):
-            raise ArithmeticError("offset search failed to bracket a minimum")
+        # Near y_min the law can leave the doubles; such an offset scores +inf, silently.
+        with np.errstate(over="ignore", invalid="ignore"):
+            candidate = _golden_section(lambda offset: profile(offset)[0], 0.0, hi,
+                                        tol=1e-10 * y_min)
+            sse, coef = profile(candidate)
+            sse_0, coef_0 = profile(0.0)
+        if sse == sse_0 == math.inf:
+            raise ArithmeticError("the power law overflows a double at the searched offset "
+                                  "and at offset 0")
         # Never do worse than the offset-free nested model.
-        sse_0, coef_0 = profile(0.0)
         offset, coef = (candidate, coef) if sse <= sse_0 else (0.0, coef_0)
         prefactor, exponent, r_squared = _loglog_ols(x, y - offset, coef)
 

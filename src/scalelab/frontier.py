@@ -69,9 +69,11 @@ class TrainingCurve:
     n_nonembed: float
     n_total: float
     tokens: np.ndarray
-    c_total: np.ndarray
-    c_nonembed: np.ndarray
     loss: np.ndarray
+
+    # As ``Curves`` computes them, so each has the bits of the column's row.
+    c_total = property(lambda self: np.multiply(6.0 * self.n_total, self.tokens))
+    c_nonembed = property(lambda self: np.multiply(6.0 * self.n_nonembed, self.tokens))
 
 
 _CURVE_FIELDS = ("model_index", "n_nonembed", "n_total")
@@ -121,11 +123,8 @@ class Curves:
         if isinstance(k, bool):  # operator.index takes True for 1
             raise TypeError("curve index must be an integer, got a boolean")
         k = operator.index(k)
-        model_index, n_nonembed, n_total = (getattr(self, name)[k].item() for name in _CURVE_FIELDS)
-        tokens = self.tokens[k]  # a row's compute has its column's bits
-        return TrainingCurve(model_index, n_nonembed, n_total, tokens,
-                             np.multiply(6.0 * n_total, tokens),
-                             np.multiply(6.0 * n_nonembed, tokens), self.loss[k])
+        return TrainingCurve(*(getattr(self, name)[k].item() for name in _CURVE_FIELDS),
+                             self.tokens[k], self.loss[k])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))

@@ -223,6 +223,9 @@ def test_fit_rejects_unknown_basis(tmp_path, capsys):
     assert code != 0
     assert out == ""
     assert "basis" in err
+    path.write_text("basis,c,loss_min,n_opt,d_opt,model_index\ntotal,1e10,3.0,1e3,1e6,1\n"
+                    "nonembed,1e11,2.5,1e4,1e6,2\ntotal,1e12,2.2,1e5,1e6,3\n")
+    assert _run(capsys, ["fit", str(path)]) == (2, "", "error: frontier CSV mixes bases\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -467,6 +470,23 @@ def test_fit_prefactor_overflow_exits_1(tmp_path, capsys):
     code, out, err = _run(capsys, ["fit", str(path), "--form", "plain"])
     assert code == 1
     assert out == "" and err == "error: prefactor overflows\n"
+
+
+@pytest.mark.parametrize("exponent, floor, code, err", [
+    (-30.0, 0.5, 0, ""),
+    (-80.0, 0.0, 1, "error: the power law overflows a double at the searched offset and at offset 0\n"),
+], ids=["floor", "no-floor"])
+def test_fit_chinchilla_on_a_law_that_overflows_near_the_least_loss(tmp_path, capsys, exponent,
+                                                                    floor, code, err):
+    """Offsets near the least loss take this steep law out of the doubles: the search passes
+    them by without a warning, and only a law that overflows at offset 0 too is refused."""
+    path = tmp_path / "steep.csv"
+    rows = ((1e10 * 1.1 ** (k / 7), k) for k in range(8))
+    path.write_text("basis,c,loss_min,n_opt,d_opt,model_index\n" + "".join(
+        f"total,{c!r},{5.0 * (c / 1e10) ** exponent + floor!r},1e3,1e6,{k}\n" for c, k in rows))
+    got_code, out, got_err = _run(capsys, ["fit", str(path), "--form", "chinchilla"])
+    assert (got_code, got_err) == (code, err)
+    assert json.loads(out)["offset"] == pytest.approx(floor) if code == 0 else out == ""
 
 
 # The exit-status contract as a property over generated argv.  Each option value is

@@ -174,6 +174,9 @@ def test_predict_rejects_x_outside_the_power_law(x):
             fit.predict(x)
 
 
+_STEEP_X = np.geomspace(1e10, 1.1e10, 8)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda fit: fit.predict(1e300), "the prediction at x overflows"),
     (lambda fit: fit.predict([1.0, 1e300]), "the prediction at x overflows"),
@@ -181,10 +184,15 @@ def test_predict_rejects_x_outside_the_power_law(x):
     (lambda fit: sum_squared_error(fit, [1e100], [1.0]), "the squared residuals overflow"),
     (lambda fit: sum_squared_error(fit, [1.0, 1.0], [-1e154, -1e154]),  # each square is finite
      "the squared residuals overflow"),
-], ids=["predict-scalar", "predict-array", "sse-prediction", "sse-residual", "sse-sum"])
+    # exp(intercept) overflows at offset 0 and at every offset up to min(y).
+    (lambda fit: fit_power_law_with_offset(_STEEP_X, 5.0 * (_STEEP_X / 1e10) ** -80.0),
+     "the power law overflows a double at the searched offset and at offset 0"),
+], ids=["predict-scalar", "predict-array", "sse-prediction", "sse-residual", "sse-sum",
+        "offset-fit"])
 def test_a_prediction_beyond_the_doubles_is_refused(call, message):
     """A valid x that takes y = x**2 past the largest double once gave inf under
-    "overflow encountered in power"."""
+    "overflow encountered in power".  A law that the offset fit can only fit beyond the
+    doubles, at every offset, once gave "offset search failed to bracket a minimum"."""
     fit = fit_power_law([1.0, 2.0, 4.0], [1.0, 4.0, 16.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -246,9 +254,9 @@ def test_loglog_ols_matches_polyfit_bit_for_bit(points):
     want, want_warned = _with_warnings(np.polyfit, log_x, log_y, 1)
     if np.exceptions.RankWarning in want_warned:
         with pytest.raises(ArithmeticError, match="rank-deficient"):
-            _with_warnings(_loglog_design(log_x), log_y)
+            _with_warnings(_loglog_design(log_x), log_y[:, None])
         return
-    got, got_warned = _with_warnings(_loglog_design(log_x), log_y)
+    got, got_warned = _with_warnings(_loglog_design(log_x), log_y[:, None])
     np.testing.assert_array_equal(got, want)
     assert got_warned == want_warned
     with np.errstate(over="ignore"):
@@ -305,7 +313,7 @@ def test_loglog_solve_matches_public_lstsq_bit_for_bit(points):
     for state in ({}, {"all": "raise"}):
         with np.errstate(**state):
             want = _result_or_error(_public_lstsq_fit, log_x, log_y)
-            got = _result_or_error(solve, log_y)
+            got = _result_or_error(solve, log_y[:, None])
         if isinstance(want, type):
             assert got is want
         elif want[1] < 2:
@@ -337,6 +345,18 @@ def test_fit_power_law_reports_prefactor_overflow():
     # ln-space intercept 741.4 > ln(max double)
     with pytest.raises(ArithmeticError, match="prefactor overflows"):
         fit_power_law([1e5, 10.0**5.03125], [100.0, 1.0])
+
+
+@pytest.mark.parametrize("x0", [1e10, 1e-12])  # exp(intercept) overflows / x**exponent does
+def test_offset_fit_passes_over_offsets_whose_law_leaves_the_doubles(x0):
+    """Near min(y) the profiled law overflows; such an offset scores worst, with no warning."""
+    x = np.geomspace(x0, 1.1 * x0, 8)
+    y = 5.0 * (x / x0) ** -30.0 + 0.5
+    fit = fit_power_law_with_offset(x, y)
+    assert 0.0 <= fit.offset < y.min()
+    assert sum_squared_error(fit, x, y) <= sum_squared_error(fit_power_law(x, y), x, y)
+    if x0 == 1e10:  # at 1e-12 the planted prefactor, 5e-360, is no double
+        assert fit.exponent == pytest.approx(-30.0) and fit.offset == pytest.approx(0.5)
 
 
 def _reference_offset_fit(x, y):

@@ -134,6 +134,9 @@ def test_offset_fit_names_bins_finer_than_the_schedule():
         fit_loss_scaling(flat, form="chinchilla")
     assert fit_loss_scaling(flat, form="chinchilla", fixed_offset=1.0).offset == 1.0
     assert fit_loss_scaling(flat, form="kaplan").exponent < 0
+    for form in ("plain", "Kaplan", None):
+        with pytest.raises(ValueError, match="form must be 'kaplan' or 'chinchilla'"):
+            fit_loss_scaling(flat, form=form)
 
 
 @pytest.mark.parametrize("column, bad, message", [
@@ -694,6 +697,12 @@ def test_size_grid_rejects_non_finite_range(name, bad):
         size_grid(**{"n_min": 1e6, "n_max": 1e9, name: bad}, count=5)
 
 
+@pytest.mark.parametrize("n_min, n_max", [(1e9, 1e6), (1e6, 1e6), (1e308, 1e300)])
+def test_size_grid_rejects_an_empty_range(n_min, n_max):
+    with pytest.raises(ValueError, match=r"^need 0 < n_min < n_max$"):
+        size_grid(n_min, n_max, 5)
+
+
 _SIZES = np.array([1e4, 1e5, 1e6])
 
 # Each entry point that takes a count, with the name of the count.
@@ -845,6 +854,16 @@ def test_curves_sequence_contract(epoch_curves):
         np.testing.assert_array_equal(curves[k - 20].tokens, cv.tokens)
     with pytest.raises(TypeError):
         curves[3:9]
+
+
+def test_a_row_stores_only_the_stored_columns(epoch_curves):
+    """A row's compute follows its tokens: the row holds no copy that could disagree."""
+    assert tuple(f.name for f in dataclasses.fields(frontier_module.TrainingCurve)) == CURVE_COLUMNS
+    row = epoch_curves[3]
+    doubled = dataclasses.replace(row, tokens=2 * row.tokens)
+    for basis, n in (("c_total", row.n_total), ("c_nonembed", row.n_nonembed)):
+        np.testing.assert_array_equal(getattr(doubled, basis), 6.0 * n * (2 * row.tokens),
+                                      strict=True)
 
 
 def test_curves_columns_are_read_only_and_checked(epoch_curves):
