@@ -21,7 +21,7 @@ import numpy as np
 from . import _SUBMODULES
 from .fitting import _check_positive, _unwrap, _vector
 from .lossmodel import LossSpec, _surface
-from .params import THIRD, EmbedMap, _check_third
+from .params import THIRD, EmbedMap
 
 __all__ = list(_SUBMODULES["analytic"])
 
@@ -58,7 +58,6 @@ def _min_beta(alpha: float) -> float:
 
 def _checked_optima(n_nonembed_opt, spec: LossSpec, embed_map: EmbedMap) -> np.ndarray:
     """``_vector(n_nonembed_opt)``, once it and the spec's single optimum are checked."""
-    _check_third(embed_map)
     bound = _min_beta(spec.alpha)
     if embed_map.omega > 0 and spec.beta <= bound:
         raise ValueError(
@@ -98,7 +97,7 @@ def _optimum(n, spec: LossSpec, omega: float):
     cbrt = n**THIRD
     c = _ce(n, cbrt, spec, omega)  # finite, so n_total, a factor of c, is too
     g = _param_slope(n, spec, omega)
-    n_total = n + omega * cbrt  # total_from_nonembed at delta = 1/3
+    n_total = n + omega * cbrt  # total_from_nonembed
     with np.errstate(over="ignore"):  # an overflowing d fails the check below instead
         d = c / (6.0 * n)
     _check_positive("d", d)
@@ -153,7 +152,6 @@ def loss_compute_exponent_total(spec: LossSpec) -> float:
 
 def transition_point(embed_map: EmbedMap) -> float:
     """n_nonembed = omega**(3/2), where embedding and non-embedding counts are equal."""
-    _check_third(embed_map)
     try:
         return float(embed_map.omega) ** 1.5
     except OverflowError:

@@ -61,9 +61,7 @@ def cmd_fit_embed_map(args) -> int:
     from .params import bundled_config_path, fit_embed_map, load_model_configs
 
     path = bundled_config_path() if args.config_csv is None else args.config_csv
-    fit = fit_embed_map(load_model_configs(path))
-    report = {**vars(fit.embed_map), "r_squared": fit.r_squared, "n_points": fit.n_points}
-    _report(report, args.output, echo=True)
+    _report(vars(fit_embed_map(load_model_configs(path))), args.output, echo=True)
     return 0
 
 

@@ -230,7 +230,7 @@ def simulate_curves(
     NumPy's under the caller's ``np.errstate`` included, is raised here.  The loss is
     the surface itself: the checks here bound every sample, so none is re-checked.
     """
-    from .params import _check_third, total_from_nonembed
+    from .params import total_from_nonembed
 
     sizes = _check_sizes(sizes)
     tokens_per_param = _float_array("tokens_per_param", tokens_per_param)
@@ -240,12 +240,12 @@ def simulate_curves(
     if not 0 < lo < hi < math.inf:
         raise ValueError("tokens_per_param must be finite and satisfy 0 < lo < hi")
     samples_per_curve = _check_count("samples_per_curve", samples_per_curve, 2)
-    _check_third(embed_map)
     n_total = total_from_nonembed(sizes, embed_map)
     # Extreme compute as associated below, in floats that overflow without warning.
     n0, n1, t1 = float(sizes[0]), float(sizes[-1]), float(n_total[-1])
     if not (6.0 * n0 * (float(lo) * n0) > 0 and 6.0 * t1 * (float(hi) * n1) < math.inf):
-        raise ValueError("tokens_per_param takes compute out of the range of doubles")
+        raise ValueError(
+            "sizes, omega and tokens_per_param take compute out of the range of doubles")
 
     m, s = sizes.size, samples_per_curve
     columns = [np.empty((m, s)) for _ in _SAMPLE_FIELDS]

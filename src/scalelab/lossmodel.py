@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _SUBMODULES
 from .fitting import _check_positive, _unwrap, _vector
-from .params import EmbedMap, _check_third, total_from_nonembed
+from .params import EmbedMap, total_from_nonembed
 
 __all__ = list(_SUBMODULES["lossmodel"])
 
@@ -80,10 +80,8 @@ def loss_ne_ce(n_nonembed, c_nonembed, spec: LossSpec, embed_map: EmbedMap):
     """Loss at non-embedding parameters and non-embedding compute.
 
     The first term routes through the parameter map; the second uses the
-    identity d = c_total/(6 n_total) = c_nonembed/(6 n_nonembed).  Requires
-    delta = 1/3 so results stay consistent with the closed forms.
+    identity d = c_total/(6 n_total) = c_nonembed/(6 n_nonembed).
     """
-    _check_third(embed_map)
     n_total = _vector(total_from_nonembed(n_nonembed, embed_map))  # checks n_nonembed as given
     n = _vector(n_nonembed)
     _check_positive("c_nonembed", c_nonembed)

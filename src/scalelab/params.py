@@ -4,17 +4,19 @@ Parameters are counted with the standard 12*l*d^2 rule for the transformer
 blocks plus (h+v)*d for the embedding matrices.  The two counting bases are
 related by the strictly increasing map
 
-    n_total = n_nonembed + omega * n_nonembed**delta
+    n_total = n_nonembed + omega * n_nonembed**(1/3)
 
-whose coefficients can be fitted from a suite of model configurations or
-derived in closed form from a fixed width/depth aspect ratio.
+The exponent 1/3 is the map's form: at a fixed aspect ratio A = d/l the
+non-embedding count 12*l*d^2 = 12*d^3/A fixes d = (A*n_nonembed/12)**(1/3),
+so the embedding count (v+h)*d is omega * n_nonembed**(1/3) with omega =
+(v+h)*(A/12)**(1/3).  Its one coefficient omega comes from that closed form
+or from a fit to a suite of model configurations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,7 @@ __all__ = list(_SUBMODULES["params"])
 
 THIRD = 1.0 / 3.0
 
-# Calibrated on the bundled model-configuration suite (see data/); downstream
-# analytic defaults use this omega together with delta = 1/3.
+# Calibrated on the bundled model-configuration suite (see data/).
 DEFAULT_OMEGA = 47491.0
 
 # From this omega on, nonembed_from_total works in units of sqrt(omega/3): below it,
@@ -37,11 +38,6 @@ _OMEGA_SCALED = 3.0 * 2.0**600
 # t**3 are each n_total / 2, at omega = (n_total / 2)**(2/3); it falls as omega rises, so
 # below this omega it rounds to n_total and from it to 0.
 _OMEGA_SMALLEST_ROOT = 2.0 ** (-2150 / 3)
-
-
-def _check_third(embed_map: EmbedMap):
-    if embed_map.delta != THIRD:
-        raise ValueError("analytic forms require delta = 1/3")
 
 
 @dataclass(frozen=True)
@@ -80,30 +76,27 @@ class ParamSplit:
 
 @dataclass(frozen=True)
 class EmbedMap:
-    """Coefficients of n_total = n_nonembed + omega * n_nonembed**delta.
+    """Coefficient of n_total = n_nonembed + omega * n_nonembed**(1/3).
 
     omega = 0 degenerates to the identity map (the two bases coincide).
-    The analytic closed forms elsewhere in the package require delta = 1/3.
     """
 
     omega: float
-    delta: float = THIRD
 
     def __post_init__(self):
         _check_positive("omega", self.omega, zero_ok=True, scalar=True)
-        _check_positive("delta", self.delta, scalar=True)
-        if not self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
 
 
-DEFAULT_EMBED_MAP = EmbedMap(DEFAULT_OMEGA, THIRD)
+DEFAULT_EMBED_MAP = EmbedMap(DEFAULT_OMEGA)
 
 
 @dataclass(frozen=True)
 class EmbedMapFit:
-    """Fitted map plus least-squares diagnostics (log-space residuals)."""
+    """Fitted n_embed = omega * n_nonembed**delta plus least-squares diagnostics
+    (log-space residuals)."""
 
-    embed_map: EmbedMap
+    omega: float
+    delta: float
     r_squared: float
     n_points: int
 
@@ -123,18 +116,17 @@ def total_from_nonembed(n_nonembed, embed_map: EmbedMap):
     _check_positive("n_nonembed", n_nonembed)
     n = _vector(n_nonembed)
     with np.errstate(over="ignore"):  # an overflowing total is inf, which callers reject
-        return _unwrap(n + embed_map.omega * n**embed_map.delta, n_nonembed)
+        return _unwrap(n + embed_map.omega * n**THIRD, n_nonembed)
 
 
 def nonembed_from_total(n_total, embed_map: EmbedMap):
-    """Invert the parameter map in closed form (requires delta = 1/3).
+    """Invert the parameter map in closed form.
 
     With t = n_nonembed**(1/3), n_total = t**3 + omega*t is a depressed cubic
     with one real root.  Cardano's form t = u - v, u*v = omega/3, u**3 - v**3 =
     n_total is evaluated as t = n_total / (u**2 + u*v + v**2), which avoids the
     cancellation in u - v.  Accepts scalars or arrays; a float gives a float.
     """
-    _check_third(embed_map)
     # A float is worked in Python floats, cheaper than NumPy's; cbrt stays NumPy's, and
     # the rest is IEEE basic operations and square roots, so the bits equal the array path's.
     scalar = isinstance(n_total, float)
@@ -186,9 +178,9 @@ def nonembed_from_total(n_total, embed_map: EmbedMap):
 def fit_embed_map(splits: list[ParamSplit]) -> EmbedMapFit:
     """Fit omega, delta by OLS of log(n_embed) on log(n_nonembed).
 
-    The assumed form n_total = n_nonembed + omega*n_nonembed**delta is linear
-    in log space after subtracting the non-embedding count, so the fit is
-    exact for noiseless data and fully deterministic.
+    n_embed = omega*n_nonembed**delta is linear in log space, so the fit is
+    exact for noiseless data and fully deterministic.  A delta outside (0, 1)
+    is refused.
     """
     if len(splits) < 2:
         raise ValueError("need >=2 configurations to fit the embedding map")
@@ -199,7 +191,10 @@ def fit_embed_map(splits: list[ParamSplit]) -> EmbedMapFit:
     if not lo < hi:
         raise ValueError("need >=2 distinct n_nonembed values")
     omega, delta, r_squared = _loglog_ols(n_nonembed, n_embed)
-    return EmbedMapFit(EmbedMap(omega, delta), r_squared, len(splits))
+    _check_positive("delta", delta)
+    if not delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    return EmbedMapFit(omega, delta, r_squared, len(splits))
 
 
 def omega_from_shape(vocab: float, context_learned: float, aspect_ratio: float) -> float:
@@ -250,4 +245,6 @@ def load_model_configs(path) -> list[ParamSplit]:
 
 def bundled_config_path() -> Path:
     """Path of the bundled model-configuration suite."""
+    from importlib import resources
+
     return Path(str(resources.files("scalelab.data") / "chinchilla_models.csv"))

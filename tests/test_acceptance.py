@@ -158,7 +158,7 @@ def test_criterion_7_brute_force_oracles():
 
 def test_criterion_8_embedding_map_fit():
     fit = fit_embed_map(load_model_configs(bundled_config_path()))
-    omega, delta = fit.embed_map.omega, fit.embed_map.delta
+    omega, delta = fit.omega, fit.delta
     closed = omega_from_shape(32000, 0, 39.2)
     ok = (abs(omega - 47491.0) / 47491.0 <= 0.02 and abs(delta - 0.34) <= 0.01
           and abs(closed - omega) / omega <= 0.005)

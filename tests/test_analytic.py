@@ -332,10 +332,9 @@ def test_scalar_closed_forms_equal_the_array_element(alpha, beta_above, omega, l
 
 @settings(deadline=None)
 @given(st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(0.0, 2.0),
-       st.sampled_from([0.0, 1.0, DEFAULT_OMEGA, 1e6]), st.floats(0.05, 0.95),
-       st.floats(-3.0, 3.0), st.floats(-1.0, 1.0), st.one_of(st.none(), st.floats(0.0, 5.0)),
+       st.sampled_from([0.0, 1.0, DEFAULT_OMEGA, 1e6]), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0), st.one_of(st.none(), st.floats(0.0, 5.0)),
        st.integers(0, 2**32 - 1))
-def test_scalar_surface_forms_equal_the_array_element(alpha, beta, e_irr, omega, delta,
+def test_scalar_surface_forms_equal_the_array_element(alpha, beta, e_irr, omega,
                                                       log10_prefactor, exponent, offset, seed):
     """The loss surface, the parameter map and a fit's prediction give a float, a NumPy
     scalar and a 0-d array the bits of the same value inside an array: the loss from 1e-3
@@ -349,7 +348,7 @@ def test_scalar_surface_forms_equal_the_array_element(alpha, beta, e_irr, omega,
     forms = [(lambda n, d: loss_nd(n, d, spec), (n, d)),
              (lambda n, c: loss_nt_ct(n, c, spec), (n, c)),
              (lambda n, c: loss_ne_ce(n, c, spec, EmbedMap(omega)), (n, c)),
-             (lambda n: total_from_nonembed(n, EmbedMap(omega, delta)), (wide,)),
+             (lambda n: total_from_nonembed(n, EmbedMap(omega)), (wide,)),
              (fit.predict, (wide,))]
     for form, columns in forms:
         whole = _outcome(lambda: form(*columns))

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -214,6 +215,18 @@ def test_non_finite_omega_errors(capsys):
     assert "omega" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--omega", "1e308"],
+    ["frontier", "--omega", "1e300"],
+    ["frontier", "--sizes-min", "1e300", "--sizes-max", "1e305"],
+])
+def test_compute_beyond_the_doubles_names_every_input_that_sets_it(capsys, argv):
+    """An omega that overflows n_total was once blamed on tokens_per_param, an option the
+    command line does not have."""
+    assert _run(capsys, argv) == (2, "", "error: sizes, omega and tokens_per_param take "
+                                         "compute out of the range of doubles\n")
+
+
 def test_fit_rejects_unknown_basis(tmp_path, capsys):
     path = tmp_path / "frontier.csv"
     code, _, _ = _run(capsys, ["frontier", "--basis", "total", "--output", str(path)])
@@ -304,6 +317,14 @@ def test_bad_input_exits_2(capsys, argv):
     ("fit-embed-map", "name,d_model,n_layers,vocab,context_learned\n"
                       f"a,512,8,32000,0\nb,{10**160},8,32000,0\n",
      "config CSV row 2: n_nonembed is too large for a double"),
+    # Configurations whose fitted map is no map: the embedding falls as the model grows,
+    # or grows faster than it.
+    ("fit-embed-map", "name,d_model,n_layers,vocab,context_learned\n"
+                      "a,512,8,64000,0\nb,1024,8,8000,0\nc,2048,8,1000,0\n",
+     "error: delta must be finite and > 0\n"),
+    ("fit-embed-map", "name,d_model,n_layers,vocab,context_learned\n"
+                      "a,512,8,1,0\nb,1024,8,100,0\nc,2048,8,10000,0\n",
+     "error: delta must lie in (0, 1)\n"),
 ], ids=["frontier-csv-short-row", "config-csv-short-row", "frontier-csv-long-row",
         "config-csv-long-row", "spec-array", "spec-null", "spec-string", "spec-bool",
         "frontier-csv-unparsable-field", "config-csv-unparsable-field", "spec-huge-integer",
@@ -312,7 +333,8 @@ def test_bad_input_exits_2(capsys, argv):
         "spec-integer-over-4300-digits", "config-csv-not-utf8-past-the-read-ahead",
         "frontier-csv-header-not-utf8", "config-csv-field-over-the-limit-before-not-utf8",
         "spec-not-utf8", "spec-not-utf8-after-a-byte-order-mark", "spec-truncated",
-        "spec-empty", "config-csv-integer-beyond-the-doubles"])
+        "spec-empty", "config-csv-integer-beyond-the-doubles", "config-csv-delta-below-0",
+        "config-csv-delta-above-1"])
 def test_malformed_input_file_exits_2(tmp_path, capsys, command, text, named):
     path = tmp_path / "input"
     path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
@@ -711,6 +733,23 @@ def test_each_command_loads_only_the_modules_it_calls(tmp_path, fresh_python, ar
     or csv unless it reads or writes that format."""
     lines = _run_fresh(tmp_path, fresh_python, _ONE_COMMAND, argv)
     assert lines[-2:] == [str(loaded), str(formats)]
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--sizes-count", "3"],
+                                  ["frontier", "--sizes-count", "3"], ["reproduce"],
+                                  ["exponent-curve"]], ids=lambda argv: argv[0])
+def test_only_fit_embed_map_loads_importlib_resources(tmp_path, fresh_python, checkout_env,
+                                                      argv):
+    """Only ``bundled_config_path`` needs importlib.resources, about 10 ms of a command's
+    start-up.  Under -S no .pth file in site-packages loads it first (certifi's does), so
+    numpy's directory joins the checkout's on the path."""
+    numpy_dir = os.path.dirname(os.path.dirname(np.__file__))
+    path = os.pathsep.join([checkout_env["PYTHONPATH"], numpy_dir])
+    script = _ONE_COMMAND + 'print("importlib.resources" in sys.modules)\n'
+    argv = [*argv, "--output", str(tmp_path / "out")]
+    proc = fresh_python("-S", "-c", script, *argv, env={"PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 # Runs ``python -m scalelab ARGS`` as runpy does, and at exit prints which of numpy and

@@ -798,6 +798,12 @@ def test_simulate_curves_rejects_compute_outside_doubles(sizes, schedule):
         simulate_curves(sizes, EPOCH, DEFAULT_EMBED_MAP, tokens_per_param=schedule)
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_curves_names_omega_when_n_total_overflows():
+    with pytest.raises(ValueError, match="omega"):
+        simulate_curves([1e6, 1e7], EPOCH, EmbedMap(1e308))
+
+
 def test_extract_frontier_rejects_curves_without_samples():
     empty = np.empty((2, 0))
     table = Curves([0, 1], [1e6, 1e7], [2e6, 2e7], empty, empty)

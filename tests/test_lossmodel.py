@@ -104,11 +104,6 @@ def test_loss_ne_ce_diverges_at_allocation_extremes():
     assert loss_ne_ce(near_token_floor, c, EPOCH, DEFAULT_EMBED_MAP) > 100 * mid
 
 
-def test_loss_ne_ce_requires_third_delta():
-    with pytest.raises(ValueError):
-        loss_ne_ce(1e8, 1e18, EPOCH, EmbedMap(47491.0, delta=0.34))
-
-
 def test_coordinate_systems_agree():
     rng = np.random.default_rng(23)
     for _ in range(50):

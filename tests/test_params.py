@@ -65,8 +65,6 @@ def test_param_split_rejects_negative():
 def test_embed_map_validation():
     with pytest.raises(ValueError):
         EmbedMap(omega=-1.0)
-    with pytest.raises(ValueError):
-        EmbedMap(omega=1.0, delta=1.0)
     EmbedMap(omega=0.0)  # identity boundary is allowed
 
 
@@ -142,18 +140,14 @@ def test_inverse_identity_at_omega_zero():
 
 
 def _splits_from_map(omega, delta, n_values):
-    emap = EmbedMap(omega, delta)
-    return [
-        ParamSplit(n_embed=total_from_nonembed(n, emap) - n, n_nonembed=n)
-        for n in n_values
-    ]
+    return [ParamSplit(n_embed=omega * n**delta, n_nonembed=n) for n in n_values]
 
 
 def test_fit_embed_map_exact_recovery():
     splits = _splits_from_map(1000.0, THIRD, np.geomspace(1e4, 1e10, 12))
     fit = fit_embed_map(splits)
-    assert fit.embed_map.omega == pytest.approx(1000.0, rel=1e-12)
-    assert fit.embed_map.delta == pytest.approx(THIRD, rel=1e-12)
+    assert fit.omega == pytest.approx(1000.0, rel=1e-12)
+    assert fit.delta == pytest.approx(THIRD, rel=1e-12)
     assert fit.r_squared > 1 - 1e-12
     assert fit.n_points == 12
 
@@ -161,8 +155,8 @@ def test_fit_embed_map_exact_recovery():
 def test_fit_embed_map_recovers_default_omega():
     splits = _splits_from_map(DEFAULT_OMEGA, THIRD, np.geomspace(1e3, 1e11, 30))
     fit = fit_embed_map(splits)
-    assert fit.embed_map.omega == pytest.approx(DEFAULT_OMEGA, rel=1e-12)
-    assert fit.embed_map.delta == pytest.approx(THIRD, rel=1e-12)
+    assert fit.omega == pytest.approx(DEFAULT_OMEGA, rel=1e-12)
+    assert fit.delta == pytest.approx(THIRD, rel=1e-12)
 
 
 def test_fit_embed_map_preconditions():
@@ -184,16 +178,27 @@ def test_fit_embed_map_rejects_all_equal_n_nonembed():
 def test_fit_embed_map_distinct_check_matches_unique(n_values):
     splits = _splits_from_map(1000.0, THIRD, n_values)
     if np.unique(n_values).size >= 2:
-        assert fit_embed_map(splits).embed_map.delta == pytest.approx(THIRD, rel=1e-9)
+        assert fit_embed_map(splits).delta == pytest.approx(THIRD, rel=1e-9)
     else:
         with pytest.raises(ValueError, match="distinct"):
             fit_embed_map(splits)
 
 
+@pytest.mark.parametrize("vocabs, message", [
+    ((64000, 8000, 1000), "delta must be finite and > 0"),
+    ((1, 100, 10000), "delta must lie in (0, 1)"),
+], ids=["embedding-falls", "embedding-grows-faster"])
+def test_fit_embed_map_refuses_a_delta_outside_0_1(vocabs, message):
+    splits = [count_params(ModelShape(d, 8, v)) for d, v in zip((512, 1024, 2048), vocabs)]
+    with pytest.raises(ValueError) as info:
+        fit_embed_map(splits)
+    assert str(info.value) == message
+
+
 def test_fit_embed_map_bundled_dataset():
     fit = fit_embed_map(load_model_configs(bundled_config_path()))
-    assert fit.embed_map.omega == pytest.approx(47491.0, rel=0.02)
-    assert abs(fit.embed_map.delta - 0.34) < 0.01
+    assert fit.omega == pytest.approx(47491.0, rel=0.02)
+    assert abs(fit.delta - 0.34) < 0.01
     assert fit.r_squared > 0.999
     assert fit.n_points == 50
 
@@ -353,11 +358,6 @@ def test_inverse_strictly_increasing(log_start, log_width, log_omega):
     assert np.all(np.diff(nonembed_from_total(n, EmbedMap(10.0**log_omega))) > 0)
 
 
-def test_inverse_requires_delta_third():
-    with pytest.raises(ValueError, match="delta = 1/3"):
-        nonembed_from_total(1e6, EmbedMap(100.0, 0.5))
-
-
 def test_inverse_reports_underflow():
     # root ~ (n/omega)**3 = 1e-624, below the smallest double
     with pytest.raises(ArithmeticError, match="underflows"):
@@ -447,14 +447,14 @@ def test_nonnegative_fields_check_every_array_entry(name, build, bad):
 _SPEC_FIELDS = ["n_c", "d_c", "alpha", "beta", "e_irr"]
 
 
-@pytest.mark.parametrize("name", ["omega", "delta", *_SPEC_FIELDS])
+@pytest.mark.parametrize("name", ["omega", *_SPEC_FIELDS])
 def test_spec_and_map_constants_must_be_scalars(name):
     """An array of valid entries once built an EmbedMap or LossSpec that failed later without
-    naming the field, and an array delta raised NumPy's "truth value ... is ambiguous"."""
+    naming the field."""
     def build(value):
         if name in _SPEC_FIELDS:
             return LossSpec(**{**dict.fromkeys(_SPEC_FIELDS, 0.5), name: value})
-        return EmbedMap(**{"omega": 1.0, name: value})
+        return EmbedMap(value)
 
     for bad in (np.array([0.25, 0.5]), [0.25], np.empty(0), np.full((1, 1), 0.25)):
         with pytest.raises(ValueError, match=f"^{name} must be a scalar"):
