@@ -239,7 +239,7 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerLawFit:
+def fit_power_law_with_offset(x, y) -> PowerLawFit:
     """Fit y = prefactor * x**exponent + offset on decreasing frontier data.
 
     The offset is profiled over [0, min(y)) by golden-section search on the
@@ -248,64 +248,56 @@ def fit_power_law_with_offset(x, y, fixed_offset: float | None = None) -> PowerL
     Each candidate offset is scored with the exact inner log-log fit, solved
     against a design built once from x; one whose law leaves the doubles scores
     +inf, and the fit is refused with an ArithmeticError only when offset 0 does
-    too.  Passing ``fixed_offset`` skips the search, which with ``fixed_offset=0``
-    reproduces ``fit_power_law`` exactly.
+    too.  For a known floor ``e``, ``fit_power_law(x, y - e)`` gives the law and
+    ``dataclasses.replace(fit, offset=e)`` its predictions.
     """
     x, y = _validated_xy(x, y, min_points=3)
     order = np.argsort(x)
     x, y = x[order], y[order]
 
-    if fixed_offset is not None:
-        _check_positive("fixed_offset", fixed_offset, zero_ok=True)
-        if not y.min() > fixed_offset:  # y - fixed_offset > 0, without overflow
-            raise ValueError("y - fixed_offset must be > 0")
-        offset = float(fixed_offset)
-        prefactor, exponent, r_squared = _loglog_ols(x, y - offset)
-    else:
-        if (y[1:] >= y[:-1]).any():
-            raise ValueError(
-                "y must be strictly decreasing in x to profile an offset; on a binned frontier, "
-                "the compute bins are finer than the token schedule's sample spacing: use "
-                "fewer bins"
-            )
-        y_min = float(y.min())
-        solve = _loglog_design(np.log(x))
-        log_y, r = np.empty_like(y), np.empty_like(x)
-        log_y_column = log_y[:, None]
-        # Bound once and given their output positionally: on a hundred points, attribute
-        # lookups and keyword parsing are a measurable share of each pass.
-        subtract, log, exp, power, multiply, add = (np.subtract, np.log, np.exp, np.power,
-                                                    np.multiply, np.add)
+    if (y[1:] >= y[:-1]).any():
+        raise ValueError(
+            "y must be strictly decreasing in x to profile an offset; on a binned frontier, "
+            "the compute bins are finer than the token schedule's sample spacing: use "
+            "fewer bins"
+        )
+    y_min = float(y.min())
+    solve = _loglog_design(np.log(x))
+    log_y, r = np.empty_like(y), np.empty_like(x)
+    log_y_column = log_y[:, None]
+    # Bound once and given their output positionally: on a hundred points, attribute
+    # lookups and keyword parsing are a measurable share of each pass.
+    subtract, log, exp, power, multiply, add = (np.subtract, np.log, np.exp, np.power,
+                                                np.multiply, np.add)
 
-        def profile(offset: float) -> tuple[float, tuple[float, float]]:
-            """The y-space SSE at ``offset`` and the (exponent, intercept) it was scored with."""
-            subtract(y, offset, log_y)
-            log(log_y, log_y)
-            coef = exponent, intercept = solve(log_y_column)
-            prefactor = float(exp(intercept))
-            # (offset + prefactor * x**exponent - y)**2 in one buffer, same operation order.
-            power(x, exponent, r)
-            multiply(r, prefactor, r)
-            add(r, offset, r)
-            subtract(r, y, r)
-            multiply(r, r, r)
-            sse = float(add.reduce(r))
-            return (math.inf if sse != sse else sse), coef  # NaN: 0 * inf, an overflowed law
+    def profile(offset: float) -> tuple[float, tuple[float, float]]:
+        """The y-space SSE at ``offset`` and the (exponent, intercept) it was scored with."""
+        subtract(y, offset, log_y)
+        log(log_y, log_y)
+        coef = exponent, intercept = solve(log_y_column)
+        prefactor = float(exp(intercept))
+        # (offset + prefactor * x**exponent - y)**2 in one buffer, same operation order.
+        power(x, exponent, r)
+        multiply(r, prefactor, r)
+        add(r, offset, r)
+        subtract(r, y, r)
+        multiply(r, r, r)
+        sse = float(add.reduce(r))
+        return (math.inf if sse != sse else sse), coef  # NaN: 0 * inf, an overflowed law
 
-        hi = y_min * (1.0 - 1e-12)
-        # Near y_min the law can leave the doubles; such an offset scores +inf, silently.
-        with np.errstate(over="ignore", invalid="ignore"):
-            candidate = _golden_section(lambda offset: profile(offset)[0], 0.0, hi,
-                                        tol=1e-10 * y_min)
-            sse, coef = profile(candidate)
-            sse_0, coef_0 = profile(0.0)
-        if sse == sse_0 == math.inf:
-            raise ArithmeticError("the power law overflows a double at the searched offset "
-                                  "and at offset 0")
-        # Never do worse than the offset-free nested model.
-        offset, coef = (candidate, coef) if sse <= sse_0 else (0.0, coef_0)
-        prefactor, exponent, r_squared = _loglog_ols(x, y - offset, coef)
-
+    hi = y_min * (1.0 - 1e-12)
+    # Near y_min the law can leave the doubles; such an offset scores +inf, silently.
+    with np.errstate(over="ignore", invalid="ignore"):
+        candidate = _golden_section(lambda offset: profile(offset)[0], 0.0, hi,
+                                    tol=1e-10 * y_min)
+        sse, coef = profile(candidate)
+        sse_0, coef_0 = profile(0.0)
+    if sse == sse_0 == math.inf:
+        raise ArithmeticError("the power law overflows a double at the searched offset "
+                              "and at offset 0")
+    # Never do worse than the offset-free nested model.
+    offset, coef = (candidate, coef) if sse <= sse_0 else (0.0, coef_0)
+    prefactor, exponent, r_squared = _loglog_ols(x, y - offset, coef)
     return PowerLawFit(prefactor, exponent, offset, r_squared, int(x.size))
 
 

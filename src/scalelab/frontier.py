@@ -454,9 +454,7 @@ def fit_param_scaling(frontier: Frontier) -> PowerLawFit:
     return fit_power_law(frontier.c, frontier.n_opt)
 
 
-def fit_loss_scaling(
-    frontier: Frontier, form: str = "kaplan", fixed_offset: float | None = None
-) -> PowerLawFit:
+def fit_loss_scaling(frontier: Frontier, form: str = "kaplan") -> PowerLawFit:
     """Compute-loss fit along the frontier: offset-free or with offset.
 
     Profiling the offset needs ``loss_min`` to fall strictly with compute, which
@@ -469,7 +467,7 @@ def fit_loss_scaling(
     if form == "kaplan":
         return fit_power_law(frontier.c, frontier.loss_min)
     if form == "chinchilla":
-        return fit_power_law_with_offset(frontier.c, frontier.loss_min, fixed_offset)
+        return fit_power_law_with_offset(frontier.c, frontier.loss_min)
     raise ValueError("form must be 'kaplan' or 'chinchilla'")
 
 

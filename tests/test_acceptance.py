@@ -5,6 +5,8 @@ Each test prints one ``ACCEPTANCE n [PASS|FAIL]`` line (visible under
 human-readable report.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from scalelab import (
     fit_embed_map,
     fit_loss_scaling,
     fit_param_scaling,
+    fit_power_law,
     load_model_configs,
     local_loss_exponent,
     local_param_exponent,
@@ -172,8 +175,8 @@ def test_criterion_8_embedding_map_fit():
 def test_criterion_9_fit_quality_asymmetry(epoch_frontier_nonembed, epoch_frontier_total):
     def residuals(frontier):
         kaplan = fit_loss_scaling(frontier, form="kaplan")
-        chin = fit_loss_scaling(frontier, form="chinchilla", fixed_offset=EPOCH.e_irr)
         c, loss = frontier.c, frontier.loss_min
+        chin = dataclasses.replace(fit_power_law(c, loss - EPOCH.e_irr), offset=EPOCH.e_irr)
         return sum_squared_error(kaplan, c, loss), sum_squared_error(chin, c, loss)
 
     kaplan_ne, chin_ne = residuals(epoch_frontier_nonembed)

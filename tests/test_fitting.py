@@ -85,16 +85,6 @@ def test_offset_fit_exact_recovery():
     assert fit.r_squared > 1 - 1e-9
 
 
-def test_offset_fixed_at_zero_matches_plain_fit():
-    x = np.geomspace(1e3, 1e9, 12)
-    y = 4.0 * x**-0.25
-    plain = fit_power_law(x, y)
-    nested = fit_power_law_with_offset(x, y, fixed_offset=0.0)
-    assert nested.prefactor == plain.prefactor
-    assert nested.exponent == plain.exponent
-    assert nested.offset == 0.0
-
-
 def test_offset_fit_never_worse_than_plain_in_y_space():
     # offset-free synthetic data: profiling must not lose to the nested model
     x = np.geomspace(1e3, 1e9, 25)
@@ -112,8 +102,6 @@ def test_offset_fit_preconditions():
         fit_power_law_with_offset(x, np.linspace(1.0, 2.0, 10))
     with pytest.raises(ValueError):  # nonpositive floor
         fit_power_law_with_offset(x, np.linspace(1.0, -0.5, 10))
-    with pytest.raises(ValueError):  # fixed offset above the data
-        fit_power_law_with_offset(x, 2.0 * x**-0.5 + 1.0, fixed_offset=5.0)
 
 
 def test_kaplan_form_offset_free_recovery():
@@ -223,12 +211,6 @@ def test_distinct_x_check_matches_unique(xs):
             _validated_xy(x, np.ones_like(x), min_points=3)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_fixed_offset_rejects_non_finite(bad):
-    with pytest.raises(ValueError, match="fixed_offset"):
-        fit_power_law_with_offset([1.0, 2.0, 3.0], [3.0, 2.0, 1.5], fixed_offset=bad)
-
-
 def _with_warnings(f, *args):
     """Call f, returning its result and the categories of the warnings it raised."""
     with warnings.catch_warnings(record=True) as caught:
@@ -329,9 +311,8 @@ ONE_ULP_APART = [1e10, 10000000000.000002, 10000000000.000004]
 @pytest.mark.parametrize("fit", [
     lambda x: fit_power_law(x, [3.0, 2.5, 2.2]),
     lambda x: fit_power_law_with_offset(x, [3.0, 2.5, 2.2]),
-    lambda x: fit_power_law_with_offset(x, [3.0, 2.5, 2.2], fixed_offset=0.0),
     lambda x: fit_embed_map([ParamSplit(e, n) for e, n in zip([1e3, 2e3, 4e3], x)]),
-], ids=["plain", "offset-search", "fixed-offset", "embed-map"])
+], ids=["plain", "offset-search", "embed-map"])
 def test_a_rank_deficient_fit_is_refused_without_a_warning(fit):
     """Where np.polyfit would warn and return a slope of R² 0, the fit raises instead."""
     assert np.nextafter(ONE_ULP_APART[:2], np.inf).tolist() == ONE_ULP_APART[1:]
@@ -349,10 +330,12 @@ def test_fit_power_law_reports_prefactor_overflow():
 
 @pytest.mark.parametrize("x0", [1e10, 1e-12])  # exp(intercept) overflows / x**exponent does
 def test_offset_fit_passes_over_offsets_whose_law_leaves_the_doubles(x0):
-    """Near min(y) the profiled law overflows; such an offset scores worst, with no warning."""
+    """Near min(y) the profiled law overflows; such an offset scores worst, with no warning,
+    as in the reference profile, bit for bit."""
     x = np.geomspace(x0, 1.1 * x0, 8)
     y = 5.0 * (x / x0) ** -30.0 + 0.5
     fit = fit_power_law_with_offset(x, y)
+    assert (fit.prefactor, fit.exponent, fit.r_squared, fit.offset) == _reference_offset_fit(x, y)
     assert 0.0 <= fit.offset < y.min()
     assert sum_squared_error(fit, x, y) <= sum_squared_error(fit_power_law(x, y), x, y)
     if x0 == 1e10:  # at 1e-12 the planted prefactor, 5e-360, is no double
@@ -360,7 +343,9 @@ def test_offset_fit_passes_over_offsets_whose_law_leaves_the_doubles(x0):
 
 
 def _reference_offset_fit(x, y):
-    """The offset profile with one np.polyfit per candidate offset, as first written."""
+    """The offset profile with one np.polyfit per candidate offset, as first written,
+    under the fit's rule: an offset whose law leaves the doubles scores +inf, and only
+    when offset 0 does too is there no fit."""
     order = np.argsort(x)
     x, y = x[order], y[order]
 
@@ -374,31 +359,34 @@ def _reference_offset_fit(x, y):
 
     def y_space_sse(offset):
         prefactor, exponent, _ = inner(offset)
-        return float(np.sum((offset + prefactor * x**exponent - y) ** 2))
+        sse = float(np.sum((offset + prefactor * x**exponent - y) ** 2))
+        return math.inf if math.isnan(sse) else sse
 
     inv_phi, inv_phi_sq = (math.sqrt(5.0) - 1.0) / 2.0, (3.0 - math.sqrt(5.0)) / 2.0
     y_min = float(y.min())
     lo, hi, tol = 0.0, y_min * (1.0 - 1e-12), 1e-10 * y_min
-    h = hi - lo
-    c, d = lo + inv_phi_sq * h, lo + inv_phi * h
-    fc, fd = y_space_sse(c), y_space_sse(d)
-    for _ in range(200):
-        if h <= tol:
-            break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            h *= inv_phi
-            c = lo + inv_phi_sq * h
-            fc = y_space_sse(c)
-        else:
-            lo, c, fc = c, d, fd
-            h *= inv_phi
-            d = lo + inv_phi * h
-            fd = y_space_sse(d)
-    candidate = 0.5 * (lo + hi)
-    if not math.isfinite(y_space_sse(candidate)):
-        raise ArithmeticError("offset search failed to bracket a minimum")
-    offset = candidate if y_space_sse(candidate) <= y_space_sse(0.0) else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = hi - lo
+        c, d = lo + inv_phi_sq * h, lo + inv_phi * h
+        fc, fd = y_space_sse(c), y_space_sse(d)
+        for _ in range(200):
+            if h <= tol:
+                break
+            if fc < fd:
+                hi, d, fd = d, c, fc
+                h *= inv_phi
+                c = lo + inv_phi_sq * h
+                fc = y_space_sse(c)
+            else:
+                lo, c, fc = c, d, fd
+                h *= inv_phi
+                d = lo + inv_phi * h
+                fd = y_space_sse(d)
+        candidate = 0.5 * (lo + hi)
+        sse, sse_0 = y_space_sse(candidate), y_space_sse(0.0)
+    if sse == sse_0 == math.inf:
+        raise ArithmeticError("the power law overflows at the candidate and at offset 0")
+    offset = candidate if sse <= sse_0 else 0.0
     return (*inner(offset), offset)
 
 
@@ -447,7 +435,7 @@ def test_offset_fit_recovers_planted_law_and_never_loses_to_offset_zero(
     assert fit.offset == pytest.approx(e, rel=1e-6)
     assert fit.exponent == pytest.approx(-gamma, rel=1e-6)
     assert fit.prefactor == pytest.approx(prefactor, rel=1e-5)
-    nested = fit_power_law_with_offset(x, y, fixed_offset=0.0)
+    nested = fit_power_law(x, y)
     assert sum_squared_error(fit, x, y) <= sum_squared_error(nested, x, y)
 
 
@@ -489,10 +477,6 @@ def test_offset_fit_builds_one_design_and_solves_once_per_profile_step(monkeypat
     assert counts["lstsq"] == counts["search_sse"] + 2
     assert counts["public_lstsq"] == 0
 
-    counts.update(vander=0, lstsq=0, search_sse=0)
-    fit_power_law_with_offset(x, y, fixed_offset=1.0)
-    assert counts == {"vander": 1, "lstsq": 1, "public_lstsq": 0, "search_sse": 0}
-
     # The coefficients taken are a fresh fit's at the chosen offset, bit for bit, both
     # when the search's candidate is chosen and when offset 0 is.
     for planted in (1.817, 0.0):
@@ -502,7 +486,7 @@ def test_offset_fit_builds_one_design_and_solves_once_per_profile_step(monkeypat
         assert (fit.prefactor, fit.exponent, fit.r_squared) == want
 
 
-def _checks_as_first_written(x, y, offset_fit, fixed_offset=None):
+def _checks_as_first_written(x, y, offset_fit):
     """The fits' input checks written with np.isfinite, np.any and np.diff."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -518,12 +502,6 @@ def _checks_as_first_written(x, y, offset_fit, fixed_offset=None):
     if not offset_fit:
         return
     y = y[np.argsort(x)]
-    if fixed_offset is not None:
-        if not (math.isfinite(fixed_offset) and fixed_offset >= 0):
-            raise ValueError("fixed_offset must be finite and >= 0")
-        if np.any(y - fixed_offset <= 0):
-            raise ValueError("y - fixed_offset must be > 0")
-        return
     if np.any(np.diff(y) >= 0):
         raise ValueError("y must be strictly decreasing in x to profile an offset; on a "
                          "binned frontier, the compute bins are finer than the token "
@@ -564,15 +542,11 @@ def edged_power_laws(draw):
 
 
 @settings(deadline=None)
-@given(edged_power_laws(),
-       st.sampled_from([None, 0.0, 0.5, 1e-310, 1e308, math.inf, math.nan, -1.0]))
-def test_input_checks_match_their_first_form(xy, fixed_offset):
+@given(edged_power_laws())
+def test_input_checks_match_their_first_form(xy):
     x, y = xy
-    cases = [(fit_power_law, (x, y), False), (fit_power_law_with_offset, (x, y), True),
-             (fit_power_law_with_offset, (x, y, fixed_offset), True)]
-    for fit, args, offset_fit in cases:
-        assert _outcome(fit, *args) == _outcome(_checks_as_first_written, *args[:2],
-                                                offset_fit, *args[2:])
+    for fit, offset_fit in ((fit_power_law, False), (fit_power_law_with_offset, True)):
+        assert _outcome(fit, x, y) == _outcome(_checks_as_first_written, x, y, offset_fit)
 
 
 _ONE_SAMPLE_EACH = ([1.0, 2.0], [1.0, 2.0], *[[[1.0], [1.0]]] * 2)
@@ -582,8 +556,6 @@ _ONE_SAMPLE_EACH = ([1.0, 2.0], [1.0, 2.0], *[[[1.0], [1.0]]] * 2)
     ("n_c", lambda: LossSpec(True, 410.7, 0.3392, 0.2849, 1.693)),
     ("e_irr", lambda: LossSpec(406.4, 410.7, 0.3392, 0.2849, np.bool_(False))),
     ("omega", lambda: EmbedMap(True)),
-    ("fixed_offset", lambda: fit_power_law_with_offset([1.0, 2.0, 4.0], [3.0, 2.0, 1.5],
-                                                       fixed_offset=True)),
     ("n_min", lambda: size_grid(True, 10.0, 3)),
     ("n_nonembed", lambda: total_from_nonembed([True], DEFAULT_EMBED_MAP)),
     ("n_total", lambda: nonembed_from_total(np.array([True, True]), DEFAULT_EMBED_MAP)),

@@ -132,7 +132,6 @@ def test_offset_fit_names_bins_finer_than_the_schedule():
                     n_opt=[1e3, 1e4, 1e5, 1e6], d_opt=[1e6] * 4, model_index=[1, 2, 3, 4])
     with pytest.raises(ValueError, match="bins are finer than the token schedule"):
         fit_loss_scaling(flat, form="chinchilla")
-    assert fit_loss_scaling(flat, form="chinchilla", fixed_offset=1.0).offset == 1.0
     assert fit_loss_scaling(flat, form="kaplan").exponent < 0
     for form in ("plain", "Kaplan", None):
         with pytest.raises(ValueError, match="form must be 'kaplan' or 'chinchilla'"):

@@ -1,6 +1,13 @@
+import contextlib
+import io
+import pathlib
+import re
+
 import pytest
 
 import scalelab
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 # Every public name of the package, by the submodule that defines it.
 EXPORTED = {
@@ -78,3 +85,21 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'fit_kaplan_form'"):
         scalelab.fit_kaplan_form
     assert not hasattr(scalelab, "THIRD")
+
+
+def test_every_python_block_of_the_readme_prints_what_it_says():
+    """Each ```python block of README.md runs, and each number it prints rounds to the
+    ``# ~value`` beside the print call, at that value's decimals."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                        re.M | re.S)
+    assert blocks
+    for block in blocks:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, str(README), "exec"), {})
+        said = [value for line in block.splitlines() if line.startswith("print(")
+                for value in re.findall(r"# ~(-?[\d.]+)", line)]
+        printed = out.getvalue().split()
+        assert len(printed) == len(said)
+        for got, value in zip(printed, said):
+            assert round(float(got), len(value.partition(".")[2])) == float(value), got
