@@ -358,11 +358,11 @@ def _geometric_bin_of(t, six_n, edges, scratch):
     return k.reshape(-1)
 
 
-def extract_frontier(curves: Curves, n_bins: int = DEFAULT_BINS, basis: str = "nonembed",
-                     drop_edge_models: bool = True) -> Frontier:
+def extract_frontier(curves: Curves, n_bins: int = DEFAULT_BINS,
+                     basis: str = "nonembed") -> Frontier:
     """Bin pooled samples by compute and keep the minimum-loss sample per bin.
 
-    ``curves`` is a ``Curves`` table of at least two curves and one sample, with
+    ``curves`` is a ``Curves`` table of at least three curves and one sample, with
     finite losses and finite positive tokens, sizes in ``basis`` and compute 6 n
     tokens, which is never built as a column.  The ``n_bins`` bins are geometric
     between the smallest and largest compute; a sample's bin is the number of
@@ -371,15 +371,15 @@ def extract_frontier(curves: Curves, n_bins: int = DEFAULT_BINS, basis: str = "n
     Samples go through in blocks of at most ``_BIN_BLOCK``, so no scratch array grows
     with the sample count.
     A bin's winner is its first minimum-loss sample in pooled (curve, then
-    sample) order.  Bins whose winner has the table's smallest or largest
-    ``model_index`` are discarded by default: at the extremes those models win
-    only because nothing smaller or larger exists, which truncates the
-    envelope and biases fitted exponents.  ``basis`` is checked before any pass.
+    sample) order.  Bins whose winner has the table's smallest or largest ``model_index``
+    are discarded: at the extremes those models win only because nothing smaller or
+    larger exists, which truncates the envelope and biases fitted exponents.  So fewer
+    than three curves, which give no point, are refused before any pass, as is a bad basis.
     """
     if not isinstance(curves, Curves):
         raise TypeError(f"curves must be a Curves table, got {type(curves).__name__}")
-    if curves.model_index.size < 2:
-        raise ValueError("need >=2 curves")
+    if curves.model_index.size < 3:
+        raise ValueError("need >=3 curves: bins won by the smallest or largest model are dropped")
     n_bins = _check_count("n_bins", n_bins, 10)
     _check_basis(basis)
 
@@ -431,8 +431,7 @@ def extract_frontier(curves: Curves, n_bins: int = DEFAULT_BINS, basis: str = "n
         raise ValueError(f"{n_empty}/{n_bins} compute bins are empty; token schedules too sparse")
     curve = first[filled] // samples
     winner = curves.model_index[curve]
-    edge = (winner == curves.model_index.min()) | (winner == curves.model_index.max())
-    keep = ~edge if drop_edge_models else np.ones_like(edge)
+    keep = (winner != curves.model_index.min()) & (winner != curves.model_index.max())
     if not keep.any():
         raise ValueError("no frontier points survive the boundary guard")
     filled, curve = filled[keep], curve[keep]

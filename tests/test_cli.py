@@ -227,6 +227,13 @@ def test_compute_beyond_the_doubles_names_every_input_that_sets_it(capsys, argv)
                                          "compute out of the range of doubles\n")
 
 
+def test_a_frontier_of_two_models_names_the_three_curve_need(capsys):
+    """Both models of a two-model grid are its edges, whose bins the guard drops: the
+    frontier is refused with one line naming the need, not binned and then found empty."""
+    assert _run(capsys, ["frontier", "--sizes-count", "2"]) == (
+        2, "", "error: need >=3 curves: bins won by the smallest or largest model are dropped\n")
+
+
 def test_fit_rejects_unknown_basis(tmp_path, capsys):
     path = tmp_path / "frontier.csv"
     code, _, _ = _run(capsys, ["frontier", "--basis", "total", "--output", str(path)])

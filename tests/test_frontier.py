@@ -162,27 +162,28 @@ def test_frontier_bases_select_same_models(epoch_frontier_nonembed, epoch_fronti
 
 
 def test_two_model_toy_switches_at_curve_crossing():
+    """Models 1e6 and 1e8 between two edge models, whose bins the guard drops, take the
+    frontier over from each other at their curves' analytic crossing."""
     spec = LossSpec(400.0, 400.0, 0.3, 0.3, 1.0)
-    sizes = np.array([1e6, 1e8])
+    sizes = np.array([1e4, 1e6, 1e8, 1e10])
     curves = simulate_curves(sizes, spec, IDENTITY, tokens_per_param=(1e-3, 1e6),
                              samples_per_curve=2048)
     n_bins = 200
-    frontier = extract_frontier(curves, n_bins=n_bins, basis="nonembed",
-                                drop_edge_models=False)
+    frontier = extract_frontier(curves, n_bins=n_bins, basis="nonembed")
+    assert set(frontier.model_index.tolist()) == {1, 2}
 
-    # analytic crossing of the two continuous loss curves
+    # analytic crossing of the two interior models' continuous loss curves
     lo, hi = 1e14, 1e18
     for _ in range(200):
         mid = np.sqrt(lo * hi)
-        if loss_ne_ce(sizes[0], mid, spec, IDENTITY) < loss_ne_ce(sizes[1], mid, spec, IDENTITY):
+        if loss_ne_ce(sizes[1], mid, spec, IDENTITY) < loss_ne_ce(sizes[2], mid, spec, IDENTITY):
             lo = mid
         else:
             hi = mid
     crossing = np.sqrt(lo * hi)
 
-    c0 = frontier.c[frontier.model_index == 0]
-    c1 = frontier.c[frontier.model_index == 1]
-    assert c0.size and c1.size
+    c0 = frontier.c[frontier.model_index == 1]
+    c1 = frontier.c[frontier.model_index == 2]
     assert max(c0) < min(c1)
     pooled = curves.c_nonembed
     bin_ratio = (pooled.max() / pooled.min()) ** (1.0 / n_bins)
@@ -198,10 +199,17 @@ def test_omega_zero_total_basis_recovers_global_exponent():
     assert fit.exponent == pytest.approx(expected, abs=0.01)
 
 
-def test_extract_frontier_preconditions(epoch_curves):
-    one = Curves(*(getattr(epoch_curves, name)[:1] for name in CURVE_COLUMNS))
-    with pytest.raises(ValueError):
-        extract_frontier(one)
+def test_extract_frontier_preconditions(epoch_curves, monkeypatch):
+    """Each is refused before any sample is binned.  Two curves are the table's smallest
+    and largest model, whose bins the guard drops, so fewer than three are refused."""
+    def no_pass(*args):
+        raise AssertionError("binned before the preconditions were checked")
+
+    monkeypatch.setattr(frontier_module, "_geometric_bin_of", no_pass)
+    for rows in ([7], [0, 1], [5, 17]):
+        table = Curves(*(getattr(epoch_curves, name)[rows] for name in CURVE_COLUMNS))
+        with pytest.raises(ValueError, match="^need >=3 curves: bins won by the smallest"):
+            extract_frontier(table)
     with pytest.raises(TypeError, match="curves"):
         extract_frontier(list(epoch_curves))
     with pytest.raises(ValueError):
@@ -262,8 +270,9 @@ def test_pipeline_rerun_identical(epoch_curves):
         assert np.array_equal(getattr(f1, name), getattr(f2, name))
 
 
-def _masked_argmin_frontier(curves, n_bins, basis, drop_edge_models):
-    """Reference: each bin's winner by a boolean mask and argmin over all pooled samples.
+def _masked_argmin_frontier(curves, n_bins, basis):
+    """Reference: each bin's winner by a boolean mask and argmin over all pooled samples;
+    a bin won by the table's smallest or largest label is dropped.
 
     Returns the frontier's columns by name, each kept bin's lower and upper edges, n_empty
     and n_dropped.  A kept bin's c is sqrt(lo*hi) where that product is a normal double,
@@ -288,7 +297,7 @@ def _masked_argmin_frontier(curves, n_bins, basis, drop_edge_models):
             n_empty += 1
             continue
         j = np.flatnonzero(mask)[np.argmin(loss[mask])]
-        if drop_edge_models and index_all[j] in (min(labels), max(labels)):
+        if index_all[j] in (min(labels), max(labels)):
             n_dropped += 1
             continue
         kept.append(b)
@@ -309,12 +318,23 @@ def _assert_columns_match(frontier, want, lo, hi):
         assert np.array_equal(getattr(frontier, name), expected), name
 
 
+def _unguarded(curves):
+    """``curves`` with copies of its first and last curves appended, labelled one below and
+    one above its labels.  A copy follows its original in pooled order, so it wins no bin,
+    and the guard, which drops the bins won by the smallest and largest label, drops none:
+    the frontier keeps every filled bin of ``curves``, each with its own winner."""
+    labels = curves.model_index
+    return Curves(np.append(labels, [labels.min() - 1, labels.max() + 1]),
+                  *(np.concatenate([getattr(curves, name), getattr(curves, name)[[0, -1]]])
+                    for name in CURVE_COLUMNS[1:]))
+
+
 @st.composite
 def curve_sets(draw):
-    """Hand-built tables of 2-6 curves of 1-40 samples each, labelled by a shuffled range
+    """Hand-built tables of 3-6 curves of 1-40 samples each, labelled by a shuffled range
     that need not start at 0, whose losses take few values, both signed zeros among them,
     so bins tie."""
-    shape = draw(st.integers(2, 6)), draw(st.integers(1, 40))
+    shape = draw(st.integers(3, 6)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = [*rng.uniform(0.5, 5.0, draw(st.integers(1, 3))), 0.0, -0.0]
     model_index = rng.permutation(shape[0]) + draw(st.sampled_from([0, 3]))
@@ -327,38 +347,42 @@ def curve_sets(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(curve_sets(), st.integers(10, 24), st.sampled_from(["nonembed", "total"]), st.booleans(),
+@given(curve_sets(), st.integers(10, 24), st.sampled_from(["nonembed", "total"]),
        st.sampled_from([1, 3, 64, 65536]))
-def test_extract_frontier_matches_masked_argmin(curves, n_bins, basis, drop_edge_models, block):
+def test_extract_frontier_matches_masked_argmin(curves, n_bins, basis, block):
     """Any block size, so that ties and signed zeros also meet across blocks."""
-    want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis,
-                                                               drop_edge_models)
+    want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frontier_module, "_BIN_BLOCK", block)
         if n_empty > 0.5 * n_bins or not want["c"].size:
             error = "too sparse" if n_empty > 0.5 * n_bins else "no frontier points"
             with pytest.raises(ValueError, match=error):
-                extract_frontier(curves, n_bins, basis, drop_edge_models)
+                extract_frontier(curves, n_bins, basis)
             return
-        frontier = extract_frontier(curves, n_bins, basis, drop_edge_models)
+        frontier = extract_frontier(curves, n_bins, basis)
     _assert_columns_match(frontier, want, lo, hi)
     assert np.array_equal(np.signbit(frontier.loss_min), np.signbit(want["loss_min"]))
     assert (frontier.n_empty, frontier.n_dropped) == (n_empty, n_dropped)
 
 
 def test_loss_min_is_the_winners_own_loss():
-    """A bin holding 0.0 from model 0 and then -0.0 from model 1 goes to model 0, and
-    reports model 0's own +0.0."""
-    c = np.tile(np.geomspace(1.0, 1e4, 20), (2, 1))
-    loss = np.array([np.linspace(3.0, 1.0, 20), np.linspace(3.5, 1.5, 20)])
-    loss[:, 7] = 0.0, -0.0
-    curves = Curves([0, 1], [UNIT] * 2, [UNIT] * 2, c, loss)
+    """A bin holding 0.0 from model 1 and then -0.0 from model 2 goes to model 1, and
+    reports model 1's own +0.0.  Models 0 and 3, the table's edges, are of higher loss but
+    at the least and the most compute, whose bins they win and the guard drops."""
+    c = np.tile(np.geomspace(1.0, 1e4, 20), (4, 1))
+    loss = np.array([np.linspace(4.0, 2.0, 20), np.linspace(3.0, 1.0, 20),
+                     np.linspace(3.5, 1.5, 20), np.linspace(4.5, 2.5, 20)])
+    loss[1:3, 7] = 0.0, -0.0
+    loss[[0, 3], [0, 19]] = 0.5
+    curves = Curves(range(4), [UNIT] * 4, [UNIT] * 4, c, loss)
     for basis in ("nonembed", "total"):
-        front = extract_frontier(curves, 10, basis, drop_edge_models=False)
+        front = extract_frontier(curves, 10, basis)
+        assert (front.n_dropped, front.c.size) == (2, 8)
         # A sample is named by its curve and its tokens, which rise along the curve.
         won = front.model_index * 20 + np.searchsorted(c[0], front.d_opt)
         assert front.loss_min.tobytes() == curves.loss.ravel()[won].tobytes()
-        assert front.model_index[3] == 0 and front.loss_min[3].tobytes() == b"\0" * 8
+        # Bin 3, the third kept.
+        assert front.model_index[2] == 1 and front.loss_min[2].tobytes() == b"\0" * 8
 
 
 def test_extract_frontier_edges_do_not_overflow():
@@ -368,10 +392,10 @@ def test_extract_frontier_edges_do_not_overflow():
     c = 10.0 ** np.linspace(0.0, 308.0, 40).reshape(4, 10)
     c[-1, -1] = np.finfo(float).max
     loss = np.random.default_rng(3).uniform(1.0, 2.0, (4, 10))
-    curves = Curves(range(4), np.full(4, UNIT), np.full(4, UNIT), c, loss)
+    curves = _unguarded(Curves(range(4), np.full(4, UNIT), np.full(4, UNIT), c, loss))
     for over in ("warn", "raise"):
         with np.errstate(over=over):
-            front = extract_frontier(curves, 10, "total", drop_edge_models=False)
+            front = extract_frontier(curves, 10, "total")
         assert front.c.size == 10 and np.isfinite(front.c).all()
 
 
@@ -589,10 +613,11 @@ def test_frontier_counts_empty_and_dropped_bins(epoch_curves, epoch_frontier_non
     front = epoch_frontier_nonembed
     assert front.n_dropped > 0
     assert front.n_empty + front.n_dropped + front.c.size == 200
-    kept_all = extract_frontier(epoch_curves, basis="nonembed", drop_edge_models=False)
+    kept_all = extract_frontier(_unguarded(epoch_curves), basis="nonembed")
     assert kept_all.n_dropped == 0
     assert kept_all.n_empty == front.n_empty
     assert kept_all.c.size == front.c.size + front.n_dropped
+    assert np.isin(kept_all.model_index, [0, 19]).sum() == front.n_dropped
     path = tmp_path / "frontier.csv"
     write_frontier_csv(front, path)
     again = read_frontier_csv(path)
@@ -613,12 +638,13 @@ def test_extract_frontier_rejects_non_finite_samples(epoch_curves, bad):
 
 
 def _four_by_twenty():
-    """A hand-built table of 4 curves of 20 samples, with its non-embedding frontier."""
+    """A hand-built table of 4 curves of 20 samples, with its non-embedding frontier of
+    6 points, won by models 1 and 2."""
     tokens = np.geomspace(1e3, 1e6, 20) * np.array([[1.0], [2.0], [4.0], [8.0]])
     n = np.array([1e2, 1e3, 1e4, 1e5])
     loss = 1.0 + 100.0 / n[:, None] ** 0.3 + 300.0 / tokens**0.3
     curves = Curves(range(4), n, 2.0 * n, tokens, loss)
-    return curves, extract_frontier(curves, 10, drop_edge_models=False)
+    return curves, extract_frontier(curves, 10)
 
 
 @pytest.mark.parametrize("basis", ["nonembed", "total"])
@@ -682,9 +708,9 @@ def test_extract_frontier_takes_finite_losses_whose_sum_overflows(sign, basis):
     with np.errstate(over="ignore"):
         assert loss.sum() == sign * np.inf and np.isfinite(loss).all()
     huge = dataclasses.replace(curves, loss=loss)
-    want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(huge, 10, basis, False)
+    want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(huge, 10, basis)
     with np.errstate(all="raise"):
-        frontier = extract_frontier(huge, 10, basis, drop_edge_models=False)
+        frontier = extract_frontier(huge, 10, basis)
     _assert_columns_match(frontier, want, lo, hi)
     assert (frontier.n_empty, frontier.n_dropped) == (n_empty, n_dropped)
 
@@ -804,9 +830,9 @@ def test_simulate_curves_names_omega_when_n_total_overflows():
 
 
 def test_extract_frontier_rejects_curves_without_samples():
-    empty = np.empty((2, 0))
-    table = Curves([0, 1], [1e6, 1e7], [2e6, 2e7], empty, empty)
-    with pytest.raises(ValueError, match="curves"):
+    empty = np.empty((3, 0))
+    table = Curves([0, 1, 2], [1e6, 1e7, 1e8], [2e6, 2e7, 2e8], empty, empty)
+    with pytest.raises(ValueError, match="^curves hold no samples$"):
         extract_frontier(table)
 
 
@@ -928,7 +954,7 @@ def test_edge_guard_drops_the_tables_own_extreme_models(epoch_curves):
     """A sub-grid labelled 3..8 loses the bins won by models 3 and 8, as the same
     sub-grid labelled 0..5 loses those won by 0 and 5."""
     sub = Curves(*(getattr(epoch_curves, name)[3:9] for name in CURVE_COLUMNS))
-    kept = extract_frontier(sub, n_bins=10, drop_edge_models=False)
+    kept = extract_frontier(_unguarded(sub), n_bins=10)
     assert {3, 8} <= set(kept.model_index.tolist())
     front = extract_frontier(sub, n_bins=10)
     want = extract_frontier(dataclasses.replace(sub, model_index=sub.model_index - 3), n_bins=10)
@@ -954,11 +980,11 @@ def test_extract_frontier_bins_samples_on_and_beside_edges(seed, n_bins, c_range
     # 6 n = 1, 2, 4 and 8: the tokens are the compute scaled exactly by a power of two.
     six_n = np.array([1.0, 2.0, 4.0, 8.0])
     n = six_n * UNIT
-    curves = Curves(range(4), n, n, c / six_n[:, None], loss)
-    assert np.array_equal(curves.c_total, c)
+    curves = _unguarded(Curves(range(4), n, n, c / six_n[:, None], loss))
+    assert np.array_equal(curves.c_total[:4], c)
     for basis in ("nonembed", "total"):
-        want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis, False)
-        frontier = extract_frontier(curves, n_bins, basis, drop_edge_models=False)
+        want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis)
+        frontier = extract_frontier(curves, n_bins, basis)
         _assert_columns_match(frontier, want, lo, hi)
         assert (frontier.n_empty, frontier.n_dropped) == (n_empty, n_dropped)
 
@@ -1046,11 +1072,11 @@ def test_geometric_bin_of_spans_real_blocks():
 
 @st.composite
 def split_magnitude_tables(draw):
-    """(curves, n_bins, basis): 2-6 curves whose compute 6 n t lies on every edge of a
-    geometric range and one ulp either side, and at random inside it; within rounding of
-    there where 6 n is no power of two or the tokens are subnormal.  Each curve's 6 n lies
-    1e210-1e300 times above or below 1, and its tokens as far the other way.  The other
-    basis's sizes are 1."""
+    """(curves, n_bins, basis): 2-6 curves, and ``_unguarded``'s two copies, whose compute
+    6 n t lies on every edge of a geometric range and one ulp either side, and at random
+    inside it; within rounding of there where 6 n is no power of two or the tokens are
+    subnormal.  Each curve's 6 n lies 1e210-1e300 times above or below 1, and its tokens
+    as far the other way.  The other basis's sizes are 1."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_bins, rows = draw(st.integers(10, 100)), draw(st.integers(2, 6))
     ranges = [(0.5, 2.0), (7.0, 7.0 * (1 + 1e-9)), (1e-20, 1e-12), (1e-20, 1e8)]
@@ -1070,7 +1096,7 @@ def split_magnitude_tables(draw):
     sizes = {"n_nonembed": np.ones(rows), "n_total": np.ones(rows), f"n_{basis}": n}
     curves = Curves(range(rows), sizes["n_nonembed"], sizes["n_total"],
                     c / (6.0 * n)[:, None], rng.choice(rng.uniform(1.0, 2.0, 3), c.shape))
-    return curves, n_bins, basis
+    return _unguarded(curves), n_bins, basis
 
 
 @settings(max_examples=100, deadline=None)
@@ -1089,15 +1115,15 @@ def test_guard_band_holds_for_split_magnitudes(case, block):
         binned.append(k.size)
         return k
 
-    want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis, False)
+    want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frontier_module, "_BIN_BLOCK", block)
         mp.setattr(frontier_module, "_geometric_bin_of", checked)
         if n_empty > 0.5 * n_bins:
             with pytest.raises(ValueError, match="too sparse"):
-                extract_frontier(curves, n_bins, basis, drop_edge_models=False)
+                extract_frontier(curves, n_bins, basis)
         else:
-            frontier = extract_frontier(curves, n_bins, basis, drop_edge_models=False)
+            frontier = extract_frontier(curves, n_bins, basis)
             _assert_columns_match(frontier, want, lo, hi)
             assert (frontier.n_empty, frontier.n_dropped) == (n_empty, n_dropped)
     assert sum(binned) == curves.loss.size
@@ -1135,20 +1161,20 @@ def test_extract_frontier_keeps_the_first_tie_across_blocks(block):
     loss = rng.choice([1.0, 1.5, 2.0], size)
     c[[5, 130]], loss[[5, 130]] = np.sqrt(edges[3] * edges[4]), 0.5  # a tie in bin 3
     c[[10, 150]], loss[[10, 150]] = np.sqrt(edges[6] * edges[7]), (0.75, 0.6)  # 150 wins bin 6
-    curves = Curves(range(4), np.full(4, UNIT), np.full(4, UNIT), c.reshape(4, 50),
-                    loss.reshape(4, 50))
+    curves = _unguarded(Curves(range(4), np.full(4, UNIT), np.full(4, UNIT), c.reshape(4, 50),
+                               loss.reshape(4, 50)))
     bin_of = np.searchsorted(edges[1:-1], c, side="right")
     first_min = np.array([idx[np.argmin(loss[idx])] for idx in
                           (np.flatnonzero(bin_of == b) for b in range(n_bins))])
     for basis in ("nonembed", "total"):
-        want = extract_frontier(curves, n_bins, basis, drop_edge_models=False)
+        want = extract_frontier(curves, n_bins, basis)
         # A sample is named by its curve and its tokens, which are its compute.
         np.testing.assert_array_equal(want.model_index, first_min // 50)
         np.testing.assert_array_equal(want.d_opt, c[first_min])
         assert (want.model_index[3], want.model_index[6]) == (0, 3)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(frontier_module, "_BIN_BLOCK", block)
-            got = extract_frontier(curves, n_bins, basis, drop_edge_models=False)
+            got = extract_frontier(curves, n_bins, basis)
         for name in ("c", "loss_min", "n_opt", "d_opt", "model_index", "n_empty",
                      "n_dropped"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
@@ -1209,7 +1235,7 @@ def test_pipeline_sweep(omega, log_lo, log_span, count, samples, n_bins, spec):
     sizes = size_grid(10.0**log_lo, 10.0 ** min(log_lo + log_span, 23.0), count)
     curves = simulate_curves(sizes, spec, EmbedMap(omega), samples_per_curve=samples)
     for basis in ("nonembed", "total"):
-        want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis, True)
+        want, lo, hi, n_empty, n_dropped = _masked_argmin_frontier(curves, n_bins, basis)
         if n_empty > 0.5 * n_bins or not want["c"].size:
             error = "too sparse" if n_empty > 0.5 * n_bins else "no frontier points"
             with pytest.raises(ValueError, match=error):

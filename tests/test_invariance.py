@@ -9,6 +9,7 @@ drawn from here, each at both ends of k or of the shift.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,3 +80,16 @@ def test_a_shift_of_the_floor_moves_only_the_offset(spec, omega, where):
     assert np.array_equal(param_s, param)
     assert abs(gamma_s - gamma) <= 2e-6
     assert abs(offset_s - offset - shift) <= 1e-7 * max(least, least_s)
+
+
+@pytest.mark.xfail(strict=True, reason="far above its floor the offset fit falls back to 0, "
+                   "which no shift of the floor moves (ROADMAP item 4)")
+def test_a_shift_of_the_floor_moves_the_offset_of_a_frontier_far_above_it():
+    """The floor-shift property on a spec outside ``_SPECS``, whose total-basis frontier
+    ends 138 above its floor: the fitted offset reads 0.0 at e_irr = 0.5 and at 1.0, and
+    1.518 at 3.0, so a shift of 0.5 moves it by 0."""
+    spec, embed_map = LossSpec(2000.0, 2800.0, 0.14, 0.54, 0.5), EmbedMap(1e4)
+    _, _, _, offset, least = _fits(kaplan_size_grid(), spec, embed_map)
+    _, _, _, offset_s, least_s = _fits(kaplan_size_grid(), dataclasses.replace(spec, e_irr=1.0),
+                                       embed_map)
+    assert abs(offset_s - offset - 0.5) <= 1e-7 * max(least, least_s)
