@@ -69,7 +69,6 @@ _SUBMODULES = {
         "DEFAULT_OMEGA",
         "EmbedMap",
         "EmbedMapFit",
-        "ModelShape",
         "ParamSplit",
         "bundled_config_path",
         "count_params",

@@ -373,13 +373,16 @@ def extract_frontier(curves: Curves, n_bins: int = DEFAULT_BINS,
     A bin's winner is its first minimum-loss sample in pooled (curve, then
     sample) order.  Bins whose winner has the table's smallest or largest ``model_index``
     are discarded: at the extremes those models win only because nothing smaller or
-    larger exists, which truncates the envelope and biases fitted exponents.  So fewer
-    than three curves, which give no point, are refused before any pass, as is a bad basis.
+    larger exists, which truncates the envelope and biases fitted exponents.  So a table
+    of fewer than three distinct labels, which gives no point, is refused before any pass,
+    as is a bad basis.
     """
     if not isinstance(curves, Curves):
         raise TypeError(f"curves must be a Curves table, got {type(curves).__name__}")
-    if curves.model_index.size < 3:
-        raise ValueError("need >=3 curves: bins won by the smallest or largest model are dropped")
+    labels = curves.model_index
+    if labels.size < 3 or not ((labels > labels.min()) & (labels < labels.max())).any():
+        raise ValueError("need >=3 distinct model_index labels: bins won by the smallest or "
+                         "largest model are dropped")
     n_bins = _check_count("n_bins", n_bins, 10)
     _check_basis(basis)
 
@@ -430,8 +433,8 @@ def extract_frontier(curves: Curves, n_bins: int = DEFAULT_BINS,
     if n_empty > 0.5 * n_bins:
         raise ValueError(f"{n_empty}/{n_bins} compute bins are empty; token schedules too sparse")
     curve = first[filled] // samples
-    winner = curves.model_index[curve]
-    keep = (winner != curves.model_index.min()) & (winner != curves.model_index.max())
+    winner = labels[curve]
+    keep = (winner != labels.min()) & (winner != labels.max())
     if not keep.any():
         raise ValueError("no frontier points survive the boundary guard")
     filled, curve = filled[keep], curve[keep]

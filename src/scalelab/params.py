@@ -41,24 +41,6 @@ _OMEGA_SMALLEST_ROOT = 2.0 ** (-2150 / 3)
 
 
 @dataclass(frozen=True)
-class ModelShape:
-    """Transformer sizing used for parameter counting.
-
-    ``context_learned`` is the context length and must be 0 unless the
-    positional embeddings are learned (fixed encodings carry no parameters).
-    """
-
-    d_model: int
-    n_layers: int
-    vocab: int = 0
-    context_learned: int = 0
-
-    def __post_init__(self):
-        for name, least in (("d_model", 1), ("n_layers", 1), ("vocab", 0), ("context_learned", 0)):
-            _check_count(name, getattr(self, name), least)
-
-
-@dataclass(frozen=True)
 class ParamSplit:
     """Embedding / non-embedding parameter counts; total is their exact sum."""
 
@@ -101,11 +83,18 @@ class EmbedMapFit:
     n_points: int
 
 
-def count_params(shape: ModelShape) -> ParamSplit:
-    """Count parameters: 12*l*d^2 non-embedding, (h+v)*d embedding."""
-    n_nonembed = 12 * shape.n_layers * shape.d_model**2
-    n_embed = (shape.context_learned + shape.vocab) * shape.d_model
-    return ParamSplit(n_embed=n_embed, n_nonembed=n_nonembed)
+def count_params(d_model, n_layers, vocab=0, context_learned=0) -> ParamSplit:
+    """Count parameters: 12*l*d^2 non-embedding, (h+v)*d embedding.
+
+    ``context_learned`` is the context length and must be 0 unless the
+    positional embeddings are learned (fixed encodings carry no parameters).
+    The counts are exact Python ints, so a NumPy integer cannot wrap.
+    """
+    d = _check_count("d_model", d_model, 1)
+    layers = _check_count("n_layers", n_layers, 1)
+    v = _check_count("vocab", vocab, 0)
+    h = _check_count("context_learned", context_learned, 0)
+    return ParamSplit(n_embed=(h + v) * d, n_nonembed=12 * layers * d**2)
 
 
 def total_from_nonembed(n_nonembed, embed_map: EmbedMap):
@@ -232,7 +221,7 @@ def load_model_configs(path) -> list[ParamSplit]:
         if (row.get("n_nonembed") or "").strip():
             explicit = _files.parse_field(row, k, "n_nonembed", float, "config CSV")
         try:  # a shape out of range, or a count beyond the range of doubles
-            split = count_params(ModelShape(*shape))
+            split = count_params(*shape)
             if explicit is not None:
                 split = ParamSplit(split.n_embed, explicit)
         except ValueError as exc:
@@ -245,6 +234,4 @@ def load_model_configs(path) -> list[ParamSplit]:
 
 def bundled_config_path() -> Path:
     """Path of the bundled model-configuration suite."""
-    from importlib import resources
-
-    return Path(str(resources.files("scalelab.data") / "chinchilla_models.csv"))
+    return Path(__file__).with_name("data") / "chinchilla_models.csv"

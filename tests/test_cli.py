@@ -231,7 +231,8 @@ def test_a_frontier_of_two_models_names_the_three_curve_need(capsys):
     """Both models of a two-model grid are its edges, whose bins the guard drops: the
     frontier is refused with one line naming the need, not binned and then found empty."""
     assert _run(capsys, ["frontier", "--sizes-count", "2"]) == (
-        2, "", "error: need >=3 curves: bins won by the smallest or largest model are dropped\n")
+        2, "", "error: need >=3 distinct model_index labels: bins won by the smallest or "
+        "largest model are dropped\n")
 
 
 def test_fit_rejects_unknown_basis(tmp_path, capsys):
@@ -724,8 +725,8 @@ _SURFACE_MODULES = sorted(_FIT_MODULES + ["scalelab.lossmodel", "scalelab.params
      ["csv", "json"]),
     (["fit", "{frontier}", "--form", "chinchilla"], sorted(_FIT_MODULES + ["scalelab._files"]),
      ["csv", "json"]),
-    (["fit-embed-map"], ["scalelab", "scalelab._files", "scalelab.cli", "scalelab.data",
-                         "scalelab.fitting", "scalelab.params"], ["csv", "json"]),
+    (["fit-embed-map"], ["scalelab", "scalelab._files", "scalelab.cli", "scalelab.fitting",
+                         "scalelab.params"], ["csv", "json"]),
     (["simulate", "--sizes-count", "3"], _SURFACE_MODULES, []),
     (["frontier", "--basis", "total"], _SURFACE_MODULES, []),
     (["reproduce"], _SURFACE_MODULES, ["json"]),
@@ -742,14 +743,14 @@ def test_each_command_loads_only_the_modules_it_calls(tmp_path, fresh_python, ar
     assert lines[-2:] == [str(loaded), str(formats)]
 
 
-@pytest.mark.parametrize("argv", [["simulate", "--sizes-count", "3"],
+@pytest.mark.parametrize("argv", [["fit-embed-map"], ["simulate", "--sizes-count", "3"],
                                   ["frontier", "--sizes-count", "3"], ["reproduce"],
                                   ["exponent-curve"]], ids=lambda argv: argv[0])
-def test_only_fit_embed_map_loads_importlib_resources(tmp_path, fresh_python, checkout_env,
-                                                      argv):
-    """Only ``bundled_config_path`` needs importlib.resources, about 10 ms of a command's
-    start-up.  Under -S no .pth file in site-packages loads it first (certifi's does), so
-    numpy's directory joins the checkout's on the path."""
+def test_no_command_loads_importlib_resources(tmp_path, fresh_python, checkout_env, argv):
+    """``bundled_config_path`` names the file beside ``params``, so no command pays the
+    5-10 ms of importing importlib.resources.  Under -S no .pth file in site-packages
+    loads it first (certifi's does), so numpy's directory joins the checkout's on the
+    path."""
     numpy_dir = os.path.dirname(os.path.dirname(np.__file__))
     path = os.pathsep.join([checkout_env["PYTHONPATH"], numpy_dir])
     script = _ONE_COMMAND + 'print("importlib.resources" in sys.modules)\n'

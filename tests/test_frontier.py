@@ -200,15 +200,18 @@ def test_omega_zero_total_basis_recovers_global_exponent():
 
 
 def test_extract_frontier_preconditions(epoch_curves, monkeypatch):
-    """Each is refused before any sample is binned.  Two curves are the table's smallest
-    and largest model, whose bins the guard drops, so fewer than three are refused."""
+    """Each is refused before any sample is binned.  Two labels are the table's smallest
+    and largest model, whose bins the guard drops, so fewer than three distinct labels
+    are refused, however many curves carry them."""
     def no_pass(*args):
         raise AssertionError("binned before the preconditions were checked")
 
     monkeypatch.setattr(frontier_module, "_geometric_bin_of", no_pass)
-    for rows in ([7], [0, 1], [5, 17]):
-        table = Curves(*(getattr(epoch_curves, name)[rows] for name in CURVE_COLUMNS))
-        with pytest.raises(ValueError, match="^need >=3 curves: bins won by the smallest"):
+    tables = [(rows, epoch_curves.model_index[rows]) for rows in ([], [7], [0, 1], [5, 17])]
+    tables += [([0, 1, 2], [0, 0, 1]), ([0, 1, 2], [4, 9, 9])]
+    for rows, labels in tables:
+        table = Curves(labels, *(getattr(epoch_curves, name)[rows] for name in CURVE_COLUMNS[1:]))
+        with pytest.raises(ValueError, match="^need >=3 distinct model_index labels: bins won"):
             extract_frontier(table)
     with pytest.raises(TypeError, match="curves"):
         extract_frontier(list(epoch_curves))

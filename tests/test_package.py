@@ -21,7 +21,7 @@ EXPORTED = {
         read_frontier_csv simulate_curves size_grid write_curves_csv write_frontier_csv""",
     "lossmodel": """CHINCHILLA EPOCH SPEC_CATALOG LossSpec load_loss_spec
         loss_nd loss_ne_ce loss_nt_ct resolve_spec""",
-    "params": """DEFAULT_EMBED_MAP DEFAULT_OMEGA EmbedMap EmbedMapFit ModelShape ParamSplit
+    "params": """DEFAULT_EMBED_MAP DEFAULT_OMEGA EmbedMap EmbedMapFit ParamSplit
         bundled_config_path count_params fit_embed_map load_model_configs
         nonembed_from_total omega_from_shape total_from_nonembed""",
 }

@@ -11,7 +11,6 @@ from scalelab import (
     DEFAULT_OMEGA,
     EmbedMap,
     LossSpec,
-    ModelShape,
     ParamSplit,
     bundled_config_path,
     count_params,
@@ -27,34 +26,70 @@ THIRD = 1.0 / 3.0
 
 
 def test_count_params_zero_vocab():
-    split = count_params(ModelShape(d_model=100, n_layers=2))
+    split = count_params(d_model=100, n_layers=2)
     assert split.n_nonembed == 240_000
     assert split.n_embed == 0
     assert split.n_total == 240_000
 
 
 def test_count_params_vocab_only():
-    split = count_params(ModelShape(d_model=512, n_layers=8, vocab=32000))
+    split = count_params(d_model=512, n_layers=8, vocab=32000)
     assert split.n_embed == 16_384_000
     assert split.n_nonembed == 25_165_824
     assert split.n_total == split.n_embed + split.n_nonembed
 
 
 def test_count_params_learned_positional():
-    split = count_params(ModelShape(d_model=640, n_layers=16, vocab=32000, context_learned=2048))
+    split = count_params(d_model=640, n_layers=16, vocab=32000, context_learned=2048)
     assert split.n_embed == (32000 + 2048) * 640 == 21_790_720
 
 
 @pytest.mark.parametrize("kwargs", [dict(d_model=0, n_layers=2), dict(d_model=64, n_layers=0)])
 def test_degenerate_shape_rejected(kwargs):
-    with pytest.raises(ValueError):
-        ModelShape(**kwargs)
+    name = next(name for name, value in kwargs.items() if value == 0)
+    with pytest.raises(ValueError, match=f"^need {name} >= 1$"):
+        count_params(**kwargs)
 
 
 @pytest.mark.parametrize("d_model", [math.nan, math.inf, 512.5, 512.0, True])
 def test_shape_rejects_a_non_integer_count_by_name(d_model):
     with pytest.raises(ValueError, match="^d_model must be an integer"):
-        ModelShape(d_model=d_model, n_layers=2)
+        count_params(d_model=d_model, n_layers=2)
+
+
+def _fits_a_double(count):
+    try:
+        float(count)
+    except OverflowError:
+        return False
+    return True
+
+
+# Each integer type with the largest value drawn for it: Python ints reach counts past
+# the largest double, and NumPy's reach products that would wrap in their own width.
+_COUNT_TYPES = {int: 2**600, np.int32: 2**31 - 1, np.int64: 2**63 - 1}
+
+
+@given(st.sampled_from(list(_COUNT_TYPES)).flatmap(lambda kind: st.tuples(
+    st.just(kind), *(st.integers(least, _COUNT_TYPES[kind]) for least in (1, 1, 0, 0)))))
+@example((np.int32, 1048576, 4, 0, 0))  # 12*l*d^2 wrapped to 0 in int32
+@example((np.int64, 3037000500, 1, 0, 0))  # d^2 wrapped past 2**63
+@example((int, 2**512, 1, 0, 0))  # 12*2**1024: past the largest double
+@example((int, 2**1023, 1, 2, 0))  # both counts past it: n_embed is named first
+def test_count_params_counts_exactly_whatever_the_integer_type(shape):
+    """Both counts equal Python-int arithmetic on the shape, whatever integer type holds
+    it; a count past the largest double is refused by name."""
+    kind, d, layers, v, h = shape
+    n_embed, n_nonembed = (h + v) * d, 12 * layers * d**2
+    args = [kind(x) for x in (d, layers, v, h)]
+    past = [name for name, count in (("n_embed", n_embed), ("n_nonembed", n_nonembed))
+            if not _fits_a_double(count)]
+    if past:
+        with pytest.raises(ValueError, match=f"^{past[0]} is too large for a double$"):
+            count_params(*args)
+    else:
+        split = count_params(*args)
+        assert (split.n_embed, split.n_nonembed) == (n_embed, n_nonembed)
 
 
 def test_param_split_rejects_negative():
@@ -189,7 +224,7 @@ def test_fit_embed_map_distinct_check_matches_unique(n_values):
     ((1, 100, 10000), "delta must lie in (0, 1)"),
 ], ids=["embedding-falls", "embedding-grows-faster"])
 def test_fit_embed_map_refuses_a_delta_outside_0_1(vocabs, message):
-    splits = [count_params(ModelShape(d, 8, v)) for d, v in zip((512, 1024, 2048), vocabs)]
+    splits = [count_params(d, 8, v) for d, v in zip((512, 1024, 2048), vocabs)]
     with pytest.raises(ValueError) as info:
         fit_embed_map(splits)
     assert str(info.value) == message
@@ -230,7 +265,7 @@ def test_omega_from_shape_rejects():
     (2.0, np.inf, "context_learned"), (np.inf, -np.inf, "vocab"),
 ])
 def test_omega_from_shape_rejects_a_bad_part(vocab, context, name):
-    """Each part is finite and >= 0, as in ModelShape, whatever their sum."""
+    """Each part is finite and >= 0, as in count_params, whatever their sum."""
     with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
         omega_from_shape(vocab, context, 1.0)
 
